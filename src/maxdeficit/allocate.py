@@ -16,15 +16,13 @@ Two ways to split a total reserve u over K exponential lines:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
 from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
-
-_METHODS = ("marginal-sum", "aggregate-min")
 
 _LEVEL_FLOOR = 1e-14
 
@@ -34,21 +32,23 @@ _LEVEL_FLOOR = 1e-14
 _LEVEL_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14)
 
 
+def _check_budget(total_u):
+    if not 0.0 <= total_u < math.inf:
+        raise DomainError(f"total reserve must be finite and >= 0, got {total_u}")
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
-    """A reserve split instance: lines, tail penalties, budget, method.
+    """A marginal-sum reserve split instance: lines, tail penalties, budget.
 
     gammas are per-line penalty exponents (>= 1) applied as the
     distortion x**(1/gamma) to that line's ruin probability; gamma 1
-    leaves the line undistorted.  aggregate_g names the distortion of
-    the pooled curve for the aggregate-min method.
+    leaves the line undistorted.
     """
 
     lines: tuple
     total_u: float
     gammas: tuple = None
-    method: str = "marginal-sum"
-    aggregate_g: object = None
 
     def __post_init__(self):
         lines = tuple(self.lines)
@@ -64,10 +64,7 @@ class AllocationProblem:
             raise DomainError("one penalty exponent per line is required")
         if any(g < 1.0 for g in gammas):
             raise DomainError(f"penalty exponents must be >= 1, got {gammas}")
-        if self.total_u < 0.0:
-            raise DomainError(f"total reserve must be >= 0, got {self.total_u}")
-        if self.method not in _METHODS:
-            raise DomainError(f"unknown allocation method {self.method!r}")
+        _check_budget(self.total_u)
 
 
 @dataclass
@@ -89,13 +86,15 @@ class AllocationResult:
 
 
 def method1_exponential(problem):
-    """Marginal-sum allocation for exponential lines, closed inverses.
+    """Marginal-sum allocation for exponential lines by exact water filling.
 
     With marginal level m_k(u) = a_k**(1/gamma_k) * exp(-b_k u /
     gamma_k) the optimal reserve at threshold s is
-    max(0, -(gamma_k/b_k) log(s / a_k**(1/gamma_k))), and the threshold
-    solves the budget identity by bracketed root finding on
-    [1e-14, max_k m_k(0)].
+    max(0, w_k log(top_k / s)) with w_k = gamma_k / b_k and top_k =
+    m_k(0).  Lines enter in order of decreasing top; on an active
+    prefix the budget is linear in log s, so log s = (sum w_k log top_k
+    - U) / sum w_k, and the prefix stops growing once log s reaches the
+    next line's log top.  Lines with a_k = 0 never become active.
     """
     consts = [ruin_constants(line) for line in problem.lines]
     a = np.array([k.a for k in consts])
@@ -104,41 +103,33 @@ def method1_exponential(problem):
     if np.all(a == 0.0):
         raise DomainError("every line is degenerate: nothing to allocate")
     tops = a ** (1.0 / gam)
-    level_max = float(tops.max())
-
-    def reserves_at(level):
-        with np.errstate(divide="ignore"):
-            raw = -(gam / b) * np.log(level / tops)
-        return np.maximum(0.0, raw)
+    w = gam / b
 
     def objective_at(u):
-        return float(((gam / b) * tops * np.exp(-b * u / gam)).sum())
+        return float((w * tops * np.exp(-b * u / gam)).sum())
 
     if problem.total_u == 0.0:
         zero = np.zeros(len(consts))
-        return AllocationResult(zero, [], level_max, objective_at(zero), 0.0)
+        return AllocationResult(zero, [], float(tops.max()), objective_at(zero), 0.0)
 
-    level = brent_root(
-        lambda s: float(reserves_at(s).sum()) - problem.total_u,
-        _LEVEL_FLOOR,
-        level_max,
-        _LEVEL_TOL,
-    )
-    u = reserves_at(level)
-    mask = u > 0.0
-    # on a fixed active set the budget is linear in the log threshold,
-    # so one algebraic step removes the root finder's level error
-    w = (gam / b)[mask]
-    refined = math.exp(
-        (float((w * np.log(tops[mask])).sum()) - problem.total_u) / float(w.sum())
-    )
-    candidate = reserves_at(refined)
-    if np.array_equal(candidate > 0.0, mask):
-        level, u = refined, candidate
+    with np.errstate(divide="ignore"):
+        log_tops = np.log(tops)
+    order = np.argsort(-log_tops, kind="stable")
+    sorted_log_tops = log_tops[order]
+    sorted_w = w[order]
+    # log threshold with the first j + 1 lines active, for every j
+    prefix_log_s = (
+        np.cumsum(sorted_w * sorted_log_tops) - problem.total_u
+    ) / np.cumsum(sorted_w)
+    next_log_tops = np.append(sorted_log_tops[1:], -np.inf)
+    log_s = float(prefix_log_s[np.argmax(prefix_log_s >= next_log_tops)])
+    u = np.maximum(0.0, w * (log_tops - log_s))
     active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    levels = tops[active] * np.exp(-b[active] * u[active] / gam[active])
-    spread = float(np.ptp(levels)) / level if active else 0.0
-    return AllocationResult(u, active, level, objective_at(u), spread)
+    # levels relative to the threshold, kept in logs so a threshold
+    # that underflows still gives a finite certificate
+    relative = np.exp(log_tops[active] - b[active] * u[active] / gam[active] - log_s)
+    spread = float(np.ptp(relative)) if active else 0.0
+    return AllocationResult(u, active, math.exp(log_s), objective_at(u), spread)
 
 
 def _inverse_marginal(m, top, level, tol):
@@ -164,8 +155,7 @@ def method1_generic(marginals, total_u, tol=DEFAULT_TOL):
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
-    if total_u < 0.0:
-        raise DomainError(f"total reserve must be >= 0, got {total_u}")
+    _check_budget(total_u)
     span = max(1.0, 2.0 * total_u)
     grid = np.linspace(0.0, span, 41)
     for m in marginals:
@@ -221,6 +211,18 @@ def _reductions(k1, k2, u1, u2):
     return p1 - k1.b / bsum * p1 * p2, p2 - k2.b / bsum * p1 * p2
 
 
+def _log_reduction_gap(k1, k2, u1, u2):
+    # log r1 - log r2 for the reductions of _reductions, written so that
+    # neither reduction is formed: the gap keeps full relative accuracy
+    # however small both reductions are
+    p1 = k1.a * math.exp(-k1.b * u1)
+    p2 = k2.a * math.exp(-k2.b * u2)
+    bsum = k1.b + k2.b
+    log_r1 = math.log(k1.a) - k1.b * u1 + math.log1p(-k1.b / bsum * p2)
+    log_r2 = math.log(k2.a) - k2.b * u2 + math.log1p(-k2.b / bsum * p1)
+    return log_r1 - log_r2
+
+
 def method2_two_line(line1, line2, total_u):
     """Aggregate-minimum split of a budget over two identity-distorted
     exponential lines.
@@ -228,10 +230,10 @@ def method2_two_line(line1, line2, total_u):
     Along the budget line the pooled deficit is convex, so the optimum
     is the unique zero of the reduction gap; when the gap already has a
     sign at an endpoint it sits in that corner with the whole budget on
-    one line.
+    one line.  Inside, the root is taken on the gap of log reductions,
+    which does not shrink with the reductions as the budget grows.
     """
-    if total_u < 0.0:
-        raise DomainError(f"total reserve must be >= 0, got {total_u}")
+    _check_budget(total_u)
     k1 = ruin_constants(line1)
     k2 = ruin_constants(line2)
 
@@ -246,7 +248,10 @@ def method2_two_line(line1, line2, total_u):
     elif g1 >= 0.0:
         u = np.array([total_u, 0.0])
     else:
-        u1 = brent_root(gap, 0.0, total_u)
+        # g0 > 0 and g1 < 0 need a1 > 0 and a2 > 0, so both logs exist
+        u1 = brent_root(
+            lambda x: _log_reduction_gap(k1, k2, x, total_u - x), 0.0, total_u
+        )
         u = np.array([u1, total_u - u1])
     red = _reductions(k1, k2, u[0], u[1])
     active = [int(i) for i in np.flatnonzero(u > 0.0)]
@@ -271,10 +276,15 @@ def psi_tilde(lines, reserves, v):
         raise DomainError("one reserve per line is required")
     if any(u < 0.0 for u in reserves):
         raise DomainError("reserves must be nonnegative")
-    survive = 1.0
+    # summing log survivals keeps the tail accurate far below 1e-16,
+    # where one minus a product of survivals rounds to zero
+    log_survive = 0.0
     for line, u in zip(lines, reserves):
-        survive *= 1.0 - ultimate_ruin(line, u + v)
-    return 1.0 - survive
+        psi = ultimate_ruin(line, u + v)
+        if psi >= 1.0:
+            return 1.0
+        log_survive += math.log1p(-psi)
+    return -math.expm1(log_survive)
 
 
 def _project_simplex(v, total):
@@ -300,8 +310,7 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     """
     if not g.concave:
         raise DomainError("aggregate objective needs a concave distortion")
-    if total_u < 0.0:
-        raise DomainError(f"total reserve must be >= 0, got {total_u}")
+    _check_budget(total_u)
     k = len(lines)
     if k == 0:
         raise DomainError("allocation needs at least one line")

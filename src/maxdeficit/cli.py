@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for usage problems, 3 for domain errors,
-4 for convergence failures.  A flat key=value config file can preseed
-any flag; explicit flags win.  The MAXDEFICIT_SEED environment variable
-serves as the seed of last resort.
+4 for convergence failures.  A flat key=value config file, keyed by
+the long flag names, is parsed and checked exactly like flags; a flag
+on the command line replaces its key from the file.  The
+MAXDEFICIT_SEED environment variable serves as the seed of last resort.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,56 +52,14 @@ def _parse_floats(text):
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
-@dataclass
-class RunConfig:
-    """Merged options for one command invocation."""
+def _config_tokens(path, argv):
+    """The entries of a flat key=value file as --key=value tokens.
 
-    target: str = None
-    lines: list = field(default_factory=list)
-    distortions: list = field(default_factory=list)
-    budgets: list = None
-    margins: list = None
-    alpha: float = None
-    gammas: list = None
-    method: str = "marginal-sum"
-    u_levels: list = None
-    t: float = None
-    n: int = None
-    seed: int = None
-    r_grid: str = None
-    mu: float = 1.0
-    c: float = 1.0
-    workers: int = 1
-    out: str = None
-    fmt: str = "table"
-    precision: int = 6
-
-
-# config-file key -> (RunConfig field, parser, accumulates)
-_CONFIG_KEYS = {
-    "line": ("lines", _parse_line, True),
-    "g": ("distortions", parse_distortion, True),
-    "A": ("budgets", _parse_floats, False),
-    "delta": ("margins", _parse_floats, False),
-    "alpha": ("alpha", float, False),
-    "gamma": ("gammas", _parse_floats, False),
-    "method": ("method", str, False),
-    "u": ("u_levels", _parse_floats, False),
-    "t": ("t", float, False),
-    "n": ("n", int, False),
-    "seed": ("seed", int, False),
-    "r-grid": ("r_grid", str, False),
-    "mu": ("mu", float, False),
-    "c": ("c", float, False),
-    "workers": ("workers", int, False),
-    "out": ("out", str, False),
-    "format": ("fmt", str, False),
-    "precision": ("precision", int, False),
-}
-
-
-def _read_config(path):
-    entries = []
+    An entry whose flag also appears in argv is dropped, so a flag
+    replaces its key from the file, repeated line and g keys included.
+    """
+    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    tokens = []
     with open(path) as fh:
         for raw in fh:
             text = raw.strip()
@@ -110,54 +68,27 @@ def _read_config(path):
             if "=" not in text:
                 raise ValueError(f"config line is not key=value: {raw.rstrip()!r}")
             key, value = text.split("=", 1)
-            entries.append((key.strip(), value.strip()))
-    return entries
+            flag = "--" + key.strip()
+            if flag not in given:
+                tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
-def _merge(args):
-    cfg = RunConfig()
-    cfg.target = getattr(args, "target", None)
-    provided = {
-        "lines": args.lines,
-        "distortions": args.distortions,
-        "budgets": args.budgets,
-        "margins": args.margins,
-        "alpha": args.alpha,
-        "gammas": args.gammas,
-        "method": args.method,
-        "u_levels": args.u_levels,
-        "t": args.t,
-        "n": args.n,
-        "seed": args.seed,
-        "r_grid": args.r_grid,
-        "mu": args.mu,
-        "c": args.c,
-        "workers": args.workers,
-        "out": args.out,
-        "fmt": args.fmt,
-        "precision": args.precision,
-    }
-    file_values = {}
+def _parse(parser, argv):
+    args = parser.parse_args(argv)
     if args.config:
-        for key, value in _read_config(args.config):
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            dest, parser, accumulates = _CONFIG_KEYS[key]
-            if accumulates:
-                file_values.setdefault(dest, []).append(parser(value))
-            else:
-                file_values[dest] = parser(value)
-    for dest, flag_value in provided.items():
-        empty = flag_value is None or flag_value == []
-        if not empty:
-            setattr(cfg, dest, flag_value)
-        elif dest in file_values:
-            setattr(cfg, dest, file_values[dest])
-    if cfg.seed is None:
+        # file entries go right after the subcommand: a flag that
+        # _config_tokens cannot match, such as an abbreviated one, is
+        # then parsed after them and still wins
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(
+            argv[:at] + _config_tokens(args.config, argv) + argv[at:]
+        )
+    if args.seed is None:
         env = os.environ.get("MAXDEFICIT_SEED")
         if env is not None:
-            cfg.seed = int(env)
-    return cfg
+            args.seed = int(env)
+    return args
 
 
 def _format_cell(value, precision):
@@ -210,7 +141,7 @@ def _deficit_for(line, g, cfg):
     if cfg.t is not None:
         n = cfg.n if cfg.n is not None else 10000
         seed = cfg.seed if cfg.seed is not None else 0
-        batch = simulate_max_loss(line, cfg.t, n, seed, workers=cfg.workers)
+        batch = simulate_max_loss(line, cfg.t, n, seed)
         return DeficitFunctional.empirical(g, batch.samples, horizon=cfg.t)
     if g.kind == "identity":
         return DeficitFunctional.closed_form_ph(line, 1.0)
@@ -347,12 +278,11 @@ def _table_four(cfg):
     )
 
 
+_TABLES = {"1": _table_one, "2": _table_two, "3": _table_three, "4": _table_four}
+
+
 def cmd_table(cfg):
-    builders = {"1": _table_one, "2": _table_two, "3": _table_three, "4": _table_four}
-    builder = builders.get(str(cfg.target))
-    if builder is None:
-        raise ValueError(f"unknown table {cfg.target!r}; pick one of 1, 2, 3, 4")
-    builder(cfg)
+    _TABLES[cfg.target](cfg)
     return 0
 
 
@@ -416,26 +346,26 @@ def cmd_simulate(cfg):
     if cfg.seed is None:
         raise ValueError("a seed is required (--seed, config, or MAXDEFICIT_SEED)")
     line = cfg.lines[0]
-    batch = simulate_max_loss(line, cfg.t, cfg.n, cfg.seed, workers=cfg.workers)
+    batch = simulate_max_loss(line, cfg.t, cfg.n, cfg.seed)
     if cfg.out:
         save_batch(batch, cfg.out)
+        cfg.out = None  # --out holds the batch; the ruin summary goes to stdout
     rows = []
     for u in cfg.u_levels or [0.0]:
         est, half = estimate_finite_ruin(batch, u)
         rows.append([u, est, half])
-    keep_out = cfg.out
-    cfg.out = None  # ruin summary always goes to stdout; --out holds the batch
     _emit(["u", "ruin_estimate", "half_width"], rows, cfg)
-    cfg.out = keep_out
     return 0
 
 
 def _run_checks(seed):
-    import numpy as np
-
-    from .distortion import choquet_empirical
     from .numerics import brent_root, lambert_w0, tail_integral
-    from .simulate import PathState, rolling_requirement
+    from .simulate import (
+        PathState,
+        max_loss_from_events,
+        path_events,
+        rolling_requirement,
+    )
 
     rng = np.random.default_rng(seed)
     checks = []
@@ -482,7 +412,7 @@ def _run_checks(seed):
     def check_deficit_routes():
         for line in STANDARD_LINES:
             for g in (identity(), proportional_hazard(0.5), tvar(0.01)):
-                d_closed = _deficit_for(line, g, RunConfig())
+                d_closed = _deficit_for(line, g, argparse.Namespace(t=None))
                 quad = DeficitFunctional.quadrature(
                     g, lambda v, ln=line: ultimate_ruin(ln, v)
                 )
@@ -524,12 +454,12 @@ def _run_checks(seed):
         line = STANDARD_LINES[0]
         one = simulate_max_loss(line, 5.0, 300, seed)
         two = simulate_max_loss(line, 5.0, 300, seed)
-        split = simulate_max_loss(line, 5.0, 300, seed, workers=3)
-        if not (
-            np.array_equal(one.samples, two.samples)
-            and np.array_equal(one.samples, split.samples)
-        ):
+        if not np.array_equal(one.samples, two.samples):
             return False
+        for i, sample in enumerate(one.samples):
+            times, sizes = path_events(line, 5.0, seed, i)
+            if sample != max_loss_from_events(times, sizes, line.c, 5.0):
+                return False
         state = PathState(time=5.0, realized_loss=-3.25, running_max=1.5)
         return rolling_requirement(state, 7.0) == -3.25 + 7.0
 
@@ -563,7 +493,8 @@ def build_parser():
         "Poisson maximum-deficit models",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value option file")
+    common.add_argument("--config", help="flat key=value file; keys are long "
+                        "flag names, and a flag replaces its key")
     common.add_argument("--line", dest="lines", action="append", type=_parse_line,
                         default=[], metavar="LAM,MU,C")
     common.add_argument("--g", dest="distortions", action="append",
@@ -574,19 +505,19 @@ def build_parser():
     common.add_argument("--alpha", type=float, default=None)
     common.add_argument("--gamma", dest="gammas", type=_parse_floats, default=None)
     common.add_argument("--method", choices=["marginal-sum", "aggregate-min"],
-                        default=None)
+                        default="marginal-sum")
     common.add_argument("--u", dest="u_levels", type=_parse_floats, default=None)
     common.add_argument("--t", type=float, default=None)
     common.add_argument("--n", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--r-grid", dest="r_grid", default=None,
                         metavar="START:STOP:COUNT")
-    common.add_argument("--mu", type=float, default=None)
-    common.add_argument("--c", type=float, default=None)
-    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--mu", type=float, default=1.0)
+    common.add_argument("--c", type=float, default=1.0)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", dest="fmt", choices=["table", "csv"], default=None)
-    common.add_argument("--precision", type=int, default=None)
+    common.add_argument("--format", dest="fmt", choices=["table", "csv"],
+                        default="table")
+    common.add_argument("--precision", type=int, default=6)
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("measure", parents=[common], help="evaluate one requirement")
@@ -594,29 +525,28 @@ def build_parser():
                                       "ear", "premium-bound"])
     p.set_defaults(func=cmd_measure)
     p = sub.add_parser("allocate", parents=[common], help="split a reserve budget")
-    p.set_defaults(func=cmd_allocate, target=None)
+    p.set_defaults(func=cmd_allocate)
     p = sub.add_parser("table", parents=[common], help="regenerate a standard table")
-    p.add_argument("target", choices=["1", "2", "3", "4"])
+    p.add_argument("target", choices=_TABLES)
     p.set_defaults(func=cmd_table)
     p = sub.add_parser("figure", parents=[common],
                        help="requirement curves over a decay-rate grid (CSV)")
-    p.set_defaults(func=cmd_figure, target=None)
+    p.set_defaults(func=cmd_figure)
     p = sub.add_parser("simulate", parents=[common], help="sample running maxima")
-    p.set_defaults(func=cmd_simulate, target=None)
+    p.set_defaults(func=cmd_simulate)
     p = sub.add_parser("check", parents=[common], help="run the invariant suite")
-    p.set_defaults(func=cmd_check, target=None)
+    p.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        cfg = _merge(args)
-        return args.func(cfg)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 3

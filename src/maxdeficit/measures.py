@@ -72,8 +72,8 @@ def convex_measure(d, budget, tol=DEFAULT_TOL):
     route instead follows the curve itself, whose sub-zero part is
     linear by construction.
     """
-    if budget <= 0.0:
-        raise DomainError(f"budget must be positive, got {budget}")
+    if not 0.0 < budget < math.inf:
+        raise DomainError(f"budget must be positive and finite, got {budget}")
     if d.kind == deficit_mod.SOURCE_PH:
         a, b = d.constants
         p = d.ph_exponent
@@ -114,8 +114,8 @@ def proportional_measure(d, margin, tol=DEFAULT_TOL):
     line rises.  Exponential branches reduce to the Lambert W function;
     other sources bracket the crossing and hand it to Brent.
     """
-    if margin <= 0.0:
-        raise DomainError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < math.inf:
+        raise DomainError(f"margin must be positive and finite, got {margin}")
     if d.kind == deficit_mod.SOURCE_PH:
         a, b = d.constants
         p = d.ph_exponent
@@ -161,8 +161,8 @@ def critical_threshold(d):
 def ear_convex_measure(line, budget):
     """Budget-constrained reserve for the expected area under the loss
     path, the undistorted running-cost benchmark for one line."""
-    if budget <= 0.0:
-        raise DomainError(f"budget must be positive, got {budget}")
+    if not 0.0 < budget < math.inf:
+        raise DomainError(f"budget must be positive and finite, got {budget}")
     k = ruin_constants(line)
     if k.a <= 0.0:
         raise DomainError("degenerate line: no claims, nothing to reserve")

@@ -18,8 +18,8 @@ from .errors import DomainError
 class ExponentialLine:
     """One line of business: claim rate lam, claim mean mu, premium rate c.
 
-    Requires mu > 0 and positive safety loading c > lam * mu.  lam = 0 is
-    accepted as the degenerate no-claims line.
+    Requires finite parameters, mu > 0 and positive safety loading
+    c > lam * mu.  lam = 0 is accepted as the degenerate no-claims line.
     """
 
     lam: float
@@ -27,6 +27,10 @@ class ExponentialLine:
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.lam, self.mu, self.c)):
+            raise DomainError(
+                f"line parameters must be finite, got {self.lam}, {self.mu}, {self.c}"
+            )
         if self.lam < 0.0:
             raise DomainError(f"claim rate must be >= 0, got {self.lam}")
         if self.mu <= 0.0:

@@ -3,8 +3,8 @@
 Every path owns a counter-based Philox substream keyed by (seed, path
 index), and all variates come from inverse-CDF transforms of that
 stream's uniforms.  Batches are therefore bit-identical for a given
-(line, t, n, seed) no matter how generation is chunked across workers,
-and any single path can be regenerated in isolation.
+(line, t, n, seed), and any single path can be regenerated in
+isolation.
 
 Between claim arrivals the net loss drifts downward at the premium
 rate, so the running maximum over a horizon is attained at a claim
@@ -13,7 +13,6 @@ claim sizes with no time discretisation.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,49 +116,26 @@ def _check_run_args(t, n, seed):
         raise DomainError(f"seed must be a nonnegative 64-bit integer, got {seed}")
 
 
-def _paths_chunk(line, t, seed, lo, hi, want_terminal):
-    m = np.empty(hi - lo)
-    l = np.empty(hi - lo) if want_terminal else None
-    for i in range(lo, hi):
-        times, sizes = path_events(line, t, seed, i)
-        m[i - lo] = max_loss_from_events(times, sizes, line.c, t)
-        if want_terminal:
-            l[i - lo] = float(sizes.sum()) - line.c * t
-    return m, l
-
-
-def _run_paths(line, t, n, seed, want_terminal, workers):
-    if workers <= 1:
-        return _paths_chunk(line, t, seed, 0, n, want_terminal)
-    edges = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(_paths_chunk, line, t, seed, int(a), int(b), want_terminal)
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        pieces = [f.result() for f in futs]
-    m = np.concatenate([p[0] for p in pieces])
-    l = np.concatenate([p[1] for p in pieces]) if want_terminal else None
-    return m, l
-
-
-def simulate_max_loss(line, t, n, seed, workers=1):
-    """n independent samples of the running maximum over [0, t].
-
-    The merge order is fixed by path index, so the result does not
-    depend on workers.
-    """
+def simulate_max_loss(line, t, n, seed):
+    """n independent samples of the running maximum over [0, t], in
+    path-index order."""
     _check_run_args(t, n, seed)
-    m, _ = _run_paths(line, t, n, seed, want_terminal=False, workers=workers)
+    m = np.empty(n)
+    for i in range(n):
+        times, sizes = path_events(line, t, seed, i)
+        m[i] = max_loss_from_events(times, sizes, line.c, t)
     return SimBatch(line=line, t=t, n=n, seed=seed, samples=m)
 
 
-def simulate_path_states(line, r, n, seed, workers=1):
+def simulate_path_states(line, r, n, seed):
     """PathState snapshots of n paths observed at time r."""
     _check_run_args(r, n, seed)
-    m, l = _run_paths(line, r, n, seed, want_terminal=True, workers=workers)
-    return [PathState(time=r, realized_loss=l[i], running_max=m[i]) for i in range(n)]
+    states = []
+    for i in range(n):
+        times, sizes = path_events(line, r, seed, i)
+        loss = float(sizes.sum()) - line.c * r
+        states.append(PathState(r, loss, max_loss_from_events(times, sizes, line.c, r)))
+    return states
 
 
 def simulate_aggregate_claims(line, t, n, seed):

@@ -23,6 +23,7 @@ from maxdeficit import (
     rho2_two_line,
     ruin_constants,
     simulate_max_loss,
+    tail_integral,
     ultimate_ruin,
     var_step,
 )
@@ -58,19 +59,17 @@ class TestProblemValidation:
     def test_rejects_bad_instances(self, lines):
         with pytest.raises(DomainError):
             AllocationProblem(lines=(), total_u=1.0)
-        with pytest.raises(DomainError):
-            AllocationProblem(lines=lines, total_u=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                AllocationProblem(lines=lines, total_u=bad)
         with pytest.raises(DomainError):
             AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 0.5, 1.0))
         with pytest.raises(DomainError):
             AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 1.0))
-        with pytest.raises(DomainError):
-            AllocationProblem(lines=lines, total_u=1.0, method="other")
 
     def test_defaults(self, lines):
         p = AllocationProblem(lines=lines, total_u=10.0)
         assert p.gammas == (1.0, 1.0, 1.0)
-        assert p.method == "marginal-sum"
 
 
 class TestMethod1Exponential:
@@ -175,6 +174,11 @@ class TestMethod1Generic:
         with pytest.raises(DomainError):
             method1_generic([lambda u: 0.0, lambda u: 0.0], 1.0)
 
+    def test_rejects_bad_budget(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                method1_generic([lambda u: ultimate_ruin(LINE1, u)], bad)
+
     def test_zero_budget_reports_marginal_deficits(self):
         res = method1_generic([lambda u: ultimate_ruin(LINE1, u)], 0.0)
         assert np.all(res.reserves == 0.0)
@@ -258,8 +262,18 @@ class TestMethod2TwoLine:
         assert np.all(res.reserves == 0.0)
 
     def test_rejects_negative_budget(self):
-        with pytest.raises(DomainError):
-            method2_two_line(FAST, SLOW, -2.0)
+        for bad in (-2.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                method2_two_line(FAST, SLOW, bad)
+
+    def test_large_budget_reaches_first_order_condition(self):
+        # both reductions are near 1e-10 at this budget, so only their
+        # log gap still locates the optimum
+        busy = ExponentialLine(9.307, 1.393, 22.2)
+        calm = ExponentialLine(0.303, 0.664, 0.338)
+        res = method2_two_line(busy, calm, 125.89)
+        assert res.reserves[0] == pytest.approx(84.4736, abs=1e-4)
+        assert res.kkt_residual < 1e-8
 
 
 class TestPsiTilde:
@@ -279,6 +293,33 @@ class TestPsiTilde:
     def test_certain_component_dominates(self):
         # shifting the barrier below zero makes a component certain
         assert psi_tilde([FAST, SLOW], [0.0, 0.0], -1.0) == 1.0
+
+    def test_tiny_tail_keeps_relative_accuracy(self, lines):
+        reserves = (33.0, 33.0, 34.0)
+        v = 9000.0
+        # the pairwise terms are below 1e-40, so the sum is exact here
+        separate = sum(ultimate_ruin(l, u + v) for l, u in zip(lines, reserves))
+        assert separate == pytest.approx(1.2075e-20, rel=1e-4, abs=0.0)
+        assert psi_tilde(lines, reserves, v) == pytest.approx(
+            separate, rel=1e-12, abs=0.0
+        )
+
+    def test_pooled_tail_quadrature_stays_cheap(self, lines):
+        # rounding noise in the pooled tail, raised to a small power,
+        # drives adaptive quadrature to its depth cap; a smooth tail
+        # takes about 1,600 integrand calls
+        g = proportional_hazard(0.5)
+        calls = 0
+
+        def integrand(v):
+            nonlocal calls
+            calls += 1
+            if calls > 20_000:
+                raise RuntimeError("pooled tail integral exceeded 20,000 calls")
+            return g(psi_tilde(lines, (33.0, 33.0, 34.0), v))
+
+        tail_integral(integrand, 0.0)
+        assert calls < 2_000
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -312,8 +353,9 @@ class TestMethod2Generic:
             method2_generic([FAST, SLOW], var_step(0.4), 10.0)
 
     def test_rejects_negative_budget(self):
-        with pytest.raises(DomainError):
-            method2_generic([FAST, SLOW], identity(), -1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                method2_generic([FAST, SLOW], identity(), bad)
 
     def test_exhausted_budget_reports_best_iterate(self):
         with pytest.raises(ConvergenceError) as info:

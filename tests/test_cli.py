@@ -120,6 +120,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "measure", "coherent", "--line", "10,1")
         assert code == 2
 
+    def test_non_finite_line_is_usage(self, capsys):
+        code, out, _ = run(capsys, "measure", "coherent", "--line", "nan,1,12")
+        assert code == 2
+        assert out == ""
+
     def test_unprofitable_line_is_usage(self, capsys):
         # rejected while parsing the flag, before any computation
         code, _, _ = run(capsys, "measure", "coherent", "--line", "10,1,9")
@@ -182,6 +187,16 @@ class TestAllocateCommand:
         _, rows = csv_rows(out.rsplit("threshold=", 1)[0])
         assert float(rows[0][4]) == pytest.approx(3.0847647, abs=1e-4)
         assert float(rows[1][4]) == pytest.approx(56.9152353, abs=1e-4)
+
+    def test_budget_far_past_the_top_levels(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "allocate", "--line", "1,0.5,1", "--line", "1,0.5,1", "--u", "100",
+            "--format", "csv",
+        )
+        assert code == 0
+        _, rows = csv_rows(out.rsplit("threshold=", 1)[0])
+        assert [r[4] for r in rows] == ["50", "50"]
 
     def test_missing_budget_is_usage(self, capsys):
         assert run(capsys, "allocate", *LINE1_ARGS)[0] == 2
@@ -316,6 +331,27 @@ class TestConfigFile:
         code, _, err = run(capsys, "measure", "coherent", "--config", str(cfg))
         assert code == 2
         assert "frobnicate" in err
+
+    @pytest.mark.parametrize("entry", ["method=marginal-summ", "format=xml"])
+    def test_values_checked_like_flags(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{entry}\n")
+        code, out, _ = run(
+            capsys, "allocate", *LINE1_ARGS, "--u", "10", "--config", str(cfg)
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_line_flag_replaces_file_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("line=10,1,12\nline=1,10,15\nformat=csv\n")
+        code, out, _ = run(
+            capsys, "measure", "coherent", "--config", str(cfg),
+            "--line", "0.1,100,20",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[:3] for r in rows] == [["0.1", "100", "20"]]
 
     def test_malformed_entry_is_usage(self, capsys, tmp_path):
         cfg = tmp_path / "opts.cfg"

@@ -122,7 +122,7 @@ class TestConvex:
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive_budget(self, d_id):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
                 convex_measure(d_id, bad)
 
@@ -168,8 +168,9 @@ class TestProportional:
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive_margin(self, d_id):
-        with pytest.raises(DomainError):
-            proportional_measure(d_id, 0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                proportional_measure(d_id, bad)
 
 
 class TestCriticalThreshold:
@@ -227,8 +228,9 @@ class TestEarBenchmark:
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
             ear_convex_measure(ExponentialLine(0.0, 1.0, 1.0), 5.0)
-        with pytest.raises(DomainError):
-            ear_convex_measure(LINE1, 0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                ear_convex_measure(LINE1, bad)
 
 
 class TestPremiumBound:

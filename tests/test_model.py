@@ -86,6 +86,10 @@ class TestValidation:
             ExponentialLine(1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             ExponentialLine(1.0, -2.0, 2.0)
+        for bad in (math.nan, math.inf):
+            for params in ((bad, 1.0, 12.0), (10.0, bad, 12.0), (10.0, 1.0, bad)):
+                with pytest.raises(DomainError):
+                    ExponentialLine(*params)
 
 
 class TestFromRuinConstants:
