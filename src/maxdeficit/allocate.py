@@ -16,15 +16,22 @@ Two ways to split a total reserve u over K exponential lines:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
-from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    brent_root,
+    tail_integral,
+    vector_tail_integral,
+)
 
 _LEVEL_FLOOR = 1e-14
+_TINY = np.finfo(float).tiny
 
 # the budget responds to the threshold with slope sum(gamma_k / b_k) / s,
 # which can reach 1e4, so the level solve runs much tighter than the
@@ -287,6 +294,47 @@ def psi_tilde(lines, reserves, v):
     return -math.expm1(log_survive)
 
 
+def _pooled_deficit(a, b, g, u, tol):
+    """The distorted pooled deficit F(u) = integral over v >= 0 of
+    g(psi~(u, v)) and its gradient in u, from one vectorised quadrature.
+
+    a and b hold the lines' ruin constants.  The pooled tail is
+    psi~ = 1 - prod_k (1 - psi_k) with psi_k = a_k exp(-b_k (u_k + v)),
+    and d psi~ / d u_k = -b_k psi_k (1 - psi~) / (1 - psi_k), so the
+    gradient integrands g'(psi~) d psi~ / d u_k share every node with
+    the objective's.  For tvar, g is 1 until psi~ falls to alpha at v*:
+    F = v* + the integral past v*, and the boundary terms of the
+    gradient cancel because g(psi~(v*)) = 1.
+    """
+    a = a[:, None]
+    b = b[:, None]
+    u = u[:, None]
+
+    def log_survival(v):
+        psi = a * np.exp(-b * (u + v))
+        return psi, np.log1p(-psi).sum(axis=0)
+
+    def integrand(v):
+        psi, log_survive = log_survival(v)
+        tail = -np.expm1(log_survive)
+        dtail = -b * psi * np.exp(log_survive) / (1.0 - psi)
+        # a tail that underflows to 0 has dtail = 0; keep g'(0) finite
+        # so that ph's infinite slope there does not make 0 * inf
+        slope = g.slope(np.maximum(tail, _TINY))
+        return np.vstack((g(tail), slope * dtail))
+
+    start = 0.0
+    if g.kind == "tvar":
+        excess = lambda v: -math.expm1(log_survival(v)[1][0]) - g.param
+        if excess(0.0) > 0.0:
+            hi = 1.0
+            while excess(hi) > 0.0:
+                hi *= 2.0
+            start = brent_root(excess, 0.0, hi, _LEVEL_TOL)
+    out = vector_tail_integral(integrand, start, tol)
+    return start + float(out[0]), out[1:]
+
+
 def _project_simplex(v, total):
     # Euclidean projection onto {x >= 0, sum x = total}, sort-based
     n = v.size
@@ -303,10 +351,17 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     distortion of the pooled curve.
 
     Minimises the distorted pooled deficit over the reserve simplex by
-    projected gradient descent with Armijo backtracking; gradients are
-    central finite differences of the quadrature objective.  Returns
-    the optimum with a KKT certificate: the relative spread of the
-    marginal reductions across lines that received reserves.
+    projected gradient descent with Armijo backtracking.  Each step
+    takes the objective and its analytic gradient from the same
+    vectorised quadrature pass.  Nothing depends on the size of the
+    deficit, which falls by orders of magnitude as the budget grows: the
+    quadrature tolerance is min(abs_tol, rel_tol * F) at the last
+    accepted point, steps are bounded in reserve units, and the split is
+    stationary once a unit move along the normalised gradient,
+    projected back onto the budget simplex, shifts it by at most tol
+    and empties no line.  Returns the optimum with a KKT certificate:
+    the relative spread of the marginal reductions across lines that
+    received reserves.
     """
     if not g.concave:
         raise DomainError("aggregate objective needs a concave distortion")
@@ -314,56 +369,61 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     k = len(lines)
     if k == 0:
         raise DomainError("allocation needs at least one line")
+    consts = [ruin_constants(line) for line in lines]
+    a = np.array([c.a for c in consts])
+    b = np.array([c.b for c in consts])
 
-    def objective(u):
-        return tail_integral(lambda v: g(psi_tilde(lines, u, v)), 0.0, quad_tol)
-
-    if k == 1 or total_u == 0.0:
-        u = np.full(k, total_u / k)
-        return AllocationResult(u, [0] if total_u else [], math.nan, objective(u), 0.0)
-
-    h = max(1e-5 * total_u, 1e-7)
-
-    def gradient(u, f0):
-        out = np.empty(k)
-        for i in range(k):
-            bump = np.zeros(k)
-            bump[i] = h
-            if u[i] >= h:
-                out[i] = (objective(u + bump) - objective(u - bump)) / (2.0 * h)
-            else:
-                out[i] = (objective(u + bump) - f0) / h
-        return out
+    def tightened(f):
+        # never looser than rel_tol of the objective: the deficit can be
+        # far below abs_tol and still falls by orders of magnitude
+        tight = quad_tol.rel_tol * f
+        if 0.0 < tight < quad_tol.abs_tol:
+            return replace(quad_tol, abs_tol=tight)
+        return quad_tol
 
     u = np.full(k, total_u / k)
-    f0 = objective(u)
-    grad = gradient(u, f0)
-    eta = total_u
+    f0, grad = _pooled_deficit(a, b, g, u, quad_tol)
+    tol_now = tightened(f0)
+    if tol_now is not quad_tol:
+        f0, grad = _pooled_deficit(a, b, g, u, tol_now)
+    if k == 1 or total_u == 0.0:
+        return AllocationResult(u, [0] if total_u else [], math.nan, f0, 0.0)
+
+    # step lengths are kept in reserve units, eta * max|grad| <= 8 U,
+    # so nothing below depends on the size of the deficit
+    eta = total_u / (np.max(np.abs(grad)) or 1.0)
     converged = False
     for _ in range(max_iter):
-        reference = _project_simplex(u - grad, total_u)
-        if float(np.linalg.norm(reference - u)) <= tol:
+        norm = float(np.max(np.abs(grad)))
+        reference = _project_simplex(u - grad / (norm or 1.0), total_u)
+        # stationary: a unit move along the normalised gradient gets
+        # nowhere and would empty no line that holds reserve
+        if float(np.linalg.norm(reference - u)) <= tol and np.array_equal(
+            reference > 0.0, u > 0.0
+        ):
             converged = True
             break
         while True:
             cand = _project_simplex(u - eta * grad, total_u)
-            fc = objective(cand)
-            if fc <= f0 - 1e-4 * float(grad @ (u - cand)) or eta < 1e-14:
+            fc, new_grad = _pooled_deficit(a, b, g, cand, tol_now)
+            tiny_step = eta * norm < 1e-14 * total_u
+            if fc <= f0 - 1e-4 * float(grad @ (u - cand)) or tiny_step:
                 break
             eta *= 0.5
-        if fc >= f0 and eta < 1e-14:
+        if fc >= f0 and tiny_step:
             converged = True  # no further descent available at noise level
             break
         step = cand - u
-        new_grad = gradient(cand, fc)
         curve = float(step @ (new_grad - grad))
+        longest = total_u * 8.0 / (np.max(np.abs(new_grad)) or 1.0)
         # spectral step: inverse Rayleigh quotient along the last move;
         # a plain doubling retry covers flat or noisy curvature estimates
         if curve > 0.0:
-            eta = min(float(step @ step) / curve, total_u * 8.0)
+            eta = min(float(step @ step) / curve, longest)
         else:
-            eta = min(eta * 2.0, total_u * 8.0)
+            eta = min(eta * 2.0, longest)
         u, f0, grad = cand, fc, new_grad
+        tol_now = tightened(f0)
 
     active = [int(i) for i in np.flatnonzero(u > 1e-8 * max(1.0, total_u))]
     reductions = -grad

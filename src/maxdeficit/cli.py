@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for usage problems, 3 for domain errors,
-4 for convergence failures.  A flat key=value config file, keyed by
-the long flag names, is parsed and checked exactly like flags; a flag
-on the command line replaces its key from the file.  The
-MAXDEFICIT_SEED environment variable serves as the seed of last resort.
+Exit codes: 0 on success, 2 for usage problems (unreadable or
+unwritable files included), 3 for domain errors, 4 for convergence
+failures.  A flat key=value config file, keyed by the long flag names,
+is parsed and checked exactly like flags; a flag on the command line
+replaces its key from the file.  The MAXDEFICIT_SEED environment
+variable serves as the seed of last resort.
 """
 
 import argparse
@@ -553,7 +554,8 @@ def main(argv=None):
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence error: {exc}\n")
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: a config, output or batch file that cannot be opened
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

@@ -8,6 +8,7 @@ of g on the uniform grid.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class Distortion:
         if self.kind == "identity":
             if self.param is not None:
                 raise DomainError("identity distortion takes no parameter")
+        elif not isinstance(self.param, numbers.Real):
+            raise DomainError(
+                f"{self.kind} distortion needs a numeric parameter, got {self.param!r}"
+            )
         elif self.kind == "ph":
             if not 0.0 < self.param <= 1.0:
                 raise DomainError(f"ph exponent must be in (0, 1], got {self.param}")
@@ -63,6 +68,28 @@ class Distortion:
             out = np.minimum(arr / self.param, 1.0)
         else:
             out = np.where(arr > self.param, 1.0, 0.0)
+        if np.isscalar(x) or arr.ndim == 0:
+            return float(out)
+        return out
+
+    def slope(self, x):
+        """The derivative g'; accepts a float or an ndarray of values in [0, 1].
+
+        ph gives p * x**(p - 1), which is infinite at 0 when p < 1; tvar
+        takes 1/alpha up to and including its kink at alpha and 0 beyond.
+        varstep has no derivative to integrate and raises DomainError.
+        """
+        arr = np.asarray(x, dtype=float)
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise DomainError("distortion argument outside [0, 1]")
+        if self.kind == "identity":
+            out = np.ones_like(arr)
+        elif self.kind == "ph":
+            out = self.param * arr ** (self.param - 1.0)
+        elif self.kind == "tvar":
+            out = np.where(arr <= self.param, 1.0 / self.param, 0.0)
+        else:
+            raise DomainError("varstep distortion has no slope")
         if np.isscalar(x) or arr.ndim == 0:
             return float(out)
         return out

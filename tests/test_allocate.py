@@ -1,16 +1,21 @@
 """Reserve allocation: water-filling and aggregate-minimum solvers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdeficit import (
     AllocationProblem,
     AllocationResult,
+    DEFAULT_TOL,
     ConvergenceError,
     DomainError,
     ExponentialLine,
+    Tolerance,
     identity,
     invariance_check,
     line_from_ruin_constants,
@@ -18,15 +23,18 @@ from maxdeficit import (
     method1_generic,
     method2_generic,
     method2_two_line,
+    parse_distortion,
     proportional_hazard,
     psi_tilde,
     rho2_two_line,
     ruin_constants,
     simulate_max_loss,
     tail_integral,
+    tvar,
     ultimate_ruin,
     var_step,
 )
+from maxdeficit import allocate
 from tests.conftest import LINE1, LINE2, LINE3
 
 # the pair used throughout the aggregate-method checks: same zero-reserve
@@ -40,6 +48,49 @@ def marginal_levels(lines, gammas, reserves):
         ultimate_ruin(line, u) ** (1.0 / g)
         for line, g, u in zip(lines, gammas, reserves)
     ]
+
+
+def inclusion_exclusion(lines, reserves):
+    """Identity-distorted pooled deficit: the integral over v >= 0 of
+    1 - prod_k (1 - psi_k(u_k + v)), expanded over subsets of lines."""
+    consts = [ruin_constants(line) for line in lines]
+    total = 0.0
+    for size in range(1, len(lines) + 1):
+        for subset in itertools.combinations(range(len(lines)), size):
+            term = math.prod(
+                consts[i].a * math.exp(-consts[i].b * reserves[i]) for i in subset
+            )
+            rate = sum(consts[i].b for i in subset)
+            total += (-1.0) ** (size + 1) * term / rate
+    return total
+
+
+def scalar_objective(lines, g, reserves):
+    """The distorted pooled deficit by the scalar route: adaptive
+    quadrature of g(psi_tilde) at a tolerance relative to its size."""
+    if g.kind == "identity":
+        return inclusion_exclusion(lines, reserves)
+    f = lambda v: g(psi_tilde(lines, reserves, v))
+    rough = tail_integral(f, 0.0)
+    return tail_integral(f, 0.0, Tolerance(abs_tol=1e-11 * rough, rel_tol=1e-11))
+
+
+def assert_no_better_neighbour(lines, g, total_u, reserves):
+    """No vertex of the budget simplex and no move of 5 % of the budget
+    between two lines beats the split by more than 1e-9 relative."""
+    k = len(lines)
+    step = 0.05 * total_u
+    others = [np.eye(k)[i] * total_u for i in range(k)]
+    for i, j in itertools.permutations(range(k), 2):
+        if reserves[i] >= step:
+            moved = np.array(reserves, dtype=float)
+            moved[i] -= step
+            moved[j] += step
+            others.append(moved)
+    mine = scalar_objective(lines, g, reserves)
+    for other in others:
+        value = scalar_objective(lines, g, other)
+        assert mine <= value * (1.0 + 1e-9), (other, value, mine)
 
 
 def assert_result_contract(lines, gammas, total_u, res):
@@ -363,6 +414,149 @@ class TestMethod2Generic:
         best = info.value.best
         assert isinstance(best, AllocationResult)
         assert best.reserves.sum() == pytest.approx(60.0, abs=1e-6)
+
+
+class TestPooledPass:
+    """The objective and gradient of the aggregate method, from one
+    vectorised quadrature pass."""
+
+    @staticmethod
+    def constants(lines):
+        consts = [ruin_constants(line) for line in lines]
+        return np.array([c.a for c in consts]), np.array([c.b for c in consts])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_identity_matches_inclusion_exclusion(self, rng, k):
+        for _ in range(5):
+            lines = [
+                line_from_ruin_constants(rng.uniform(0.1, 0.95), rng.uniform(0.01, 1.0))
+                for _ in range(k)
+            ]
+            u = rng.uniform(0.0, 40.0, size=k)
+            a, b = self.constants(lines)
+            got, _ = allocate._pooled_deficit(a, b, identity(), u, DEFAULT_TOL)
+            assert got == pytest.approx(inclusion_exclusion(lines, u), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g", [proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.05), tvar(0.3)]
+    )
+    def test_distorted_matches_scalar_quadrature(self, lines, g):
+        u = np.array([3.0, 12.0, 45.0])
+        a, b = self.constants(lines)
+        got, _ = allocate._pooled_deficit(a, b, g, u, DEFAULT_TOL)
+        scalar = tail_integral(lambda v: g(psi_tilde(lines, u, v)), 0.0)
+        assert got == pytest.approx(scalar, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "g,u",
+        [
+            (identity(), (3.0, 12.0, 45.0)),
+            (proportional_hazard(0.6), (3.0, 12.0, 45.0)),
+            # psi_tilde(u, 0) is 0.84 and 0.94 here, so the tvar kink v*
+            # sits inside the integral and moves with every reserve
+            (tvar(0.3), (3.0, 12.0, 45.0)),
+            (tvar(0.05), (1.0, 2.0, 5.0)),
+        ],
+    )
+    def test_gradient_matches_central_differences(self, lines, g, u):
+        u = np.array(u)
+        a, b = self.constants(lines)
+        _, grad = allocate._pooled_deficit(a, b, g, u, DEFAULT_TOL)
+        tight = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+        h = 1e-4
+        numeric = np.empty(len(lines))
+        for i in range(len(lines)):
+            bump = np.zeros(len(lines))
+            bump[i] = h
+            up, _ = allocate._pooled_deficit(a, b, g, u + bump, tight)
+            down, _ = allocate._pooled_deficit(a, b, g, u - bump, tight)
+            numeric[i] = (up - down) / (2.0 * h)
+        # rounding in F (about 1e-16 of it) limits the differences of
+        # components far smaller than the largest
+        assert grad == pytest.approx(
+            numeric, rel=1e-6, abs=1e-7 * float(np.max(np.abs(numeric)))
+        )
+
+    def test_solver_calls_no_scalar_quadrature(self, lines, monkeypatch):
+        calls = {"tail_integral": 0, "psi_tilde": 0}
+
+        def counted(name):
+            original = getattr(allocate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(allocate, name, counted(name))
+        res = method2_generic(lines, proportional_hazard(0.8), 100.0)
+        assert res.reserves.sum() == pytest.approx(100.0)
+        assert calls == {"tail_integral": 0, "psi_tilde": 0}
+
+
+# budgets that leave a small pooled deficit: with absolute tolerances the
+# solver took the equal split as optimal or ran out of steps
+SMALL_DEFICIT_CASES = [
+    ([(0.8216, 0.3048), (0.4080, 0.7416)], "ph:0.8", 111.55),
+    ([(0.9444, 0.3554), (0.2707, 0.2553)], "ph:0.9", 125.64),
+    ([(0.8864, 0.5421), (0.4895, 0.4660), (0.5222, 0.2395)], "identity", 145.12),
+    ([(0.6044, 0.1565), (0.3536, 0.7119)], "ph:0.9", 145.02),
+    # the deficit falls from 1e-10 at the equal split to 4e-15 at the
+    # optimum, so a tolerance or a scale fixed at the start leaves the
+    # marginal reductions far from equal
+    ([(0.7103, 0.4053), (0.3979, 0.9545)], "tvar:0.05", 130.09),
+    # the optimum empties the first line; a stationarity test that
+    # ignores the active set stopped with 6.5e-7 left on it
+    ([(0.8447, 0.6444), (0.2544, 0.9701), (0.2673, 0.9668), (0.4257, 0.0705)],
+     "tvar:0.05", 25.727),
+]
+
+
+class TestScaleFreeTolerances:
+    @pytest.mark.parametrize("ab,spec,total", SMALL_DEFICIT_CASES)
+    def test_small_deficit_reaches_optimum(self, ab, spec, total):
+        lines = [line_from_ruin_constants(a, b) for a, b in ab]
+        g = parse_distortion(spec)
+        res = method2_generic(lines, g, total)
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-12)
+        if len(res.active) >= 2:
+            assert res.kkt_residual <= 1e-5
+        assert res.objective == pytest.approx(
+            scalar_objective(lines, g, res.reserves), rel=1e-9
+        )
+        assert_no_better_neighbour(lines, g, total, res.reserves)
+
+
+@st.composite
+def aggregate_instances(draw):
+    k = draw(st.integers(2, 4))
+    ab = [
+        (draw(st.floats(0.1, 0.95)), draw(st.floats(0.05, 1.0))) for _ in range(k)
+    ]
+    g = draw(
+        st.one_of(
+            st.just(identity()),
+            st.floats(0.3, 0.9).map(proportional_hazard),
+            st.sampled_from([0.05, 0.3]).map(tvar),
+        )
+    )
+    total = draw(st.floats(1.0, 150.0))
+    return [line_from_ruin_constants(a, b) for a, b in ab], g, total
+
+
+class TestAggregateProperties:
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(aggregate_instances())
+    def test_split_is_feasible_and_locally_optimal(self, instance):
+        lines, g, total = instance
+        res = method2_generic(lines, g, total)
+        assert np.all(res.reserves >= 0.0)
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-12)
+        assert_no_better_neighbour(lines, g, total, res.reserves)
+        if len(res.active) >= 2:
+            assert res.kkt_residual <= 1e-2
 
 
 class TestInvariance:

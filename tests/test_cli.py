@@ -280,6 +280,17 @@ class TestSimulateCommand:
         batch = load_batch(target)
         assert batch.n == 50 and batch.seed == 9
 
+    def test_unwritable_batch_file_is_usage(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "batch.txt"
+        code, out, err = run(
+            capsys,
+            "simulate", *LINE1_ARGS, "--t", "1", "--n", "10", "--u", "1",
+            "--seed", "1", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXDEFICIT_SEED", "77")
         code, out, _ = run(
@@ -352,6 +363,14 @@ class TestConfigFile:
         assert code == 0
         _, rows = csv_rows(out)
         assert [r[:3] for r in rows] == [["0.1", "100", "20"]]
+
+    def test_missing_file_is_usage(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "measure", "coherent", "--config", str(tmp_path / "x.cfg")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_malformed_entry_is_usage(self, capsys, tmp_path):
         cfg = tmp_path / "opts.cfg"

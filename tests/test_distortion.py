@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maxdeficit import (
+    Distortion,
     DomainError,
     choquet_empirical,
     choquet_se,
@@ -80,11 +81,45 @@ class TestEvaluation:
             with pytest.raises(DomainError):
                 identity()(bad)
 
+    @pytest.mark.parametrize(
+        "args", [("ph",), ("tvar",), ("varstep",), ("ph", "0.5"), ("tvar", "0.1")]
+    )
+    def test_missing_or_non_numeric_parameter(self, args):
+        with pytest.raises(DomainError):
+            Distortion(*args)
+
     def test_concavity_flag(self):
         assert identity().concave
         assert proportional_hazard(0.5).concave
         assert tvar(0.05).concave
         assert not var_step(0.4).concave
+
+
+class TestSlope:
+    @pytest.mark.parametrize(
+        "g", [identity(), proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.2)]
+    )
+    def test_matches_central_differences(self, g):
+        # stay clear of 0, of 1 and of the tvar kink at 0.2
+        x = np.array([0.01, 0.05, 0.15, 0.3, 0.55, 0.9])
+        h = 1e-6
+        numeric = (g(x + h) - g(x - h)) / (2.0 * h)
+        assert g.slope(x) == pytest.approx(numeric, rel=1e-6)
+
+    def test_scalar_in_scalar_out(self):
+        assert proportional_hazard(0.5).slope(0.25) == pytest.approx(1.0)
+        assert isinstance(tvar(0.1).slope(0.5), float)
+
+    def test_tvar_takes_left_slope_at_kink(self):
+        assert tvar(0.2).slope(0.2) == pytest.approx(5.0)
+
+    def test_varstep_refused(self):
+        with pytest.raises(DomainError):
+            var_step(0.4).slope(np.array([0.1, 0.5]))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            identity().slope(1.5)
 
 
 class TestChoquetWeights:

@@ -16,6 +16,7 @@ from maxdeficit import (
     lambert_w0,
     tail_integral,
 )
+from maxdeficit.numerics import vector_tail_integral
 
 # root of exp(-x) = x, solved here by bisection once and frozen
 OMEGA = 0.5671432904097837
@@ -128,3 +129,40 @@ class TestTailIntegral:
         whole = tail_integral(f, 0.0)
         head = 0.5 / 0.2 * (1.0 - math.exp(-0.2 * 4.0))
         assert whole - head == pytest.approx(tail_integral(f, 4.0), rel=1e-8)
+
+
+class TestVectorTailIntegral:
+    @pytest.mark.parametrize("start", [0.0, 3.7, 50.0])
+    def test_exponential_rows(self, start):
+        b = np.array([0.005, 0.05, 1.0])[:, None]
+        exact = (0.8 / b[:, 0]) * np.exp(-b[:, 0] * start)
+        got = vector_tail_integral(lambda v: 0.8 * np.exp(-b * v), start)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_rows_share_nodes_with_a_kink(self):
+        # the kink at 2.3 in the second row bisects the panel [1, 3] for both
+        calls = 0
+
+        def f(v):
+            nonlocal calls
+            calls += 1
+            return np.vstack((np.exp(-v * v), np.maximum(0.0, 2.3 - v)))
+
+        got = vector_tail_integral(f, 0.0)
+        assert got == pytest.approx([math.sqrt(math.pi) / 2.0, 2.645], abs=1e-9)
+        assert 4 < calls < 40
+
+    def test_matches_scalar_panels(self):
+        f = lambda v: 0.5 * math.exp(-0.2 * v) * (1.0 + math.sin(v) ** 2)
+        vec = vector_tail_integral(
+            lambda v: (0.5 * np.exp(-0.2 * v) * (1.0 + np.sin(v) ** 2))[None, :], 2.0
+        )
+        assert vec[0] == pytest.approx(tail_integral(f, 2.0), rel=1e-9)
+
+    def test_nondecaying_row_raises(self):
+        with pytest.raises(TruncationError) as err:
+            vector_tail_integral(
+                lambda v: np.vstack((np.exp(-v), 1.0 / (1.0 + v))), 0.0
+            )
+        assert err.value.partial[0] == pytest.approx(1.0, rel=1e-12)
+        assert err.value.partial[1] > 0.0
