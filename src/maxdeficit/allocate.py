@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    brent_root,
-    tail_integral,
-    vector_tail_integral,
-)
+from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
 
 _LEVEL_FLOOR = 1e-14
 _TINY = np.finfo(float).tiny
@@ -158,7 +152,8 @@ def method1_generic(marginals, total_u, tol=DEFAULT_TOL):
     marginals are callables u -> distorted ruin probability of one
     line.  Each is inverted by bracketed root finding inside the same
     threshold bisection as the exponential case.  A coarse grid check
-    rejects non-monotone marginals up front.
+    rejects non-monotone marginals up front.  Each marginal must accept
+    an ndarray of reserves as well as a float.
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
@@ -166,8 +161,7 @@ def method1_generic(marginals, total_u, tol=DEFAULT_TOL):
     span = max(1.0, 2.0 * total_u)
     grid = np.linspace(0.0, span, 41)
     for m in marginals:
-        vals = np.array([m(x) for x in grid])
-        if np.any(np.diff(vals) > 1e-12):
+        if np.any(np.diff(m(grid)) > 1e-12):
             raise DomainError("marginal map is not nonincreasing")
     tops = [m(0.0) for m in marginals]
     level_max = max(tops)
@@ -278,20 +272,23 @@ def method2_two_line(line1, line2, total_u):
 
 def psi_tilde(lines, reserves, v):
     """First-passage probability of the pooled portfolio past the total
-    barrier: one minus the product of per-line survivals at u_k + v."""
+    barrier: one minus the product of per-line survivals at u_k + v.
+
+    Accepts a float v, which gives a float, or an ndarray of v.
+    """
     if len(reserves) != len(lines):
         raise DomainError("one reserve per line is required")
     if any(u < 0.0 for u in reserves):
         raise DomainError("reserves must be nonnegative")
     # summing log survivals keeps the tail accurate far below 1e-16,
-    # where one minus a product of survivals rounds to zero
-    log_survive = 0.0
-    for line, u in zip(lines, reserves):
-        psi = ultimate_ruin(line, u + v)
-        if psi >= 1.0:
-            return 1.0
-        log_survive += math.log1p(-psi)
-    return -math.expm1(log_survive)
+    # where one minus a product of survivals rounds to zero; a line
+    # below its barrier survives with log 0 = -inf, so the tail is 1
+    with np.errstate(divide="ignore"):
+        log_survive = sum(
+            np.log1p(-ultimate_ruin(line, u + v)) for line, u in zip(lines, reserves)
+        )
+    tail = -np.expm1(log_survive)
+    return tail if np.ndim(tail) else float(tail)
 
 
 def _pooled_deficit(a, b, g, u, tol):
@@ -331,7 +328,7 @@ def _pooled_deficit(a, b, g, u, tol):
             while excess(hi) > 0.0:
                 hi *= 2.0
             start = brent_root(excess, 0.0, hi, _LEVEL_TOL)
-    out = vector_tail_integral(integrand, start, tol)
+    out = tail_integral(integrand, start, tol)
     return start + float(out[0]), out[1:]
 
 

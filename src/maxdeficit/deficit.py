@@ -46,7 +46,7 @@ class DeficitFunctional:
             raise DomainError(
                 "closed-form curves exist only for the unlimited horizon"
             )
-        if horizon <= 0.0:
+        if not horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {horizon}")
         self.kind = kind
         self.horizon = horizon
@@ -79,7 +79,7 @@ class DeficitFunctional:
     @classmethod
     def quadrature(cls, g, psi, horizon=math.inf, tol=DEFAULT_TOL):
         """Numerical curve for any distortion g and tail function psi;
-        psi(v) must return P(M > v), including 1 for v < 0."""
+        psi maps an ndarray of v to P(M > v), including 1 for v < 0."""
         return cls(SOURCE_QUAD, horizon, g=g, psi=psi, tol=tol)
 
     @classmethod

@@ -11,6 +11,8 @@ probability is a * exp(-b * u) in the initial reserve u.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -66,11 +68,14 @@ def ruin_constants(line):
 
 
 def ultimate_ruin(line, u):
-    """P(running maximum ever exceeds u); equals 1 for u < 0."""
-    if u < 0.0:
-        return 1.0
+    """P(running maximum ever exceeds u); equals 1 for u < 0.
+
+    Accepts a float, which gives a float, or an ndarray of reserves.
+    """
     k = ruin_constants(line)
-    return k.a * math.exp(-k.b * u)
+    u = np.asarray(u, dtype=float)
+    ruin = np.where(u < 0.0, 1.0, k.a * np.exp(-k.b * np.maximum(u, 0.0)))
+    return ruin if ruin.ndim else float(ruin)
 
 
 def line_from_ruin_constants(a, b, c=1.0):

@@ -1,14 +1,14 @@
 """Numerical kernels.
 
-Four routines cover every solver need in the package:
+Three routines cover every solver need in the package:
 
 - brent_root:     bracketed root finding (bisection / secant / inverse
                   quadratic interpolation, Brent's switching logic)
 - lambert_w0:     principal branch of w*exp(w) = y via Halley iteration
-- tail_integral:  integral of a decaying function over [a, inf) on
-                  successive doubling panels, adaptive Simpson per panel
-- vector_tail_integral: the same panels for several integrands sampled
-                  together on arrays, Gauss-Legendre per panel
+- tail_integral:  integral over [a, inf) of one or several decaying
+                  integrands sampled together on arrays, on successive
+                  doubling panels with adaptive 20-point Gauss-Lobatto
+                  (Legendre) quadrature per panel
 """
 
 import math
@@ -134,135 +134,75 @@ def lambert_w0(y, tol=DEFAULT_TOL):
     raise ConvergenceError(f"lambert_w0 did not converge for y={y}")
 
 
-_MAX_SIMPSON_DEPTH = 48
-
-
-def _simpson(f0, f1, f2, width):
-    return width * (f0 + 4.0 * f1 + f2) / 6.0
-
-
-def _refine(f, a, b, fa, fm, fb, whole, tol_abs, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if depth >= _MAX_SIMPSON_DEPTH or abs(delta) <= 15.0 * tol_abs:
-        # depth cap: accept; only discontinuities drive the recursion
-        # this deep, and by then the offending interval is ~1e-14 wide
-        return left + right + delta / 15.0
-    return _refine(f, a, m, fa, flm, fm, left, 0.5 * tol_abs, depth + 1) + _refine(
-        f, m, b, fm, frm, fb, right, 0.5 * tol_abs, depth + 1
-    )
-
-
-def _panel(f, a, b, tol):
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    tol_abs = max(tol.abs_tol, tol.rel_tol * abs(whole))
-    # one split is mandatory so a panel is never judged from three points
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    return _refine(f, a, m, fa, flm, fm, left, 0.5 * tol_abs, 1) + _refine(
-        f, m, b, fm, frm, fb, right, 0.5 * tol_abs, 1
-    )
-
-
-def tail_integral(f, a, tol=DEFAULT_TOL):
-    """Integral of f over [a, inf) for nonnegative decaying f.
-
-    Panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double in width; each is
-    integrated by adaptive Simpson.  Accumulation stops once a panel
-    contributes less than abs_tol and f at its right edge is below
-    abs_tol.  If max_iter panels do not reach that state the partial sum
-    is attached to a TruncationError.
-    """
-    total = 0.0
-    left = float(a)
-    h = 1.0
-    for _ in range(tol.max_iter):
-        right = left + h
-        piece = _panel(f, left, right, tol)
-        total += piece
-        if abs(piece) < tol.abs_tol and f(right) < tol.abs_tol:
-            return total
-        left = right
-        h *= 2.0
-    raise TruncationError(
-        f"tail integral still active after {tol.max_iter} panels", total
-    )
-
-
-# 20-point Gauss-Legendre rule on [-1, 1], written out as its nonnegative
-# nodes and their weights (the rule is symmetric) because building it
-# with numpy.polynomial costs milliseconds at import
-_GL_HALF = np.array([
-    (0.07652652113349734, 0.15275338713072628),
-    (0.22778585114164507, 0.14917298647260424),
-    (0.37370608871541955, 0.1420961093183824),
-    (0.5108670019508271, 0.1316886384491769),
-    (0.636053680726515, 0.1181945319615186),
-    (0.7463319064601508, 0.1019301198172407),
-    (0.8391169718222188, 0.08327674157670471),
-    (0.912234428251326, 0.06267204833410879),
-    (0.9639719272779138, 0.040601429800386446),
-    (0.993128599185095, 0.017614007139150893),
+# 20-point Gauss-Lobatto rule on [-1, 1] (the Legendre weight, with both
+# endpoints among the nodes), written out as its nonnegative nodes and
+# their weights (the rule is symmetric) because computing it costs
+# milliseconds at import.  Sampling the endpoints is what lets the
+# whole-versus-halves test see a jump: an open rule such as
+# Gauss-Legendre has no node within 0.7 % of a panel's edge, so a jump
+# there, or one near a panel's midpoint where the halves meet, leaves
+# the whole panel and its halves agreeing on the wrong value.
+_RULE_HALF = np.array([
+    (0.08054593723882184, 0.16074328638784574),
+    (0.2395517059229865, 0.1565801026474755),
+    (0.3923531837139093, 0.14836155407091683),
+    (0.5349928640318863, 0.1363004823587242),
+    (0.6637764022903113, 0.12070922762867473),
+    (0.7753682609520559, 0.10199149969945082),
+    (0.8668779780899502, 0.0806317639961196),
+    (0.9359344988126654, 0.05718180212756683),
+    (0.9807437048939142, 0.03223712318848894),
+    (1.0, 0.005263157894736842),
 ])
-_GL_X = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
-_GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
-_MAX_GL_DEPTH = 30
+_RULE_X = np.concatenate((-_RULE_HALF[::-1, 0], _RULE_HALF[:, 0]))
+_RULE_W = np.concatenate((_RULE_HALF[::-1, 1], _RULE_HALF[:, 1]))
+# only a jump drives bisection this deep, and it is then located to
+# 2**-48 of its panel's width
+_MAX_DEPTH = 48
 
 
-def _gl_estimates(f, spans, points=()):
-    # Gauss-Legendre estimates over each (lo, hi) of spans, and f at the
-    # extra points, from one call of f: returns an (m, len(spans)) array
-    # of estimates and an (m, len(points)) array of values
+def _estimates(f, spans):
+    # rule estimates over each (lo, hi) of spans from one call of f, and
+    # f at every node; f's trailing axis runs over the points, so with m
+    # rows the estimates are an (m, len(spans)) array, and with one value
+    # per point the row axis is absent
     lo, hi = np.array(spans).T
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
-    y = f(np.concatenate((nodes.ravel(), points)))
-    used = nodes.size
-    sums = y[:, :used].reshape(y.shape[0], len(spans), _GL_X.size) @ _GL_W
-    return sums * half, y[:, used:]
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _RULE_X
+    y = np.asarray(f(nodes.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + nodes.shape)
+    return (y @ _RULE_W) * half, y
 
 
-def _gl_settle(f, a, b, whole, halves, tol_abs, depth):
+def _settle(f, a, b, whole, halves, tol_abs, depth):
     # accept the halves when they agree with the whole-span estimate in
     # every row, else bisect with the tolerance split between the halves
     left, right = halves
-    if depth >= _MAX_GL_DEPTH or np.max(np.abs(left + right - whole)) <= tol_abs:
+    if depth >= _MAX_DEPTH or np.max(np.abs(left + right - whole)) <= tol_abs:
         return left + right
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
-    q, _ = _gl_estimates(f, [(a, lm), (lm, m), (m, rm), (rm, b)])
-    lower = _gl_settle(f, a, m, left, (q[:, 0], q[:, 1]), 0.5 * tol_abs, depth + 1)
-    upper = _gl_settle(f, m, b, right, (q[:, 2], q[:, 3]), 0.5 * tol_abs, depth + 1)
+    q, _ = _estimates(f, [(a, lm), (lm, m), (m, rm), (rm, b)])
+    lower = _settle(f, a, m, left, (q[..., 0], q[..., 1]), 0.5 * tol_abs, depth + 1)
+    upper = _settle(f, m, b, right, (q[..., 2], q[..., 3]), 0.5 * tol_abs, depth + 1)
     return lower + upper
 
 
-def vector_tail_integral(f, a, tol=DEFAULT_TOL):
-    """Integrals over [a, inf) of m decaying integrands at once.
+def tail_integral(f, a, tol=DEFAULT_TOL):
+    """Integral over [a, inf) of one or several decaying integrands.
 
-    f maps an array of n points to an (m, n) array, one row per
-    integrand, so every integrand is sampled at the same nodes in one
-    call.  Panels double in width as in tail_integral; each is
-    integrated by 20-point Gauss-Legendre and accepted when the
-    whole-panel estimate agrees with the sum over its two halves to
+    f maps an ndarray of n points to n values, which gives a float
+    result, or to an (m, n) array, one row per integrand, which gives m
+    results from integrands sampled at the same nodes in one call.
+    Panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double in width; each
+    is integrated by the 20-point Gauss-Lobatto rule and accepted when
+    the whole-panel estimate agrees with the sum over its two halves to
     max(abs_tol, rel_tol * panel size) in every row, else bisected.
     Accumulation stops once every row of a panel contributes less than
     abs_tol in magnitude and is below abs_tol in magnitude at the
-    panel's right edge.  If
-    max_iter panels do not reach that state the partial sums are
-    attached to a TruncationError.
+    panel's right edge.  If max_iter panels do not reach that state the
+    partial result is attached to a TruncationError.
     """
     total = 0.0
     left = float(a)
@@ -270,15 +210,14 @@ def vector_tail_integral(f, a, tol=DEFAULT_TOL):
     for _ in range(tol.max_iter):
         right = left + h
         m = left + 0.5 * h
-        est, edge = _gl_estimates(
-            f, [(left, right), (left, m), (m, right)], np.array([right])
-        )
-        whole = est[:, 0]
+        est, y = _estimates(f, [(left, right), (left, m), (m, right)])
+        whole = est[..., 0]
         tol_abs = max(tol.abs_tol, tol.rel_tol * float(np.max(np.abs(whole))))
-        piece = _gl_settle(f, left, right, whole, (est[:, 1], est[:, 2]), tol_abs, 1)
+        piece = _settle(f, left, right, whole, (est[..., 1], est[..., 2]), tol_abs, 1)
         total = total + piece
+        edge = y[..., 0, -1]  # the whole span's last node is the right edge
         if np.max(np.abs(piece)) < tol.abs_tol and np.max(np.abs(edge)) < tol.abs_tol:
-            return total
+            return total if np.ndim(total) else float(total)
         left = right
         h *= 2.0
     raise TruncationError(

@@ -13,6 +13,7 @@ claim sizes with no time discretisation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,13 @@ class PathState:
 
 
 def _check_run_args(t, n, seed):
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
-    if n <= 0:
-        raise DomainError(f"path count must be positive, got {n}")
-    if seed < 0 or seed > np.iinfo(np.uint64).max:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t}")
+    if not isinstance(n, numbers.Integral) or n <= 0:
+        raise DomainError(f"path count must be a positive integer, got {n!r}")
+    if not (
+        isinstance(seed, numbers.Integral) and 0 <= seed <= np.iinfo(np.uint64).max
+    ):
         raise DomainError(f"seed must be a nonnegative 64-bit integer, got {seed}")
 
 
@@ -235,18 +238,20 @@ def load_batch(path):
         header = fh.readline().rstrip("\n")
         if not header.startswith(_HEADER_PREFIX):
             raise DomainError(f"{path} is not a batch file")
-        fields = dict(
-            tok.split("=", 1) for tok in header[len(_HEADER_PREFIX) :].split()
-        )
-        samples = np.array([float(row) for row in fh])
-    n = int(fields["n"])
+        try:
+            fields = dict(
+                tok.split("=", 1) for tok in header[len(_HEADER_PREFIX) :].split()
+            )
+            lam, mu, c, t = (float(fields[key]) for key in ("lam", "mu", "c", "t"))
+            n, seed = int(fields["n"]), int(fields["seed"])
+            samples = np.array([float(row) for row in fh])
+        except KeyError as exc:
+            raise DomainError(f"batch file {path} has no {exc} in its header") from None
+        except ValueError as exc:
+            raise DomainError(f"batch file {path} is malformed: {exc}") from None
     if samples.size != n:
         raise DomainError(
             f"batch file {path} announces {n} samples but holds {samples.size}"
         )
-    line = ExponentialLine(
-        lam=float(fields["lam"]), mu=float(fields["mu"]), c=float(fields["c"])
-    )
-    return SimBatch(
-        line=line, t=float(fields["t"]), n=n, seed=int(fields["seed"]), samples=samples
-    )
+    line = ExponentialLine(lam=lam, mu=mu, c=c)
+    return SimBatch(line=line, t=t, n=n, seed=seed, samples=samples)

@@ -138,6 +138,15 @@ class TestExitCodes:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_horizon_is_three(self, capsys, t):
+        code, out, err = run(
+            capsys, "measure", "coherent", *LINE1_ARGS, "--t", t, "--n", "10"
+        )
+        assert code == 3
+        assert out == ""
+        assert "horizon must be positive and finite" in err
+
     def test_figure_grid_outside_domain_is_three(self, capsys):
         code, _, _ = run(capsys, "figure", "--r-grid", "0.5:1.5:3")
         assert code == 3

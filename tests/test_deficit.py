@@ -145,6 +145,10 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             DeficitFunctional.quadrature(identity(), psi1, horizon=0.0)
 
+    def test_rejects_nan_horizon(self):
+        with pytest.raises(DomainError):
+            DeficitFunctional.quadrature(identity(), psi1, horizon=math.nan)
+
 
 class TestEmpirical:
     def test_translation_identity_is_exact(self, rng):

@@ -199,22 +199,22 @@ class TestChoquetEmpirical:
 class TestChoquetTail:
     def test_step_tail_gives_cutoff(self):
         q = 7.25
-        got = choquet_tail(identity(), lambda v: 1.0 if v < q else 0.0)
+        got = choquet_tail(identity(), lambda v: np.where(v < q, 1.0, 0.0))
         assert got == pytest.approx(q, abs=1e-6)
 
     def test_exponential_tail_identity(self):
-        got = choquet_tail(identity(), lambda v: math.exp(-0.4 * v))
+        got = choquet_tail(identity(), lambda v: np.exp(-0.4 * v))
         assert got == pytest.approx(2.5, rel=1e-8)
 
     def test_ph_tail_closed_form(self):
         # g(x)=sqrt(x) over exp(-b v) integrates to 2/b
-        got = choquet_tail(proportional_hazard(0.5), lambda v: math.exp(-0.4 * v))
+        got = choquet_tail(proportional_hazard(0.5), lambda v: np.exp(-0.4 * v))
         assert got == pytest.approx(5.0, rel=1e-8)
 
     def test_matches_empirical_within_error(self, rng):
         g = proportional_hazard(0.5)
         x = rng.exponential(2.0, size=4000)
-        exact = choquet_tail(g, lambda v: math.exp(-v / 2.0))
+        exact = choquet_tail(g, lambda v: np.exp(-v / 2.0))
         est = choquet_empirical(g, x)
         se = choquet_se(g, x, seed=11)
         assert abs(est - exact) < 3.0 * se

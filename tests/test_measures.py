@@ -19,8 +19,9 @@ from maxdeficit import (
     proportional_measure,
     tvar,
     ultimate_ruin,
+    var_step,
 )
-from tests.conftest import LINE1
+from tests.conftest import LINE1, LINE3
 
 
 def bisect(f, lo, hi, steps=200):
@@ -162,6 +163,16 @@ class TestProportional:
         assert proportional_measure(quad, 0.15).value == pytest.approx(
             direct, rel=1e-6
         )
+
+    def test_step_distortion_closed_form(self):
+        # varstep:0.4 makes D(u) = v_alpha - u below the plateau edge
+        # v_alpha = ln(a / alpha) / b, so D(u) = delta * u at v_alpha / (1 + delta)
+        quad = DeficitFunctional.quadrature(
+            var_step(0.4), lambda v: ultimate_ruin(LINE3, v)
+        )
+        v_alpha = math.log(0.5 / 0.4) / 0.005
+        res = proportional_measure(quad, 0.05)
+        assert res.value == pytest.approx(v_alpha / 1.05, abs=1e-9)
 
     def test_decreasing_in_margin(self, d_id):
         vals = [proportional_measure(d_id, m).value for m in (0.05, 0.2, 0.8, 3.0)]

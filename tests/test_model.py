@@ -64,6 +64,15 @@ class TestUltimateRuin:
             assert ultimate_ruin(line, -1.0) == 1.0
             assert ultimate_ruin(line, -1e-12) == 1.0
 
+    def test_array_matches_floats(self, rng):
+        u = np.concatenate(([-2.0, -1e-12, 0.0], rng.uniform(0.0, 60.0, size=20)))
+        vals = ultimate_ruin(LINE2, u)
+        assert vals.shape == u.shape
+        assert list(vals) == pytest.approx(
+            [ultimate_ruin(LINE2, float(x)) for x in u], rel=1e-15, abs=0.0
+        )
+        assert isinstance(ultimate_ruin(LINE2, 3.0), float)
+
     def test_decreasing_and_bounded(self, rng):
         u = np.sort(rng.uniform(0.0, 60.0, size=40))
         vals = np.array([ultimate_ruin(LINE2, x) for x in u])

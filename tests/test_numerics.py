@@ -16,7 +16,6 @@ from maxdeficit import (
     lambert_w0,
     tail_integral,
 )
-from maxdeficit.numerics import vector_tail_integral
 
 # root of exp(-x) = x, solved here by bisection once and frozen
 OMEGA = 0.5671432904097837
@@ -100,23 +99,30 @@ class TestTailIntegral:
     @pytest.mark.parametrize("start", [0.0, 3.7, 50.0])
     def test_exponential_tails(self, b, start):
         exact = (0.8 / b) * math.exp(-b * start)
-        got = tail_integral(lambda v: 0.8 * math.exp(-b * v), start)
+        got = tail_integral(lambda v: 0.8 * np.exp(-b * v), start)
         assert abs(got - exact) <= max(1e-6 * exact, 1e-8)
 
     def test_gaussian_tail(self):
-        got = tail_integral(lambda v: math.exp(-v * v), 0.0)
+        got = tail_integral(lambda v: np.exp(-v * v), 0.0)
         assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-9)
         assert got == pytest.approx(0.8862269254527579, abs=1e-9)
 
     def test_compact_support(self):
-        got = tail_integral(lambda v: max(0.0, 1.0 - v), 0.0)
+        got = tail_integral(lambda v: np.maximum(0.0, 1.0 - v), 0.0)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_step_integrand(self):
         # discontinuous cutoff: the integral is just the cutoff location
         q = 26.537
-        got = tail_integral(lambda v: 1.0 if v < q else 0.0, 0.0)
+        got = tail_integral(lambda v: np.where(v < q, 1.0, 0.0), 0.0)
         assert got == pytest.approx(q, abs=1e-6)
+
+    def test_step_anywhere(self, rng):
+        # jumps just past a panel's left edge (3 starts the panel [3, 7])
+        # or next to a midpoint fall between the nodes of an open rule
+        for q in [3.005, 4.999, 5.001, 6.9995] + list(rng.uniform(0.0, 40.0, 100)):
+            got = tail_integral(lambda v: np.where(v < q, 1.0, 0.0), 0.0)
+            assert got == pytest.approx(q, abs=1e-10)
 
     def test_nondecaying_integrand_raises(self):
         with pytest.raises(TruncationError) as err:
@@ -125,18 +131,20 @@ class TestTailIntegral:
         assert isinstance(err.value, ConvergenceError)
 
     def test_start_offset_consistency(self):
-        f = lambda v: 0.5 * math.exp(-0.2 * v)
+        f = lambda v: 0.5 * np.exp(-0.2 * v)
         whole = tail_integral(f, 0.0)
         head = 0.5 / 0.2 * (1.0 - math.exp(-0.2 * 4.0))
         assert whole - head == pytest.approx(tail_integral(f, 4.0), rel=1e-8)
 
 
 class TestVectorTailIntegral:
+    """tail_integral on vector-valued integrands: one row per integrand."""
+
     @pytest.mark.parametrize("start", [0.0, 3.7, 50.0])
     def test_exponential_rows(self, start):
         b = np.array([0.005, 0.05, 1.0])[:, None]
         exact = (0.8 / b[:, 0]) * np.exp(-b[:, 0] * start)
-        got = vector_tail_integral(lambda v: 0.8 * np.exp(-b * v), start)
+        got = tail_integral(lambda v: 0.8 * np.exp(-b * v), start)
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_rows_share_nodes_with_a_kink(self):
@@ -148,21 +156,26 @@ class TestVectorTailIntegral:
             calls += 1
             return np.vstack((np.exp(-v * v), np.maximum(0.0, 2.3 - v)))
 
-        got = vector_tail_integral(f, 0.0)
+        got = tail_integral(f, 0.0)
         assert got == pytest.approx([math.sqrt(math.pi) / 2.0, 2.645], abs=1e-9)
         assert 4 < calls < 40
 
     def test_matches_scalar_panels(self):
-        f = lambda v: 0.5 * math.exp(-0.2 * v) * (1.0 + math.sin(v) ** 2)
-        vec = vector_tail_integral(
-            lambda v: (0.5 * np.exp(-0.2 * v) * (1.0 + np.sin(v) ** 2))[None, :], 2.0
+        # one row and one value per node give the same closed form: with
+        # sin^2 v = (1 - cos 2v) / 2 the integrand is
+        # 0.5 e^(-0.2 v) (1.5 - 0.5 cos 2v), integrated exactly over [2, inf)
+        f = lambda v: 0.5 * np.exp(-0.2 * v) * (1.0 + np.sin(v) ** 2)
+        edge = math.exp(-0.2 * 2.0)
+        exact = 0.5 * (
+            1.5 * edge / 0.2
+            - 0.5 * edge * (0.2 * math.cos(4.0) - 2.0 * math.sin(4.0)) / (0.04 + 4.0)
         )
-        assert vec[0] == pytest.approx(tail_integral(f, 2.0), rel=1e-9)
+        vec = tail_integral(lambda v: f(v)[None, :], 2.0)
+        assert vec[0] == pytest.approx(exact, rel=1e-9)
+        assert tail_integral(f, 2.0) == pytest.approx(exact, rel=1e-9)
 
     def test_nondecaying_row_raises(self):
         with pytest.raises(TruncationError) as err:
-            vector_tail_integral(
-                lambda v: np.vstack((np.exp(-v), 1.0 / (1.0 + v))), 0.0
-            )
+            tail_integral(lambda v: np.vstack((np.exp(-v), 1.0 / (1.0 + v))), 0.0)
         assert err.value.partial[0] == pytest.approx(1.0, rel=1e-12)
         assert err.value.partial[1] > 0.0

@@ -127,6 +127,15 @@ class TestBatches:
         with pytest.raises(DomainError):
             simulate_max_loss(LINE1, 1.0, 10, seed=-5)
 
+    def test_rejects_non_finite_horizon_and_fractional_count(self):
+        for t in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                simulate_max_loss(LINE1, t, 10, seed=0)
+        with pytest.raises(DomainError):
+            simulate_max_loss(LINE1, 1.0, 2.5, 1)
+        with pytest.raises(DomainError):
+            simulate_max_loss(LINE1, 1.0, 10, seed=2.5)
+
     def test_save_load_round_trip(self, tmp_path):
         batch = simulate_max_loss(LINE1, 2.0, 64, seed=55)
         target = tmp_path / "batch.txt"
@@ -153,6 +162,22 @@ class TestBatches:
         lines = target.read_text().splitlines()
         target.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(DomainError):
+            load_batch(target)
+
+
+    @pytest.mark.parametrize(
+        "header,row",
+        [
+            ("# maxdeficit-batch lam=10.0 mu=1.0 c=12.0 t=2.0 seed=1", "0.5"),
+            ("# maxdeficit-batch lam=10.0 mu=1.0 c=12.0 t=2.0 n=1 seed=1", "abc"),
+            ("# maxdeficit-batch lam=ten mu=1.0 c=12.0 t=2.0 n=1 seed=1", "0.5"),
+        ],
+        ids=["missing-key", "non-numeric-row", "non-numeric-header"],
+    )
+    def test_load_rejects_malformed_file_by_name(self, tmp_path, header, row):
+        target = tmp_path / "broken.txt"
+        target.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DomainError, match="broken.txt"):
             load_batch(target)
 
 
