@@ -4,12 +4,19 @@ Every path owns a counter-based Philox substream keyed by (seed, path
 index), and all variates come from inverse-CDF transforms of that
 stream's uniforms.  Batches are therefore bit-identical for a given
 (line, t, n, seed), and any single path can be regenerated in
-isolation.
+isolation with path_events.
 
 Between claim arrivals the net loss drifts downward at the premium
 rate, so the running maximum over a horizon is attained at a claim
 epoch (or is zero); paths are reduced to their arrival epochs and
 claim sizes with no time discretisation.
+
+Batches build one Philox per call and re-key it for each path (key
+(seed, i), counter zero, empty buffer), which yields the same stream
+as a fresh Philox for that key.  Paths are drawn as the rows of small
+chunks and reduced row-wise in numpy; a path whose first block of
+arrivals does not pass the horizon is redone by path_events.  The
+stream, and so every fixed-seed result, is the one path_events draws.
 """
 
 import math
@@ -33,6 +40,18 @@ def derive_seed(seed, *tags):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Uniforms per chunk of batch rows: 128 KB per array, so a batch adds
+# almost nothing to peak memory however many paths it draws.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+def _block_size(line, t):
+    """Arrival gaps drawn per block over [0, t]: the mean count plus six
+    standard deviations, so one block almost always passes t."""
+    mean_count = line.lam * t
+    return int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0)
+
+
 def _path_rng(seed, index):
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -50,8 +69,7 @@ def path_events(line, t, seed, index):
     rng = _path_rng(seed, index)
     if line.lam == 0.0:
         return np.empty(0), np.empty(0)
-    mean_count = line.lam * t
-    block = int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0)
+    block = _block_size(line, t)
     parts = []
     last = 0.0
     while True:
@@ -119,35 +137,93 @@ def _check_run_args(t, n, seed):
         raise DomainError(f"seed must be a nonnegative 64-bit integer, got {seed}")
 
 
+def _fill_paths(line, t, seed, maxima=None, totals=None):
+    """Write path i's running maximum over [0, t] to maxima[i] and its
+    claim total to totals[i], for every index of the given arrays.
+
+    Each row holds 2*block uniforms of one path, drawn with one call as
+    path_events draws them: the first block are the arrival gaps and,
+    when they pass t, the next k are the k claim sizes.  Claim totals
+    are summed over exactly those k sizes so numpy's pairwise order,
+    and so every bit, matches path_events.
+    """
+    n = (maxima if maxima is not None else totals).size
+    if line.lam == 0.0:
+        for arr in (maxima, totals):
+            if arr is not None:
+                arr.fill(0.0)
+        return
+    block = _block_size(line, t)
+    rows = max(1, _CHUNK_ELEMENTS // (2 * block))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    # a fresh Philox's state (counter zero, empty buffer); assigning it
+    # back with only key[1] changed re-keys the generator for one path
+    state = bitgen.state
+    key = state["state"]["key"]
+    draws = np.empty((rows, 2 * block))
+    jumps = np.empty((rows, block))
+    for first in range(0, n, rows):
+        m = min(rows, n - first)
+        u = draws[:m]
+        for j in range(m):
+            key[1] = first + j
+            bitgen.state = state
+            rng.random(out=u[j])
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        times, sizes = u[:, :block], u[:, block:]
+        np.negative(times, out=times)
+        np.divide(times, line.lam, out=times)
+        np.cumsum(times, axis=1, out=times)
+        np.multiply(sizes, -line.mu, out=sizes)
+        within = times <= t
+        if totals is not None:
+            counts = within.sum(axis=1)
+            for j in range(m):
+                totals[first + j] = sizes[j, : counts[j]].sum()
+        if maxima is not None:
+            np.cumsum(sizes, axis=1, out=sizes)
+            v = jumps[:m]
+            np.multiply(times, line.c, out=v)
+            np.subtract(sizes, v, out=v)
+            peaks = maxima[first : first + m]
+            np.max(v, axis=1, initial=0.0, where=within, out=peaks)
+        for j in np.flatnonzero(times[:, -1] <= t):
+            path_times, path_sizes = path_events(line, t, seed, first + j)
+            if maxima is not None:
+                maxima[first + j] = max_loss_from_events(
+                    path_times, path_sizes, line.c, t
+                )
+            if totals is not None:
+                totals[first + j] = path_sizes.sum()
+
+
 def simulate_max_loss(line, t, n, seed):
     """n independent samples of the running maximum over [0, t], in
     path-index order."""
     _check_run_args(t, n, seed)
     m = np.empty(n)
-    for i in range(n):
-        times, sizes = path_events(line, t, seed, i)
-        m[i] = max_loss_from_events(times, sizes, line.c, t)
+    _fill_paths(line, t, seed, maxima=m)
     return SimBatch(line=line, t=t, n=n, seed=seed, samples=m)
 
 
 def simulate_path_states(line, r, n, seed):
     """PathState snapshots of n paths observed at time r."""
     _check_run_args(r, n, seed)
-    states = []
-    for i in range(n):
-        times, sizes = path_events(line, r, seed, i)
-        loss = float(sizes.sum()) - line.c * r
-        states.append(PathState(r, loss, max_loss_from_events(times, sizes, line.c, r)))
-    return states
+    maxima, totals = np.empty(n), np.empty(n)
+    _fill_paths(line, r, seed, maxima=maxima, totals=totals)
+    return [
+        PathState(r, float(total) - line.c * r, float(peak))
+        for total, peak in zip(totals, maxima)
+    ]
 
 
 def simulate_aggregate_claims(line, t, n, seed):
     """n samples of the aggregate claim total over [0, t] (no premium)."""
     _check_run_args(t, n, seed)
     out = np.empty(n)
-    for i in range(n):
-        _, sizes = path_events(line, t, seed, i)
-        out[i] = float(sizes.sum())
+    _fill_paths(line, t, seed, totals=out)
     return out
 
 
@@ -155,8 +231,10 @@ def estimate_finite_ruin(batch, u):
     """P(M_t > u) estimated from a batch, with a 95% binomial half-width.
 
     Returns (estimate, half_width); u < 0 gives (1.0, 0.0) exactly since
-    the maximum starts at zero.
+    the maximum starts at zero, and u = inf gives (0.0, 0.0).
     """
+    if math.isnan(u):
+        raise DomainError("reserve level must not be NaN")
     if u < 0.0:
         return 1.0, 0.0
     n = batch.n
@@ -185,11 +263,15 @@ def supermartingale_check(line, g, t, r, n_outer=200, n_inner=2000, seed=0):
     conditional maxima.  Pooling every conditional sample across outer
     paths yields unconditional M_t draws, so the same nested budget
     prices both sides.  Returns (rho_0, mean_rho_r, se) where se is the
-    outer-level standard error of the per-path requirements.  Concave g
-    only: the comparison is uninformative otherwise.
+    outer-level standard error of the per-path requirements, so n_outer
+    must be at least 2.  Concave g only: the comparison is uninformative
+    otherwise.
     """
     if not g.concave:
         raise DomainError("supermartingale comparison needs a concave distortion")
+    if not isinstance(n_outer, numbers.Integral) or n_outer < 2:
+        raise DomainError(f"need an integer n_outer >= 2, got {n_outer!r}")
+    _check_run_args(t, n_inner, seed)
     if not 0.0 < r < t:
         raise DomainError(f"need 0 < r < t, got r={r}, t={t}")
     states = simulate_path_states(line, r, n_outer, derive_seed(seed, 10))

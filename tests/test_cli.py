@@ -147,6 +147,15 @@ class TestExitCodes:
         assert out == ""
         assert "horizon must be positive and finite" in err
 
+    def test_nan_reserve_level_is_three(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", *LINE1_ARGS, "--t", "1", "--n", "10", "--seed", "7",
+            "--u", "0,nan",
+        )
+        assert code == 3
+        assert out == ""
+        assert "reserve level must not be NaN" in err
+
     def test_figure_grid_outside_domain_is_three(self, capsys):
         code, _, _ = run(capsys, "figure", "--r-grid", "0.5:1.5:3")
         assert code == 3

@@ -2,10 +2,12 @@
 property that underwrites the conditional requirement machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from maxdeficit import simulate
 from maxdeficit import (
     DomainError,
     ExponentialLine,
@@ -26,7 +28,7 @@ from maxdeficit import (
     supermartingale_check,
     var_step,
 )
-from tests.conftest import LINE1
+from tests.conftest import LINE1, LINE3
 
 QUIET = ExponentialLine(0.0, 1.0, 1.0)
 
@@ -186,6 +188,12 @@ class TestFiniteRuin:
         batch = simulate_max_loss(LINE1, 1.0, 100, seed=0)
         assert estimate_finite_ruin(batch, -0.5) == (1.0, 0.0)
 
+    def test_infinite_reserve_never_ruins_and_nan_is_rejected(self):
+        batch = simulate_max_loss(LINE1, 1.0, 100, seed=0)
+        assert estimate_finite_ruin(batch, math.inf) == (0.0, 0.0)
+        with pytest.raises(DomainError):
+            estimate_finite_ruin(batch, math.nan)
+
     def test_tracks_ultimate_level_at_long_horizon(self):
         batch = simulate_max_loss(LINE1, 60.0, 2000, seed=31)
         p, half = estimate_finite_ruin(batch, 5.0)
@@ -196,6 +204,72 @@ class TestFiniteRuin:
     def test_quiet_line_never_ruins(self):
         batch = simulate_max_loss(QUIET, 5.0, 100, seed=0)
         assert estimate_finite_ruin(batch, 0.0) == (0.0, 0.0)
+
+
+def single_path_route(line, t, n, seed):
+    """Maxima and claim totals of paths 0..n-1, one path_events call each."""
+    maxima, totals = np.empty(n), np.empty(n)
+    for i in range(n):
+        times, sizes = path_events(line, t, seed, i)
+        maxima[i] = max_loss_from_events(times, sizes, line.c, t)
+        totals[i] = float(sizes.sum())
+    return maxima, totals
+
+
+def batch_routes(line, t, n, seed):
+    """Maxima, claim totals and path states of the three batch functions."""
+    states = simulate_path_states(line, t, n, seed)
+    return (
+        simulate_max_loss(line, t, n, seed).samples,
+        simulate_aggregate_claims(line, t, n, seed),
+        np.array([(s.realized_loss, s.running_max) for s in states]),
+    )
+
+
+def assert_same_bits(routes, maxima, totals, line, t):
+    batch_max, batch_total, states = routes
+    assert batch_max.tobytes() == maxima.tobytes()
+    assert batch_total.tobytes() == totals.tobytes()
+    expected_states = np.column_stack([totals - line.c * t, maxima])
+    assert states.tobytes() == expected_states.tobytes()
+
+
+class TestChunkedKernel:
+    """The batch functions draw paths in chunks of rows; every sample must
+    equal the single-path route of path_events bit for bit."""
+
+    CASES = [
+        (LINE1, 1.0, 400),
+        (LINE1, 15.0, 200),
+        (LINE1, 200.0, 12),
+        (LINE3, 30.0, 300),
+    ]
+    IDS = ["lam-t-10", "lam-t-150", "lam-t-2000", "third-line"]
+
+    @pytest.mark.parametrize("line,t,n", CASES, ids=IDS)
+    def test_matches_single_path_route(self, line, t, n):
+        for seed in (0, 2**64 - 1):
+            maxima, totals = single_path_route(line, t, n, seed)
+            assert_same_bits(batch_routes(line, t, n, seed), maxima, totals, line, t)
+
+    @pytest.mark.parametrize("line,t,n", CASES, ids=IDS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, line, t, n, rows):
+        default = batch_routes(line, t, n, seed=31)
+        budget = rows * 2 * simulate._block_size(line, t)
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", budget)
+        for got, want in zip(batch_routes(line, t, n, seed=31), default):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_that_stay_within_t_fall_back(self, monkeypatch):
+        # a 5-gap block passes t = 0.5 only when fewer than 5 claims
+        # arrive (mean 5), so both the chunked and the fallback rows occur
+        monkeypatch.setattr(simulate, "_block_size", lambda line, t: 5)
+        line, t, n = LINE1, 0.5, 300
+        maxima, totals = single_path_route(line, t, n, seed=4)
+        counts = [path_events(line, t, 4, i)[0].size for i in range(n)]
+        assert 0 < sum(k >= 5 for k in counts) < n
+        assert_same_bits(batch_routes(line, t, n, seed=4), maxima, totals, line, t)
 
 
 class TestRestartProperty:
@@ -266,6 +340,26 @@ class TestSupermartingale:
     def test_rejects_bad_window(self):
         with pytest.raises(DomainError):
             supermartingale_check(LINE1, identity(), t=2.0, r=2.0)
+
+    @pytest.mark.parametrize(
+        "n_outer,seed",
+        [(1, 0), (2.5, 0), (10, -1), (10, 1.5)],
+        ids=["one-outer-path", "fractional-outer", "negative-seed", "float-seed"],
+    )
+    def test_rejects_bad_counts_and_seeds_before_drawing(
+        self, monkeypatch, n_outer, seed
+    ):
+        def no_drawing(*args, **kwargs):
+            raise AssertionError("paths drawn before validation")
+
+        monkeypatch.setattr(simulate, "_fill_paths", no_drawing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                supermartingale_check(
+                    LINE1, identity(), t=3.0, r=1.0, n_outer=n_outer, n_inner=50,
+                    seed=seed,
+                )
 
 
 class TestRolling:
