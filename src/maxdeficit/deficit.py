@@ -5,8 +5,9 @@ For a loss process with running maximum M and a distortion g, the curve
     D(u) = integral over v in [u, inf) of g(P(M > v))
 
 is the distorted expected shortfall of reserve u.  It is nonincreasing
-in u, and because P(M > v) = 1 for v < 0 it continues below zero with
-slope -1: D(u) = D(0) - u.  Four interchangeable sources are provided:
+and convex in u, with slope D'(u) = -g(P(M > u)), and because
+P(M > v) = 1 for v < 0 it continues below zero with slope -1:
+D(u) = D(0) - u.  Four interchangeable sources are provided:
 two closed forms for exponential-severity lines, numerical quadrature
 against an arbitrary tail curve, and an empirical estimate from sampled
 maxima.
@@ -93,7 +94,7 @@ class DeficitFunctional:
             raise DomainError("samples must be finite and nonnegative")
         ordered = np.sort(x)[::-1]
         weights = choquet_weights(g, x.size)
-        return cls(SOURCE_EMP, horizon, ordered=ordered, weights=weights)
+        return cls(SOURCE_EMP, horizon, g=g, ordered=ordered, weights=weights)
 
     # -- evaluation --------------------------------------------------------
 
@@ -121,6 +122,26 @@ class DeficitFunctional:
             return tail_integral(lambda v: g(psi(v)), u, s["tol"])
         shortfall = np.maximum(s["ordered"] - u, 0.0)
         return float(s["weights"] @ shortfall)
+
+    def slope(self, u):
+        """Right derivative D'(u) = -g(S(u)), with S(u) the curve's tail.
+
+        S is 1 below zero, psi for quadrature and the share of samples
+        above u for empirical curves, whose piecewise-linear D it
+        differentiates from the right.  D is convex, so
+        D(v) >= D(u) + (v - u) * D'(u) for v >= u.  Closed forms are
+        inverted analytically and raise DomainError.
+        """
+        if self.kind not in (SOURCE_QUAD, SOURCE_EMP):
+            raise DomainError("slope is given for quadrature and empirical curves")
+        u = float(u)
+        if u < 0.0:
+            return -1.0
+        s = self._state
+        if self.kind == SOURCE_QUAD:
+            return -float(s["g"](s["psi"](np.array([u])))[0])
+        above = int(np.count_nonzero(s["ordered"] > u))
+        return -s["g"](above / s["ordered"].size)
 
     # -- closed-form introspection ----------------------------------------
 

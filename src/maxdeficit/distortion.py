@@ -57,6 +57,18 @@ class Distortion:
 
     def __call__(self, x):
         """Apply g; accepts a float or an ndarray of values in [0, 1]."""
+        if type(x) is float:
+            # plain float arithmetic for the scalar root-finding callers;
+            # it agrees with the array form, NaN included
+            if x < 0.0 or x > 1.0:
+                raise DomainError("distortion argument outside [0, 1]")
+            if self.kind == "identity":
+                return x
+            if self.kind == "ph":
+                return x**self.param
+            if self.kind == "tvar":
+                return min(x / self.param, 1.0)
+            return 1.0 if x > self.param else 0.0
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError("distortion argument outside [0, 1]")

@@ -13,6 +13,12 @@ plus two closed-form companions for exponential lines: the benchmark
 rule built on the expected area under the loss path, and the premium
 level below which no finite time-0 requirement controls the rolling
 one-period exposure.
+
+Closed forms solve the convex and proportional rules analytically.  On
+quadrature and empirical curves they are solved on the curve itself by
+Newton steps from zero reserve, using the exact slope
+D'(u) = -g(P(M > u)).  D is convex, so each tangent lies below it and
+the iterates rise to the root without passing it.
 """
 
 import math
@@ -22,7 +28,7 @@ from . import deficit as deficit_mod
 from .distortion import choquet_empirical, choquet_se
 from .errors import ConvergenceError, DomainError
 from .model import adjustment_coefficient, ruin_constants
-from .numerics import DEFAULT_TOL, brent_root, lambert_w0
+from .numerics import DEFAULT_TOL, lambert_w0
 from .simulate import derive_seed, simulate_aggregate_claims
 
 
@@ -31,8 +37,10 @@ class MeasureResult:
     """A requirement value plus how it was obtained.
 
     method is one of closed-form, lambert-w, root-bracketed, quadrature
-    or empirical; residual reports the defining relation at the value;
-    branch names the active closed-form branch where there is a choice.
+    or empirical, where root-bracketed marks a root found numerically on
+    the curve itself; residual reports the defining relation at the
+    value; branch names the active closed-form branch where there is a
+    choice.
     """
 
     value: float
@@ -54,13 +62,27 @@ def coherent_measure(d):
     return MeasureResult(value=d(0.0), method=_direct_method(d), residual=0.0)
 
 
-def _grow_upper(f, hi=1.0, cap=200):
-    """First hi with f(hi) <= 0, doubling from the start value."""
-    for _ in range(cap):
-        if f(hi) <= 0.0:
-            return hi
-        hi *= 2.0
-    raise ConvergenceError("no sign change found while expanding the bracket")
+def _newton_root(f, slope, f0, tol):
+    """Root of a convex decreasing f with f(0) = f0 > 0, by Newton steps
+    from u = 0; returns the root and f there.
+
+    Stops as Brent does: once |f| <= abs_tol or a step is no larger than
+    rel_tol*|u| + abs_tol.  A slope that is not negative cannot reach
+    the root and raises ConvergenceError, as do max_iter steps.
+    """
+    u, fu = 0.0, f0
+    for _ in range(tol.max_iter):
+        if abs(fu) <= tol.abs_tol:
+            return u, fu
+        rate = slope(u)
+        if not rate < 0.0:
+            raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
+        step = -fu / rate
+        u += step
+        fu = f(u)
+        if abs(step) <= tol.rel_tol * abs(u) + tol.abs_tol:
+            return u, fu
+    raise ConvergenceError(f"root not settled in {tol.max_iter} Newton steps")
 
 
 def convex_measure(d, budget, tol=DEFAULT_TOL):
@@ -68,9 +90,10 @@ def convex_measure(d, budget, tol=DEFAULT_TOL):
 
     Closed forms invert their exponential branch analytically, which for
     a ph curve continues that branch to negative reserves when the
-    budget exceeds D(0) (branch tag "continuation").  The bracketed
-    route instead follows the curve itself, whose sub-zero part is
-    linear by construction.
+    budget exceeds D(0) (branch tag "continuation").  Other curves are
+    solved on the curve itself (method "root-bracketed"): its sub-zero
+    part is linear, so a budget of at least D(0) gives D(0) - A exactly,
+    and a smaller one is reached by Newton steps on D(u) - A from zero.
     """
     if not 0.0 < budget < math.inf:
         raise DomainError(f"budget must be positive and finite, got {budget}")
@@ -97,14 +120,11 @@ def convex_measure(d, budget, tol=DEFAULT_TOL):
         return MeasureResult(value, "closed-form", abs(d(value) - budget), branch)
 
     d0 = d(0.0)
-    if d0 > budget:
-        hi = _grow_upper(lambda u: d(u) - budget)
-        lo = 0.0
-    else:
-        lo = -(d0 + budget)
-        hi = 0.0
-    root = brent_root(lambda u: d(u) - budget, lo, hi, tol)
-    return MeasureResult(root, "root-bracketed", abs(d(root) - budget))
+    if d0 <= budget:
+        value = d0 - budget
+        return MeasureResult(value, "root-bracketed", abs(d0 - value - budget))
+    root, f = _newton_root(lambda u: d(u) - budget, d.slope, d0 - budget, tol)
+    return MeasureResult(root, "root-bracketed", abs(f))
 
 
 def proportional_measure(d, margin, tol=DEFAULT_TOL):
@@ -112,7 +132,8 @@ def proportional_measure(d, margin, tol=DEFAULT_TOL):
 
     The crossing is unique because D decreases while the comparison
     line rises.  Exponential branches reduce to the Lambert W function;
-    other sources bracket the crossing and hand it to Brent.
+    other sources take Newton steps on D(u) - margin * u from zero
+    (method "root-bracketed"), whose slope is D'(u) - margin.
     """
     if not 0.0 < margin < math.inf:
         raise DomainError(f"margin must be positive and finite, got {margin}")
@@ -140,9 +161,10 @@ def proportional_measure(d, margin, tol=DEFAULT_TOL):
     d0 = d(0.0)
     if d0 <= 0.0:
         return MeasureResult(0.0, "root-bracketed", abs(d0), "degenerate")
-    hi = _grow_upper(lambda u: d(u) - margin * u)
-    root = brent_root(lambda u: d(u) - margin * u, 0.0, hi, tol)
-    return MeasureResult(root, "root-bracketed", abs(d(root) - margin * root))
+    root, f = _newton_root(
+        lambda u: d(u) - margin * u, lambda u: d.slope(u) - margin, d0, tol
+    )
+    return MeasureResult(root, "root-bracketed", abs(f))
 
 
 def critical_threshold(d):

@@ -56,15 +56,20 @@ class RuinConstants:
     b: float
 
 
+def _level_and_decay(line):
+    a = line.lam * line.mu / line.c
+    return a, (1.0 - a) / line.mu
+
+
 def adjustment_coefficient(line):
     """Decay rate of the ruin probability in the initial reserve."""
-    return (1.0 - line.lam * line.mu / line.c) / line.mu
+    return _level_and_decay(line)[1]
 
 
 def ruin_constants(line):
     """Level and decay of the ultimate ruin curve for one line."""
-    a = line.lam * line.mu / line.c
-    return RuinConstants(a=a, b=adjustment_coefficient(line))
+    a, b = _level_and_decay(line)
+    return RuinConstants(a=a, b=b)
 
 
 def ultimate_ruin(line, u):
@@ -72,9 +77,11 @@ def ultimate_ruin(line, u):
 
     Accepts a float, which gives a float, or an ndarray of reserves.
     """
-    k = ruin_constants(line)
+    a, b = _level_and_decay(line)
+    if type(u) is float:
+        return 1.0 if u < 0.0 else a * math.exp(-b * u)
     u = np.asarray(u, dtype=float)
-    ruin = np.where(u < 0.0, 1.0, k.a * np.exp(-k.b * np.maximum(u, 0.0)))
+    ruin = np.where(u < 0.0, 1.0, a * np.exp(-b * np.maximum(u, 0.0)))
     return ruin if ruin.ndim else float(ruin)
 
 

@@ -34,8 +34,12 @@ def derive_seed(seed, *tags):
 
     Mixes the base seed with integer tags through SeedSequence so
     nested experiments (outer paths, per-path inner batches, bootstrap)
-    never reuse a path substream.
+    never reuse a path substream.  The seed and every tag must be
+    nonnegative integers.
     """
+    for x in (seed,) + tags:
+        if not (isinstance(x, numbers.Integral) and x >= 0):
+            raise DomainError(f"seed and tags must be nonnegative integers, got {x!r}")
     ss = np.random.SeedSequence((int(seed),) + tuple(int(x) for x in tags))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

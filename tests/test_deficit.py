@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdeficit import (
     DeficitFunctional,
     DomainError,
     identity,
     line_from_ruin_constants,
+    parse_distortion,
     proportional_hazard,
     ruin_constants,
     tvar,
@@ -183,6 +186,117 @@ class TestEmpirical:
             DeficitFunctional.empirical(identity(), [1.0, -2.0])
         with pytest.raises(DomainError):
             DeficitFunctional.empirical(identity(), [[1.0], [2.0]])
+
+
+def quad_curve(line, g):
+    return DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))
+
+
+class TestSlope:
+    # D'(u) = -g(S(u)) for the tail S of each source; central differences
+    # stay away from zero, from the tvar kink and from every sample
+    H = 1e-5
+
+    def central(self, d, u):
+        return (d(u + self.H) - d(u - self.H)) / (2.0 * self.H)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            quad_curve(LINE1, proportional_hazard(0.6)),
+            quad_curve(LINE1, tvar(0.3)),
+            quad_curve(LINE1, var_step(0.4)),
+        ],
+        ids=["quad-ph", "quad-tvar", "quad-varstep"],
+    )
+    def test_matches_central_differences(self, d):
+        # LINE1's tvar:0.3 kink sits at 6 ln(25/9) = 6.13, the varstep
+        # jump at 6 ln(25/12) = 4.40
+        for u in (0.5, 2.0, 5.0, 9.0, 20.0):
+            assert d.slope(u) == pytest.approx(self.central(d, u), rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", ["identity", "ph:0.5", "tvar:0.1", "varstep:0.3"])
+    def test_empirical_matches_central_differences(self, spec, rng):
+        x = rng.exponential(3.0, size=400)
+        d = DeficitFunctional.empirical(parse_distortion(spec), x)
+        grid = np.sort(x)
+        for u in 0.5 * (grid[:-1] + grid[1:])[::40]:
+            assert d.slope(u) == pytest.approx(self.central(d, u), rel=1e-6, abs=1e-9)
+
+    def test_right_derivative_at_a_sample(self):
+        d = DeficitFunctional.empirical(identity(), [1.0, 2.0, 2.0, 4.0])
+        assert d.slope(2.0) == pytest.approx(-0.25)
+        assert d.slope(1.9) == pytest.approx(-0.75)
+        assert d.slope(4.0) == 0.0
+
+    def test_minus_one_below_zero(self, rng):
+        curves = [
+            quad_curve(LINE1, proportional_hazard(0.5)),
+            DeficitFunctional.empirical(identity(), rng.exponential(1.0, 30)),
+        ]
+        for d in curves:
+            assert d.slope(-1e-9) == -1.0
+            assert d.slope(-3.0) == -1.0
+
+    def test_closed_forms_refused(self):
+        # closed forms are inverted analytically and need no slope
+        for d in (
+            DeficitFunctional.closed_form_ph(LINE1, p=0.5),
+            DeficitFunctional.closed_form_tvar(LINE1, 0.01),
+        ):
+            with pytest.raises(DomainError):
+                d.slope(1.0)
+
+
+@st.composite
+def curves(draw, source):
+    a = draw(st.floats(0.1, 0.95))
+    b = draw(st.floats(0.01, 0.5))
+    line = line_from_ruin_constants(a, b)
+    if source == "empirical":
+        g = draw(st.sampled_from([identity(), proportional_hazard(0.4), tvar(0.1)]))
+        n = draw(st.integers(1, 300))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(n) < a, rng.exponential(1.0 / b, n), 0.0)
+        return DeficitFunctional.empirical(g, x), 1.0 / b
+    g = draw(
+        st.one_of(
+            st.floats(0.2, 1.0).map(proportional_hazard),
+            st.floats(0.01, 0.9).map(tvar),
+            st.floats(0.01, 0.9).map(var_step),
+        )
+    )
+    return quad_curve(line, g), 1.0 / b
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestSlopeProperties:
+    # the tangent inequality is what keeps Newton steps from passing the
+    # root; both sources it serves must satisfy it, with room for
+    # quadrature error
+    @staticmethod
+    def check(curve, u_frac, h_frac, below):
+        d, scale = curve
+        u, h = u_frac * 6.0 * scale, h_frac * 6.0 * scale
+        du, dh = d(u), d(u + h)
+        slack = 1e-9 * max(1.0, du)
+        assert dh >= du + h * d.slope(u) - slack
+        assert dh <= du + slack
+        d0 = d(0.0)
+        assert d(-below) == pytest.approx(d0 + below, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(curves("quadrature"), UNIT, UNIT, st.floats(0.0, 50.0))
+    def test_quadrature(self, curve, u_frac, h_frac, below):
+        self.check(curve, u_frac, h_frac, below)
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(curves("empirical"), UNIT, UNIT, st.floats(0.0, 50.0))
+    def test_empirical(self, curve, u_frac, h_frac, below):
+        self.check(curve, u_frac, h_frac, below)
 
 
 class TestSourceTags:

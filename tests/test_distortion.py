@@ -122,6 +122,53 @@ class TestSlope:
             identity().slope(1.5)
 
 
+class TestScalarPath:
+    # a float argument to g takes plain float arithmetic; it must agree
+    # with the array form, including at the endpoints, the kink and NaN
+    KINDS = [
+        identity(),
+        proportional_hazard(0.3),
+        proportional_hazard(1.0),
+        tvar(0.2),
+        var_step(0.4),
+    ]
+
+    @staticmethod
+    def points(g, rng):
+        fixed = [0.0, 1.0, math.nan]
+        if g.param is not None:
+            fixed.append(g.param)
+        return fixed + list(rng.uniform(0.0, 1.0, size=50))
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
+    def test_value_matches_array_form(self, g, rng):
+        xs = self.points(g, rng)
+        scalar = [g(x) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(scalar, g(np.array(xs)), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("g", KINDS[:4], ids=lambda g: g.label())
+    def test_slope_takes_float_to_float(self, g, rng):
+        xs = self.points(g, rng)
+        with np.errstate(divide="ignore"):
+            scalar = [g.slope(x) for x in xs]
+            array = g.slope(np.array(xs))
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(scalar, array, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
+    def test_same_range_checks(self, g):
+        for bad in (-1e-12, 1.5, -math.inf, math.inf):
+            with pytest.raises(DomainError):
+                g(bad)
+            with pytest.raises(DomainError):
+                g.slope(bad)
+
+    def test_varstep_slope_refused(self):
+        with pytest.raises(DomainError):
+            var_step(0.4).slope(0.5)
+
+
 class TestChoquetWeights:
     def test_sum_to_one(self):
         for g in (identity(), proportional_hazard(0.5), tvar(0.1), var_step(0.3)):

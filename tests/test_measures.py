@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from maxdeficit import (
+    ConvergenceError,
     DeficitFunctional,
     DomainError,
     ExponentialLine,
+    Tolerance,
     coherent_measure,
     convex_measure,
     critical_threshold,
     ear_convex_measure,
     identity,
+    line_from_ruin_constants,
     premium_lower_bound,
     proportional_hazard,
     proportional_measure,
@@ -182,6 +185,112 @@ class TestProportional:
         for bad in (0.0, math.nan):
             with pytest.raises(DomainError):
                 proportional_measure(d_id, bad)
+
+
+@pytest.fixture
+def count_evals(monkeypatch):
+    """Count D evaluations made while the fixture is active."""
+    calls = []
+    inner = DeficitFunctional.__call__
+
+    def counted(self, u):
+        calls.append(u)
+        return inner(self, u)
+
+    monkeypatch.setattr(DeficitFunctional, "__call__", counted)
+    return calls
+
+
+class TestNewtonRoute:
+    def test_step_distortion_takes_few_evaluations(self, count_evals):
+        # varstep makes D(u) = v_alpha - u up to v_alpha: one Newton step
+        # lands on the root
+        quad = DeficitFunctional.quadrature(
+            var_step(0.4), lambda v: ultimate_ruin(LINE1, v)
+        )
+        v_alpha = 6.0 * math.log(25.0 / 12.0)
+        r = convex_measure(quad, 2.0)
+        assert len(count_evals) <= 2
+        assert r.value == pytest.approx(v_alpha - 2.0, abs=1e-9)
+        count_evals.clear()
+        r = proportional_measure(quad, 0.05)
+        assert len(count_evals) <= 3
+        assert r.value == pytest.approx(v_alpha / 1.05, abs=1e-9)
+        assert r.method == "root-bracketed" and r.branch is None
+
+    def test_budget_beyond_coherent_level_is_exact(self, count_evals):
+        quad = DeficitFunctional.quadrature(
+            identity(), lambda v: ultimate_ruin(LINE1, v)
+        )
+        d0 = quad(0.0)
+        count_evals.clear()
+        r = convex_measure(quad, d0 + 7.5)
+        assert len(count_evals) == 1
+        assert r.value == d0 - (d0 + 7.5)
+
+    def test_matches_closed_forms_on_random_lines(self):
+        rng = np.random.default_rng(8505)
+        worst = 0.0
+        for _ in range(100):
+            line = line_from_ruin_constants(
+                rng.uniform(0.1, 0.95), rng.uniform(0.01, 0.5)
+            )
+            if rng.integers(2):
+                p = rng.uniform(0.3, 1.0)
+                g = proportional_hazard(p)
+                closed = DeficitFunctional.closed_form_ph(line, p)
+            else:
+                alpha = rng.uniform(0.01, 0.5)
+                g = tvar(alpha)
+                closed = DeficitFunctional.closed_form_tvar(line, alpha)
+            quad = DeficitFunctional.quadrature(
+                g, lambda v, ln=line: ultimate_ruin(ln, v)
+            )
+            d0 = closed(0.0)
+            budget = d0 * math.exp(rng.uniform(math.log(1e-4), math.log(3.0)))
+            margin = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            want = convex_measure(closed, budget)
+            # the ph continuation leaves the curve; the curve itself is
+            # linear below zero
+            target = d0 - budget if want.branch == "continuation" else want.value
+            got = convex_measure(quad, budget).value
+            worst = max(worst, abs(got - target) / max(1.0, abs(target)))
+            want = proportional_measure(closed, margin).value
+            got = proportional_measure(quad, margin).value
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("tail", ["exponential", "pareto"])
+    @pytest.mark.parametrize("n", [100, 1000, 20_000])
+    def test_empirical_curves_take_few_evaluations(self, tail, n, count_evals):
+        rng = np.random.default_rng(n)
+        if tail == "exponential":
+            x = rng.exponential(3.0, n)
+        else:
+            x = 4.0 * rng.pareto(2.5, n)
+        for g in (identity(), proportional_hazard(0.5), tvar(0.1)):
+            d = DeficitFunctional.empirical(g, x)
+            d0 = d(0.0)
+            for budget in (1e-4 * d0, 0.05 * d0, 0.7 * d0):
+                count_evals.clear()
+                r = convex_measure(d, budget)
+                assert len(count_evals) <= 20
+                assert d(r.value) == pytest.approx(budget, rel=1e-9)
+                assert d(r.value * (1.0 - 1e-6)) > budget
+            for margin in (1e-3, 0.1, 10.0):
+                count_evals.clear()
+                r = proportional_measure(d, margin)
+                assert len(count_evals) <= 20
+                assert d(r.value) == pytest.approx(margin * r.value, rel=1e-9)
+
+    def test_step_limit_raises(self):
+        quad = DeficitFunctional.quadrature(
+            proportional_hazard(0.5), lambda v: ultimate_ruin(LINE1, v)
+        )
+        with pytest.raises(ConvergenceError):
+            convex_measure(quad, 0.01, Tolerance(max_iter=2))
+        with pytest.raises(ConvergenceError):
+            proportional_measure(quad, 0.01, Tolerance(max_iter=2))
 
 
 class TestCriticalThreshold:

@@ -73,6 +73,16 @@ class TestUltimateRuin:
         )
         assert isinstance(ultimate_ruin(LINE2, 3.0), float)
 
+    def test_float_path_matches_array_form(self, rng):
+        for line in (LINE1, LINE2, LINE3):
+            u = [0.0, -0.0, -3.0, -1e-300, -math.inf, math.inf, math.nan]
+            u += list(rng.uniform(-5.0, 200.0, size=50))
+            scalar = [ultimate_ruin(line, x) for x in u]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(
+                scalar, ultimate_ruin(line, np.array(u)), rtol=1e-15, atol=0.0
+            )
+
     def test_decreasing_and_bounded(self, rng):
         u = np.sort(rng.uniform(0.0, 60.0, size=40))
         vals = np.array([ultimate_ruin(LINE2, x) for x in u])

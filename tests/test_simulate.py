@@ -403,3 +403,8 @@ class TestSeedDerivation:
         tags = {derive_seed(5, 10), derive_seed(5, 11), derive_seed(6, 10)}
         assert len(tags) == 3
         assert all(0 <= s <= np.iinfo(np.uint64).max for s in tags)
+
+    @pytest.mark.parametrize("args", [(1.5, 2), (1, 2.7), (-1, 2), (1, -2), (1, 2, 0.5)])
+    def test_rejects_non_integral_or_negative(self, args):
+        with pytest.raises(DomainError):
+            derive_seed(*args)
