@@ -4,6 +4,7 @@ maximum-deficit models."""
 from .allocate import (
     AllocationProblem,
     AllocationResult,
+    aggregate_min,
     invariance_check,
     method1_exponential,
     method1_generic,

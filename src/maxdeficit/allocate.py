@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distortion import identity
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
 from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
@@ -299,9 +300,9 @@ def _pooled_deficit(a, b, g, u, tol):
     psi~ = 1 - prod_k (1 - psi_k) with psi_k = a_k exp(-b_k (u_k + v)),
     and d psi~ / d u_k = -b_k psi_k (1 - psi~) / (1 - psi_k), so the
     gradient integrands g'(psi~) d psi~ / d u_k share every node with
-    the objective's.  For tvar, g is 1 until psi~ falls to alpha at v*:
-    F = v* + the integral past v*, and the boundary terms of the
-    gradient cancel because g(psi~(v*)) = 1.
+    the objective's.  For tvar, g is 1 until psi~ falls to the edge
+    alpha of its primitive at v*: F = v* + the integral past v*, and the
+    boundary terms of the gradient cancel because g(psi~(v*)) = 1.
     """
     a = a[:, None]
     b = b[:, None]
@@ -321,8 +322,9 @@ def _pooled_deficit(a, b, g, u, tol):
         return np.vstack((g(tail), slope * dtail))
 
     start = 0.0
-    if g.kind == "tvar":
-        excess = lambda v: -math.expm1(log_survival(v)[1][0]) - g.param
+    _, _, edge = g.primitive_pieces
+    if edge < math.inf:
+        excess = lambda v: -math.expm1(log_survival(v)[1][0]) - edge
         if excess(0.0) > 0.0:
             hi = 1.0
             while excess(hi) > 0.0:
@@ -439,6 +441,14 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     return result
 
 
+def aggregate_min(lines, g, total_u):
+    """Aggregate-minimum split: the closed two-line route for two
+    identity-distorted lines, projected gradient descent otherwise."""
+    if len(lines) == 2 and g == identity():
+        return method2_two_line(lines[0], lines[1], total_u)
+    return method2_generic(lines, g, total_u)
+
+
 def invariance_check(lines, g, total_u, tol=1e-6):
     """True when distorting every marginal by the same strictly
     increasing g leaves the marginal-sum allocation unchanged.
@@ -447,7 +457,7 @@ def invariance_check(lines, g, total_u, tol=1e-6):
     """
     if not lines:
         raise DomainError("allocation needs at least one line")
-    if g.kind == "varstep":
+    if not g.concave:
         raise DomainError("invariance needs a strictly increasing distortion")
     base = method1_exponential(AllocationProblem(lines=tuple(lines), total_u=total_u))
     marginals = [

@@ -17,12 +17,13 @@ import numpy as np
 
 from .allocate import (
     AllocationProblem,
+    aggregate_min,
     method1_exponential,
     method2_generic,
     method2_two_line,
 )
 from .deficit import DeficitFunctional
-from .distortion import Distortion, identity, parse_distortion, proportional_hazard, tvar
+from .distortion import identity, parse_distortion, proportional_hazard, tvar, var_step
 from .errors import ConvergenceError, DomainError
 from .measures import (
     coherent_measure,
@@ -138,19 +139,10 @@ def _distortion_or_identity(cfg):
     return cfg.distortions[0]
 
 
-def _deficit_for(line, g, cfg):
-    if cfg.t is not None:
-        n = cfg.n if cfg.n is not None else 10000
-        seed = cfg.seed if cfg.seed is not None else 0
-        batch = simulate_max_loss(line, cfg.t, n, seed)
-        return DeficitFunctional.empirical(g, batch.samples, horizon=cfg.t)
-    if g.kind == "identity":
-        return DeficitFunctional.closed_form_ph(line, 1.0)
-    if g.kind == "ph":
-        return DeficitFunctional.closed_form_ph(line, g.param)
-    if g.kind == "tvar":
-        return DeficitFunctional.closed_form_tvar(line, g.param)
-    return DeficitFunctional.quadrature(g, lambda v, ln=line: ultimate_ruin(ln, v))
+def _paths(cfg):
+    """--n and --seed of a simulated route, 10000 paths and seed 0 unless given."""
+    n = cfg.n if cfg.n is not None else 10000
+    return n, cfg.seed if cfg.seed is not None else 0
 
 
 def cmd_measure(cfg):
@@ -160,8 +152,7 @@ def cmd_measure(cfg):
     g = _distortion_or_identity(cfg)
     rows = []
     if which == "premium-bound":
-        n = cfg.n if cfg.n is not None else 10000
-        seed = cfg.seed if cfg.seed is not None else 0
+        n, seed = _paths(cfg)
         for line in cfg.lines:
             bound = premium_lower_bound(line, g, n, seed)
             if not bound.concave:
@@ -184,7 +175,7 @@ def cmd_measure(cfg):
         _emit(["lam", "mu", "c", "value", "method", "residual"], rows, cfg)
         return 0
     for line in cfg.lines:
-        d = _deficit_for(line, g, cfg)
+        d = DeficitFunctional.for_line(line, g, cfg.t, *_paths(cfg))
         if which == "coherent":
             res = coherent_measure(d)
         elif which == "convex":
@@ -209,11 +200,7 @@ def cmd_allocate(cfg):
         )
         result = method1_exponential(problem)
     else:
-        g = _distortion_or_identity(cfg)
-        if g.kind == "identity" and len(cfg.lines) == 2:
-            result = method2_two_line(cfg.lines[0], cfg.lines[1], total_u)
-        else:
-            result = method2_generic(cfg.lines, g, total_u)
+        result = aggregate_min(cfg.lines, _distortion_or_identity(cfg), total_u)
     rows = [
         [i, line.lam, line.mu, line.c, float(result.reserves[i]), i in result.active]
         for i, line in enumerate(cfg.lines)
@@ -324,7 +311,7 @@ def cmd_figure(cfg):
         line = line_from_ruin_constants(1.0 - cfg.mu * r, r, cfg.c)
         row = [float(r)]
         for g in gs:
-            d = _deficit_for(line, g, cfg)
+            d = DeficitFunctional.for_line(line, g, cfg.t, *_paths(cfg))
             row.append(coherent_measure(d).value)
             for budget in budgets:
                 row.append(convex_measure(d, budget).value)
@@ -360,6 +347,8 @@ def cmd_simulate(cfg):
 
 
 def _run_checks(seed):
+    """Print PASS or FAIL for each invariant and return the failure count;
+    each check holds a result against an independent route to it."""
     from .numerics import brent_root, lambert_w0, tail_integral
     from .simulate import (
         PathState,
@@ -369,17 +358,9 @@ def _run_checks(seed):
     )
 
     rng = np.random.default_rng(seed)
-    checks = []
 
-    def bisect(f, lo, hi, iters=80):
-        flo = f(lo)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if (f(mid) > 0.0) == (flo > 0.0):
-                lo, flo = mid, f(mid)
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def quad(line, g):
+        return DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))
 
     def check_lambert():
         for y in (-math.exp(-1) + 1e-9, -0.2, 0.5, 1.0, math.e, 10.0, 1e6):
@@ -389,13 +370,12 @@ def _run_checks(seed):
         return True
 
     def check_brent():
+        # with c1, c3 > 0 the planted root r is the cubic's only real root
         for _ in range(10):
             root = rng.uniform(-2.0, 2.0)
             c1, c3 = rng.uniform(0.5, 3.0, size=2)
             f = lambda x, r=root, c1=c1, c3=c3: c1 * (x - r) + c3 * (x - r) ** 3
-            got = brent_root(f, root - 3.0, root + 4.0)
-            ref = bisect(f, root - 3.0, root + 4.0)
-            if abs(got - ref) > 1e-8:
+            if abs(brent_root(f, root - 3.0, root + 4.0) - root) > 1e-8:
                 return False
         return True
 
@@ -412,52 +392,36 @@ def _run_checks(seed):
 
     def check_deficit_routes():
         for line in STANDARD_LINES:
-            for g in (identity(), proportional_hazard(0.5), tvar(0.01)):
-                d_closed = _deficit_for(line, g, argparse.Namespace(t=None))
-                quad = DeficitFunctional.quadrature(
-                    g, lambda v, ln=line: ultimate_ruin(ln, v)
-                )
+            for g in (identity(), proportional_hazard(0.5), tvar(0.01), var_step(0.01)):
+                closed, numeric = DeficitFunctional.for_line(line, g), quad(line, g)
                 for u in (0.0, 2.0, 17.0):
-                    if abs(d_closed(u) - quad(u)) > 1e-6 * max(1.0, d_closed(u)):
+                    if abs(closed(u) - numeric(u)) > 1e-6 * max(1.0, closed(u)):
                         return False
         return True
 
     def check_measures():
+        g = proportional_hazard(0.7)
         for line in STANDARD_LINES:
-            d = DeficitFunctional.closed_form_ph(line, 0.7)
-            quad = DeficitFunctional.quadrature(
-                Distortion("ph", 0.7), lambda v, ln=line: ultimate_ruin(ln, v)
-            )
-            lw = proportional_measure(d, 0.05)
-            br = proportional_measure(quad, 0.05)
+            lw = proportional_measure(DeficitFunctional.for_line(line, g), 0.05)
+            br = proportional_measure(quad(line, g), 0.05)
             if abs(lw.value - br.value) > 1e-8 or lw.residual > 1e-8:
                 return False
         return True
 
     def check_allocation():
-        problem = AllocationProblem(lines=STANDARD_LINES, total_u=40.0)
-        res = method1_exponential(problem)
-        if abs(float(res.reserves.sum()) - 40.0) > 1e-8:
+        res = method1_exponential(AllocationProblem(lines=STANDARD_LINES, total_u=40.0))
+        if abs(float(res.reserves.sum()) - 40.0) > 1e-8 or res.kkt_residual > 1e-8:
             return False
-        if res.kkt_residual > 1e-8:
-            return False
-        closed = method2_two_line(
-            line_from_ruin_constants(0.9, 0.05), line_from_ruin_constants(0.9, 0.01), 60.0
-        )
-        numeric = method2_generic(
-            [line_from_ruin_constants(0.9, 0.05), line_from_ruin_constants(0.9, 0.01)],
-            identity(),
-            60.0,
-        )
+        pair = [line_from_ruin_constants(0.9, b) for b in (0.05, 0.01)]
+        closed = method2_two_line(*pair, 60.0)
+        numeric = method2_generic(pair, identity(), 60.0)
         return bool(np.max(np.abs(closed.reserves - numeric.reserves)) < 1e-3)
 
     def check_simulation():
+        # every sample of a batch is its path regenerated alone
         line = STANDARD_LINES[0]
-        one = simulate_max_loss(line, 5.0, 300, seed)
-        two = simulate_max_loss(line, 5.0, 300, seed)
-        if not np.array_equal(one.samples, two.samples):
-            return False
-        for i, sample in enumerate(one.samples):
+        batch = simulate_max_loss(line, 5.0, 300, seed)
+        for i, sample in enumerate(batch.samples):
             times, sizes = path_events(line, 5.0, seed, i)
             if sample != max_loss_from_events(times, sizes, line.c, 5.0):
                 return False

@@ -7,10 +7,16 @@ For a loss process with running maximum M and a distortion g, the curve
 is the distorted expected shortfall of reserve u.  It is nonincreasing
 and convex in u, with slope D'(u) = -g(P(M > u)), and because
 P(M > v) = 1 for v < 0 it continues below zero with slope -1:
-D(u) = D(0) - u.  Four interchangeable sources are provided:
-two closed forms for exponential-severity lines, numerical quadrature
-against an arbitrary tail curve, and an empirical estimate from sampled
-maxima.
+D(u) = D(0) - u.  Three interchangeable sources are provided: one closed
+form for every distortion of an exponential line's ruin curve,
+numerical quadrature against an arbitrary tail curve, and an empirical
+estimate from sampled maxima.
+
+The closed form rests on the distortion's primitive G: on a ruin curve
+psi(v) = a*exp(-b*v), D(u) = G(psi(u)) / b for u >= 0.  G's power piece
+gives D(u) = level * exp(-p*b*u) right of the kink max(v_edge, 0), where
+v_edge is the reserve at which psi meets G's edge; left of the kink,
+on G's log piece or below zero, D falls with slope -1.
 """
 
 import math
@@ -18,20 +24,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import choquet_weights
+from .distortion import Distortion, choquet_weights
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, tail_integral
+from .numerics import DEFAULT_TOL, lambert_w0, tail_integral
 from .model import ruin_constants
+from .simulate import simulate_max_loss
 
+# closed forms are tagged by whether G has a log piece (tvar, varstep)
 SOURCE_PH = "closed-ph"
 SOURCE_TVAR = "closed-tvar"
 SOURCE_QUAD = "quadrature"
 SOURCE_EMP = "empirical"
+_CLOSED = (SOURCE_PH, SOURCE_TVAR)
 
 
 @dataclass(frozen=True)
 class BranchContinuity:
-    """Both closed-form branches of a tvar curve at the kink."""
+    """Both closed-form branches of a curve with a plateau at its kink."""
 
     v_alpha: float
     left: float
@@ -43,7 +52,7 @@ class DeficitFunctional:
     """Callable deficit curve D(u) with a tagged construction source."""
 
     def __init__(self, kind, horizon, **state):
-        if kind in (SOURCE_PH, SOURCE_TVAR) and not math.isinf(horizon):
+        if kind in _CLOSED and not math.isinf(horizon):
             raise DomainError(
                 "closed-form curves exist only for the unlimited horizon"
             )
@@ -51,31 +60,53 @@ class DeficitFunctional:
             raise DomainError(f"horizon must be positive, got {horizon}")
         self.kind = kind
         self.horizon = horizon
+        self.closed = kind in _CLOSED
+        self.method = "closed-form" if self.closed else kind
         self._state = state
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def for_line(cls, line, g, horizon=None, n=10000, seed=0):
+        """The curve of an exponential line under g: the closed form for
+        the unlimited horizon (None), else the empirical curve of n
+        maxima over the finite horizon simulated from seed."""
+        if horizon is None:
+            return cls.closed_form(line, g)
+        batch = simulate_max_loss(line, horizon, n, seed)
+        return cls.empirical(g, batch.samples, horizon=horizon)
+
+    @classmethod
+    def closed_form(cls, line, g, horizon=math.inf):
+        """D(u) = G(psi(u)) / b of an exponential line's ruin curve
+        psi(v) = a*exp(-b*v), from the primitive G of any distortion g."""
+        k = ruin_constants(line)
+        s, p, edge = g.primitive_pieces
+        ratio = k.a / edge
+        # reserve where psi falls to the edge of G, -inf without a log piece
+        v_edge = math.log(ratio) / k.b if ratio > 0.0 else -math.inf
+        return cls(
+            SOURCE_PH if math.isinf(edge) else SOURCE_TVAR,
+            horizon,
+            a=k.a, b=k.b, s=s, p=p, pb=p * k.b, level=k.a**p / (p * s * k.b),
+            edge=edge, v_edge=v_edge, kink=max(v_edge, 0.0),
+            g_edge=g.primitive(edge) if edge < math.inf else None,
+        )
+
+    @classmethod
     def closed_form_ph(cls, line, p=1.0, horizon=math.inf):
         """Proportional-hazard distortion of an exponential line's ruin
         curve; p = 1 gives the undistorted expected overshoot."""
-        if not 0.0 < p <= 1.0:
-            raise DomainError(f"ph exponent must be in (0, 1], got {p}")
-        k = ruin_constants(line)
-        return cls(SOURCE_PH, horizon, a=k.a, b=k.b, p=p)
+        return cls.closed_form(line, Distortion("ph", p), horizon)
 
     @classmethod
     def closed_form_tvar(cls, line, alpha, horizon=math.inf):
         """Tail-value-at-risk distortion min(x/alpha, 1) of an exponential
-        line's ruin curve."""
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"tvar level must be in (0, 1), got {alpha}")
-        k = ruin_constants(line)
-        if k.a <= 0.0:
+        line with claims."""
+        d = cls.closed_form(line, Distortion("tvar", alpha), horizon)
+        if d.constants[0] <= 0.0:
             raise DomainError("tvar closed form needs a line with claims")
-        # reserve level where the distorted tail leaves its plateau at 1
-        v_alpha = math.log(k.a / alpha) / k.b
-        return cls(SOURCE_TVAR, horizon, a=k.a, b=k.b, alpha=alpha, v_alpha=v_alpha)
+        return d
 
     @classmethod
     def quadrature(cls, g, psi, horizon=math.inf, tol=DEFAULT_TOL):
@@ -101,20 +132,9 @@ class DeficitFunctional:
     def __call__(self, u):
         u = float(u)
         s = self._state
-        if self.kind == SOURCE_PH:
-            if u < 0.0:
-                return self(0.0) - u
-            a, b, p = s["a"], s["b"], s["p"]
-            return a**p / (p * b) * math.exp(-p * b * u)
-        if self.kind == SOURCE_TVAR:
-            a, b, alpha, v_alpha = s["a"], s["b"], s["alpha"], s["v_alpha"]
-            kink = max(v_alpha, 0.0)
-            if u >= kink:
-                return a / (alpha * b) * math.exp(-b * u)
-            if u >= 0.0 or v_alpha > 0.0:
-                # distorted tail sits at 1 left of the kink
-                return (kink - u) + a / (alpha * b) * math.exp(-b * kink)
-            return self(0.0) - u
+        if self.closed:
+            kink = s["kink"]
+            return s["level"] * math.exp(-s["pb"] * max(u, kink)) + max(kink - u, 0.0)
         if self.kind == SOURCE_QUAD:
             if u < 0.0:
                 return self(0.0) - u
@@ -132,7 +152,7 @@ class DeficitFunctional:
         D(v) >= D(u) + (v - u) * D'(u) for v >= u.  Closed forms are
         inverted analytically and raise DomainError.
         """
-        if self.kind not in (SOURCE_QUAD, SOURCE_EMP):
+        if self.closed:
             raise DomainError("slope is given for quadrature and empirical curves")
         u = float(u)
         if u < 0.0:
@@ -143,49 +163,88 @@ class DeficitFunctional:
         above = int(np.count_nonzero(s["ordered"] > u))
         return -s["g"](above / s["ordered"].size)
 
-    # -- closed-form introspection ----------------------------------------
+    # -- closed forms --------------------------------------------------------
+
+    def _closed_field(self, name, kind=None):
+        if not self.closed or kind not in (None, self.kind):
+            raise DomainError(f"{name} applies to {kind or 'closed-form'} curves")
+        return self._state
+
+    def convex_root(self, budget):
+        """(value, method, residual, branch) of the least reserve with
+        D(u) <= budget, closed forms only.
+
+        Past the level at the kink a curve with a plateau follows its
+        slope -1 line (branch "linear"); a curve without one continues
+        its power piece to negative reserves (branch "continuation").
+        """
+        s = self._closed_field("convex_root")
+        kink = s["kink"]
+        at_kink = self(kink)
+        if budget > at_kink and s["g_edge"] is not None:
+            value = kink + at_kink - budget
+            return value, "closed-form", abs(self(value) - budget), "linear"
+        if s["level"] <= 0.0:
+            raise DomainError("degenerate line: no claims, nothing to reserve")
+        level, pb = s["level"], s["pb"]
+        # ln(level); with s = 1 it is taken as p ln a - ln(pb), as the ph
+        # closed form always has, which keeps reported residuals bit-stable
+        if s["s"] == 1.0:
+            log_level = s["p"] * math.log(s["a"]) - math.log(pb)
+        else:
+            log_level = math.log(level)
+        value = (log_level - math.log(budget)) / pb
+        residual = abs(level * math.exp(-pb * value) - budget)
+        branch = "exponential" if budget <= at_kink else "continuation"
+        return value, "closed-form", residual, branch
+
+    def proportional_root(self, margin):
+        """(value, method, residual, branch) of the reserve with
+        D(u) = margin * u, closed forms only: a Lambert W step on the
+        power piece or a linear solve on the plateau."""
+        s = self._closed_field("proportional_root")
+        if self(0.0) <= 0.0:
+            return 0.0, "closed-form", 0.0, "degenerate"
+        v_edge, b = s["v_edge"], s["b"]
+        if v_edge > 0.0 and margin >= s["g_edge"] / (b * v_edge):
+            value = (v_edge + s["g_edge"] / b) / (1.0 + margin)
+            method, branch = "closed-form", "linear"
+        else:
+            value = lambert_w0(s["a"] ** s["p"] / (s["s"] * margin)) / s["pb"]
+            method, branch = "lambert-w", None if s["g_edge"] is None else "tail"
+        return value, method, abs(self(value) - margin * value), branch
 
     @property
     def constants(self):
         """(a, b) of the underlying ruin curve; closed forms only."""
-        if self.kind not in (SOURCE_PH, SOURCE_TVAR):
-            raise DomainError("only closed-form curves expose ruin constants")
-        return self._state["a"], self._state["b"]
+        s = self._closed_field("constants")
+        return s["a"], s["b"]
 
     @property
     def ph_exponent(self):
-        if self.kind != SOURCE_PH:
-            raise DomainError("ph_exponent applies to ph closed forms")
-        return self._state["p"]
+        return self._closed_field("ph_exponent", SOURCE_PH)["p"]
 
     @property
     def tvar_level(self):
-        if self.kind != SOURCE_TVAR:
-            raise DomainError("tvar_level applies to tvar closed forms")
-        return self._state["alpha"]
+        return self._closed_field("tvar_level", SOURCE_TVAR)["edge"]
 
     @property
     def plateau_edge(self):
-        """Reserve where the distorted tail leaves 1 (tvar closed form)."""
-        if self.kind != SOURCE_TVAR:
-            raise DomainError("plateau_edge applies to tvar closed forms")
-        return self._state["v_alpha"]
+        """Reserve where the distorted tail leaves its plateau at 1."""
+        return self._closed_field("plateau_edge", SOURCE_TVAR)["v_edge"]
 
     def continuity_match(self):
-        """Evaluate both tvar branches at the kink reserve.
+        """Evaluate both branches of a curve with a plateau at its kink.
 
-        With the plateau boundary v_alpha positive the linear and
-        exponential branches must both equal 1/b there; two_branch is
-        False when the plateau already ends at or below zero reserve and
-        only the exponential branch is live on u >= 0.
+        With the plateau edge v_alpha positive the linear and power
+        branches must both equal G(edge)/b there; two_branch is False
+        when the plateau already ends at or below zero reserve and only
+        the power branch is live on u >= 0.
         """
-        if self.kind != SOURCE_TVAR:
-            raise DomainError("continuity_match applies to tvar closed forms")
-        s = self._state
-        a, b, alpha, v_alpha = s["a"], s["b"], s["alpha"], s["v_alpha"]
-        if v_alpha <= 0.0:
-            d0 = a / (alpha * b)
-            return BranchContinuity(v_alpha, d0, d0, two_branch=False)
-        left = 1.0 / b
-        right = a / (alpha * b) * math.exp(-b * v_alpha)
-        return BranchContinuity(v_alpha, left, right, two_branch=True)
+        s = self._closed_field("continuity_match", SOURCE_TVAR)
+        v_edge = s["v_edge"]
+        if v_edge <= 0.0:
+            d0 = self(0.0)
+            return BranchContinuity(v_edge, d0, d0, two_branch=False)
+        # self(v_edge) is the power branch: the slope -1 part ends there
+        return BranchContinuity(v_edge, s["g_edge"] / s["b"], self(v_edge), True)

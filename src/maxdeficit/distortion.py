@@ -4,7 +4,11 @@ A distortion g maps [0, 1] onto [0, 1], is nondecreasing and fixes the
 endpoints.  Integrating a survival curve after passing it through g
 gives the distorted expectation of a nonnegative random variable; the
 empirical counterpart weights descending order statistics by increments
-of g on the uniform grid.
+of g on the uniform grid.  Each kind also gives its primitive
+G(y) = integral of g(x)/x over (0, y], a power piece up to an edge and a
+log piece beyond it, from which the deficit module builds the closed
+form of every distortion on an exponential line.  This module is the
+only one that tells the kinds apart.
 """
 
 import math
@@ -19,6 +23,15 @@ from .numerics import DEFAULT_TOL, tail_integral
 _KINDS = ("identity", "ph", "tvar", "varstep")
 
 
+def _unit_interval(x):
+    """x as a float array, refusing any value outside [0, 1]; NaN passes."""
+    arr = np.asarray(x, dtype=float)
+    # two reductions cost less than two masks, and a NaN fails both tests
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        raise DomainError("distortion argument outside [0, 1]")
+    return arr
+
+
 @dataclass(frozen=True)
 class Distortion:
     """One of four distortion families, selected by kind.
@@ -27,6 +40,13 @@ class Distortion:
     ph (param p)    g(x) = x**p, proportional hazard with p in (0, 1]
     tvar (alpha)    g(x) = min(x / alpha, 1)
     varstep (alpha) g(x) = 0 for x <= alpha, 1 beyond; not concave
+
+    primitive_pieces holds the pieces (s, p, edge) of the primitive
+    G(y) = integral of g(x)/x over (0, y], which is y**p / (p*s) up to
+    edge and G(edge) + ln(y/edge) beyond: identity (1, 1, inf), ph
+    (1, p, inf), tvar (alpha, 1, alpha) and varstep (inf, 1, alpha), whose
+    power piece is flat at 0.  g(x) = x * G'(x) is x**p / s up to edge
+    and 1 beyond.
     """
 
     kind: str
@@ -38,6 +58,7 @@ class Distortion:
         if self.kind == "identity":
             if self.param is not None:
                 raise DomainError("identity distortion takes no parameter")
+            pieces = (1.0, 1.0, math.inf)
         elif not isinstance(self.param, numbers.Real):
             raise DomainError(
                 f"{self.kind} distortion needs a numeric parameter, got {self.param!r}"
@@ -45,11 +66,15 @@ class Distortion:
         elif self.kind == "ph":
             if not 0.0 < self.param <= 1.0:
                 raise DomainError(f"ph exponent must be in (0, 1], got {self.param}")
+            pieces = (1.0, self.param, math.inf)
         else:
             if not 0.0 < self.param < 1.0:
                 raise DomainError(
                     f"{self.kind} level must be in (0, 1), got {self.param}"
                 )
+            s = self.param if self.kind == "tvar" else math.inf
+            pieces = (s, 1.0, self.param)
+        object.__setattr__(self, "primitive_pieces", pieces)
 
     @property
     def concave(self):
@@ -57,32 +82,16 @@ class Distortion:
 
     def __call__(self, x):
         """Apply g; accepts a float or an ndarray of values in [0, 1]."""
+        s, p, edge = self.primitive_pieces
         if type(x) is float:
             # plain float arithmetic for the scalar root-finding callers;
             # it agrees with the array form, NaN included
             if x < 0.0 or x > 1.0:
                 raise DomainError("distortion argument outside [0, 1]")
-            if self.kind == "identity":
-                return x
-            if self.kind == "ph":
-                return x**self.param
-            if self.kind == "tvar":
-                return min(x / self.param, 1.0)
-            return 1.0 if x > self.param else 0.0
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("distortion argument outside [0, 1]")
-        if self.kind == "identity":
-            out = arr
-        elif self.kind == "ph":
-            out = arr**self.param
-        elif self.kind == "tvar":
-            out = np.minimum(arr / self.param, 1.0)
-        else:
-            out = np.where(arr > self.param, 1.0, 0.0)
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
-        return out
+            return 1.0 if x > edge else x**p / s
+        arr = _unit_interval(x)
+        out = np.where(arr > edge, 1.0, arr**p / s)
+        return out if out.ndim else float(out)
 
     def slope(self, x):
         """The derivative g'; accepts a float or an ndarray of values in [0, 1].
@@ -91,20 +100,23 @@ class Distortion:
         takes 1/alpha up to and including its kink at alpha and 0 beyond.
         varstep has no derivative to integrate and raises DomainError.
         """
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("distortion argument outside [0, 1]")
-        if self.kind == "identity":
-            out = np.ones_like(arr)
-        elif self.kind == "ph":
-            out = self.param * arr ** (self.param - 1.0)
-        elif self.kind == "tvar":
-            out = np.where(arr <= self.param, 1.0 / self.param, 0.0)
-        else:
+        arr = _unit_interval(x)
+        if not self.concave:
             raise DomainError("varstep distortion has no slope")
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
-        return out
+        s, p, edge = self.primitive_pieces
+        out = np.where(arr > edge, 0.0, p * arr ** (p - 1.0) / s)
+        return out if out.ndim else float(out)
+
+    def primitive(self, y):
+        """G(y) = integral of g(x)/x over (0, y]; accepts a float or an
+        ndarray of values in [0, 1].  On a ruin curve psi, x = psi(v) turns
+        the deficit into D(u) = G(psi(u)) / b for u >= 0."""
+        arr = _unit_interval(y)
+        s, p, edge = self.primitive_pieces
+        out = np.minimum(arr, edge) ** p / (p * s)
+        if edge < math.inf:
+            out = out + np.log(np.maximum(arr, edge) / edge)
+        return out if out.ndim else float(out)
 
     def label(self):
         """Short tag used in CSV column names and config round-trips."""

@@ -14,21 +14,20 @@ rule built on the expected area under the loss path, and the premium
 level below which no finite time-0 requirement controls the rolling
 one-period exposure.
 
-Closed forms solve the convex and proportional rules analytically.  On
-quadrature and empirical curves they are solved on the curve itself by
-Newton steps from zero reserve, using the exact slope
-D'(u) = -g(P(M > u)).  D is convex, so each tangent lies below it and
+Closed-form curves solve the convex and proportional rules themselves,
+from the primitive of their distortion.  On quadrature and empirical
+curves the rules are solved on the curve itself by Newton steps from
+zero reserve, using the exact slope D'(u) = -g(P(M > u)).  D is convex, so each tangent lies below it and
 the iterates rise to the root without passing it.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import deficit as deficit_mod
 from .distortion import choquet_empirical, choquet_se
 from .errors import ConvergenceError, DomainError
-from .model import adjustment_coefficient, ruin_constants
-from .numerics import DEFAULT_TOL, lambert_w0
+from .model import ruin_constants
+from .numerics import DEFAULT_TOL
 from .simulate import derive_seed, simulate_aggregate_claims
 
 
@@ -49,17 +48,9 @@ class MeasureResult:
     branch: str = None
 
 
-def _direct_method(d):
-    if d.kind in (deficit_mod.SOURCE_PH, deficit_mod.SOURCE_TVAR):
-        return "closed-form"
-    if d.kind == deficit_mod.SOURCE_QUAD:
-        return "quadrature"
-    return "empirical"
-
-
 def coherent_measure(d):
     """Distorted expected shortfall with no reserve: D(0)."""
-    return MeasureResult(value=d(0.0), method=_direct_method(d), residual=0.0)
+    return MeasureResult(value=d(0.0), method=d.method, residual=0.0)
 
 
 def _newton_root(f, slope, f0, tol):
@@ -88,37 +79,16 @@ def _newton_root(f, slope, f0, tol):
 def convex_measure(d, budget, tol=DEFAULT_TOL):
     """Least reserve whose residual shortfall stays within budget.
 
-    Closed forms invert their exponential branch analytically, which for
-    a ph curve continues that branch to negative reserves when the
-    budget exceeds D(0) (branch tag "continuation").  Other curves are
-    solved on the curve itself (method "root-bracketed"): its sub-zero
-    part is linear, so a budget of at least D(0) gives D(0) - A exactly,
-    and a smaller one is reached by Newton steps on D(u) - A from zero.
+    Closed forms are solved by DeficitFunctional.convex_root (method
+    "closed-form").  Other curves are solved on the curve itself (method
+    "root-bracketed"): its sub-zero part is linear, so a budget of at
+    least D(0) gives D(0) - A exactly, and a smaller one is reached by
+    Newton steps on D(u) - A from zero.
     """
     if not 0.0 < budget < math.inf:
         raise DomainError(f"budget must be positive and finite, got {budget}")
-    if d.kind == deficit_mod.SOURCE_PH:
-        a, b = d.constants
-        p = d.ph_exponent
-        if a <= 0.0:
-            raise DomainError("degenerate line: no claims, nothing to reserve")
-        value = (p * math.log(a) - math.log(p * b) - math.log(budget)) / (p * b)
-        branch = "exponential" if budget <= d(0.0) else "continuation"
-        formula = a**p / (p * b) * math.exp(-p * b * value)
-        return MeasureResult(value, "closed-form", abs(formula - budget), branch)
-    if d.kind == deficit_mod.SOURCE_TVAR:
-        a, b = d.constants
-        alpha = d.tvar_level
-        kink = max(d.plateau_edge, 0.0)
-        at_kink = d(kink)
-        if budget <= at_kink:
-            value = (math.log(a / (alpha * b)) - math.log(budget)) / b
-            branch = "exponential"
-        else:
-            value = kink + at_kink - budget
-            branch = "linear"
-        return MeasureResult(value, "closed-form", abs(d(value) - budget), branch)
-
+    if d.closed:
+        return MeasureResult(*d.convex_root(budget))
     d0 = d(0.0)
     if d0 <= budget:
         value = d0 - budget
@@ -131,33 +101,16 @@ def proportional_measure(d, margin, tol=DEFAULT_TOL):
     """Reserve with residual shortfall equal to margin times itself.
 
     The crossing is unique because D decreases while the comparison
-    line rises.  Exponential branches reduce to the Lambert W function;
-    other sources take Newton steps on D(u) - margin * u from zero
-    (method "root-bracketed"), whose slope is D'(u) - margin.
+    line rises.  Closed forms are solved by
+    DeficitFunctional.proportional_root, through the Lambert W function
+    on their power piece; other sources take Newton steps on
+    D(u) - margin * u from zero (method "root-bracketed"), whose slope
+    is D'(u) - margin.
     """
     if not 0.0 < margin < math.inf:
         raise DomainError(f"margin must be positive and finite, got {margin}")
-    if d.kind == deficit_mod.SOURCE_PH:
-        a, b = d.constants
-        p = d.ph_exponent
-        if a <= 0.0:
-            return MeasureResult(0.0, "closed-form", 0.0, "degenerate")
-        value = lambert_w0(a**p / margin) / (p * b)
-        return MeasureResult(
-            value, "lambert-w", abs(d(value) - margin * value)
-        )
-    if d.kind == deficit_mod.SOURCE_TVAR:
-        a, b = d.constants
-        alpha = d.tvar_level
-        v_alpha = d.plateau_edge
-        if v_alpha > 0.0 and margin >= 1.0 / (b * v_alpha):
-            value = (v_alpha + 1.0 / b) / (1.0 + margin)
-            method, branch = "closed-form", "linear"
-        else:
-            value = lambert_w0(a / (alpha * margin)) / b
-            method, branch = "lambert-w", "tail"
-        return MeasureResult(value, method, abs(d(value) - margin * value), branch)
-
+    if d.closed:
+        return MeasureResult(*d.proportional_root(margin))
     d0 = d(0.0)
     if d0 <= 0.0:
         return MeasureResult(0.0, "root-bracketed", abs(d0), "degenerate")

@@ -12,6 +12,7 @@ from maxdeficit import (
     AllocationProblem,
     AllocationResult,
     DEFAULT_TOL,
+    aggregate_min,
     ConvergenceError,
     DomainError,
     ExponentialLine,
@@ -620,3 +621,38 @@ class TestInvariance:
     def test_rejects_flat_distortion(self, lines):
         with pytest.raises(DomainError):
             invariance_check(lines, var_step(0.4), 10.0)
+
+
+class TestAggregateMinRoute:
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr(
+            allocate, "method2_two_line", lambda *a: taken.append("two-line")
+        )
+        monkeypatch.setattr(
+            allocate, "method2_generic", lambda *a: taken.append("generic")
+        )
+        return taken
+
+    def test_two_identity_lines_take_the_closed_route(self, routes):
+        aggregate_min([FAST, SLOW], identity(), 60.0)
+        assert routes == ["two-line"]
+
+    @pytest.mark.parametrize(
+        "lines,g",
+        [
+            ([FAST, SLOW], proportional_hazard(0.5)),
+            ([FAST, SLOW], proportional_hazard(1.0)),
+            ([FAST, SLOW], tvar(0.1)),
+            ([FAST], identity()),
+            ([FAST, SLOW, LINE1], identity()),
+        ],
+    )
+    def test_everything_else_is_generic(self, routes, lines, g):
+        aggregate_min(lines, g, 60.0)
+        assert routes == ["generic"]
+
+    def test_results_match_the_routes(self):
+        two = aggregate_min([FAST, SLOW], identity(), 60.0)
+        assert np.array_equal(two.reserves, method2_two_line(FAST, SLOW, 60.0).reserves)

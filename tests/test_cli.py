@@ -106,6 +106,29 @@ class TestMeasureCommand:
         assert [r[3] for r in rows] == ["5", "20"]
 
 
+class TestNoClaimsLine:
+    # lam = 0 gives a = 0 and D = 0 on u >= 0 for every distortion: the
+    # coherent and proportional rules hold nothing, and the convex rule
+    # follows the curve's sub-zero line D(u) = -u where a plateau curve
+    # has one; the ph continuation has no root
+    @pytest.mark.parametrize("spec", ["identity", "ph:0.5", "tvar:0.1", "varstep:0.1"])
+    def test_one_rule_for_every_kind(self, capsys, spec):
+        base = ["--line", "0,1,1", "--g", spec, "--format", "csv"]
+        code, out, _ = run(capsys, "measure", "coherent", *base)
+        assert code == 0
+        assert csv_rows(out)[1][0][3:5] == ["0", "closed-form"]
+        code, out, _ = run(capsys, "measure", "proportional", *base, "--delta", "0.05")
+        assert code == 0
+        assert csv_rows(out)[1][0][3:] == ["0", "closed-form", "0", "degenerate"]
+        code, out, err = run(capsys, "measure", "convex", *base, "--A", "2")
+        if spec.startswith(("tvar", "varstep")):
+            assert code == 0
+            assert csv_rows(out)[1][0][3:] == ["-2", "closed-form", "0", "linear"]
+        else:
+            assert code == 3
+            assert "no claims" in err
+
+
 class TestExitCodes:
     def test_missing_required_value_is_usage(self, capsys):
         code, _, err = run(capsys, "measure", "convex", *LINE1_ARGS)

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from maxdeficit import (
     DeficitFunctional,
     DomainError,
+    convex_measure,
     identity,
     line_from_ruin_constants,
     parse_distortion,
     proportional_hazard,
+    proportional_measure,
     ruin_constants,
     tvar,
     ultimate_ruin,
@@ -307,3 +309,84 @@ class TestSourceTags:
         assert len({closed.kind, quad.kind, emp.kind}) == 3
         with pytest.raises(DomainError):
             quad.constants
+
+
+def ruin_maxima(a, b, n, rng):
+    # the all-time maximum of an exponential line: M > 0 with probability
+    # a, and then Exp(b)
+    return np.where(rng.random(n) < a, rng.exponential(1.0 / b, size=n), 0.0)
+
+
+class TestOneClosedForm:
+    # one closed source serves every kind; varstep gets its closed form
+    # D(u) = max(0, v_alpha - u) on u >= 0 from G = max(0, ln(y / alpha))
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.9])
+    def test_varstep_matches_quadrature(self, alpha):
+        # LINE1 has a = 5/6, so alpha = 0.9 leaves no plateau: D = 0 on u >= 0
+        g = var_step(alpha)
+        closed = DeficitFunctional.for_line(LINE1, g)
+        quad = quad_curve(LINE1, g)
+        assert (closed.kind, quad.kind) == ("closed-tvar", "quadrature")
+        kink = max(6.0 * math.log((5.0 / 6.0) / alpha), 0.0)
+        for u in (-3.0, 0.0, 1.0, 4.0, 12.0, 30.0):
+            assert closed(u) == pytest.approx(max(kink - u, 0.0), abs=1e-12)
+            assert closed(u) == pytest.approx(quad(u), rel=1e-9, abs=1e-9)
+        for budget in (0.5, 3.0, 40.0):
+            got = convex_measure(closed, budget)
+            want = convex_measure(quad, budget)
+            assert got.value == pytest.approx(want.value, abs=1e-8)
+            assert (got.method, got.branch) == ("closed-form", "linear")
+        for margin in (0.01, 0.2, 2.0):
+            got = proportional_measure(closed, margin)
+            want = proportional_measure(quad, margin)
+            assert got.value == pytest.approx(want.value, abs=1e-8)
+            assert got.branch == ("linear" if kink > 0.0 else "degenerate")
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_varstep_matches_large_sample(self, alpha, rng):
+        g = var_step(alpha)
+        closed = DeficitFunctional.for_line(LINE1, g)
+        maxima = ruin_maxima(5.0 / 6.0, 1.0 / 6.0, 200_000, rng)
+        emp = DeficitFunctional.empirical(g, maxima)
+        for u in (0.0, 3.0, 8.0):
+            assert emp(u) == pytest.approx(closed(u), rel=0.02, abs=0.05)
+        assert convex_measure(emp, 2.0).value == pytest.approx(
+            convex_measure(closed, 2.0).value, rel=0.02, abs=0.05
+        )
+        assert proportional_measure(emp, 0.1).value == pytest.approx(
+            proportional_measure(closed, 0.1).value, rel=0.02, abs=0.05
+        )
+
+    @pytest.mark.parametrize(
+        "g",
+        [identity(), proportional_hazard(0.4), tvar(0.05), tvar(0.9), var_step(0.05)],
+        ids=lambda g: g.label(),
+    )
+    def test_inverse_round_trip(self, g):
+        # the convex root inverts D, i.e. G then psi, on every piece where
+        # D decreases strictly: varstep only left of its plateau edge
+        d = DeficitFunctional.for_line(LINE1, g)
+        top = d.plateau_edge if g.kind == "varstep" else 60.0
+        for u in np.linspace(0.0, top, 13)[:-1]:
+            value, method, residual, _ = d.convex_root(d(u))
+            assert value == pytest.approx(u, abs=1e-9 * max(1.0, u))
+            assert method == "closed-form" and residual <= 1e-12 * max(1.0, d(u))
+
+    def test_named_constructors_are_the_one_source(self):
+        for named, g in (
+            (DeficitFunctional.closed_form_ph(LINE1), identity()),
+            (DeficitFunctional.closed_form_ph(LINE1, 0.5), proportional_hazard(0.5)),
+            (DeficitFunctional.closed_form_tvar(LINE1, 0.01), tvar(0.01)),
+        ):
+            one = DeficitFunctional.closed_form(LINE1, g)
+            assert named.kind == one.kind
+            for u in (-2.0, 0.0, 3.0, 30.0):
+                assert named(u) == one(u)
+
+    def test_finite_horizon_gives_empirical_curve(self):
+        d = DeficitFunctional.for_line(LINE1, identity(), 20.0, 500, 3)
+        assert (d.kind, d.horizon) == ("empirical", 20.0)
+        again = DeficitFunctional.for_line(LINE1, identity(), 20.0, 500, 3)
+        assert d(1.0) == again(1.0)
+        with pytest.raises(DomainError):
+            DeficitFunctional.for_line(LINE1, identity(), math.inf)

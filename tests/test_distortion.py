@@ -15,6 +15,7 @@ from maxdeficit import (
     identity,
     parse_distortion,
     proportional_hazard,
+    tail_integral,
     tvar,
     var_step,
 )
@@ -278,3 +279,44 @@ class TestChoquetSe:
         small = choquet_se(identity(), rng.exponential(1.0, size=200), seed=1)
         big = choquet_se(identity(), rng.exponential(1.0, size=20000), seed=1)
         assert big < small
+
+
+KINDS = [identity(), proportional_hazard(0.35), tvar(0.2), var_step(0.3)]
+
+
+class TestPrimitive:
+    # G(y) = integral of g(x)/x over (0, y]; x = y * exp(-t) turns it into
+    # the integral of g(y * exp(-t)) over t >= 0
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
+    def test_matches_numeric_integral(self, g):
+        for y in (1e-4, 0.05, 0.2, 0.3, 0.45, 0.8, 1.0):
+            numeric = tail_integral(lambda t: g(y * np.exp(-t)), 0.0)
+            assert g.primitive(y) == pytest.approx(numeric, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
+    def test_array_form_and_domain(self, g):
+        ys = np.linspace(0.0, 1.0, 11)
+        assert g.primitive(ys) == pytest.approx([g.primitive(float(y)) for y in ys])
+        assert type(g.primitive(0.5)) is float
+        for bad in (-1e-12, 1.5):
+            with pytest.raises(DomainError):
+                g.primitive(bad)
+
+    def test_table(self):
+        assert identity().primitive_pieces == (1.0, 1.0, math.inf)
+        assert proportional_hazard(0.35).primitive_pieces == (1.0, 0.35, math.inf)
+        assert tvar(0.2).primitive_pieces == (0.2, 1.0, 0.2)
+        assert var_step(0.3).primitive_pieces == (math.inf, 1.0, 0.3)
+        # continuous at the edge: the log piece starts at G(edge)
+        assert tvar(0.2).primitive(0.2) == 1.0
+        assert var_step(0.3).primitive(0.3) == 0.0
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
+    def test_derivative_gives_g(self, g):
+        # g(x) = x * G'(x), by central differences away from the edge
+        h = 1e-6
+        for x in (0.1, 0.25, 0.6, 0.9):
+            if g.param is not None and abs(x - g.param) < 1e-3:
+                continue
+            diff = (g.primitive(x + h) - g.primitive(x - h)) / (2.0 * h)
+            assert x * diff == pytest.approx(g(x), rel=1e-6, abs=1e-9)

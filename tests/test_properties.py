@@ -1,0 +1,182 @@
+"""Property tests over the closed-form curves, the allocation and numeric
+kernels, and the command line.  Every property is derandomised, so a run
+checks the same examples each time."""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxdeficit import (
+    AllocationProblem,
+    DeficitFunctional,
+    Distortion,
+    lambert_w0,
+    line_from_ruin_constants,
+    method1_exponential,
+    ruin_constants,
+)
+from maxdeficit.allocate import _project_simplex
+from maxdeficit.cli import main
+
+FIXED = settings(derandomize=True, deadline=None, database=None)
+
+DISTORTIONS = st.one_of(
+    st.just(Distortion("identity")),
+    st.builds(Distortion, st.just("ph"), st.floats(0.05, 1.0)),
+    st.builds(Distortion, st.sampled_from(["tvar", "varstep"]), st.floats(0.005, 0.99)),
+)
+
+
+LINES = st.builds(line_from_ruin_constants, st.floats(0.0, 0.99), st.floats(1e-3, 2.0))
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def closed_curves(draw):
+    line = draw(LINES)
+    return DeficitFunctional.for_line(line, draw(DISTORTIONS)), ruin_constants(line).b
+
+
+class TestClosedCurve:
+    # every kind: D is nonincreasing, midpoint-convex, and D(0) - u below zero
+    @settings(FIXED, max_examples=200)
+    @given(closed_curves(), UNIT, UNIT, st.floats(0.0, 50.0))
+    def test_shape(self, curve, u_frac, h_frac, below):
+        d, b = curve
+        # reserves out to eight decay lengths
+        u, h = u_frac * 8.0 / b, h_frac * 8.0 / b
+        du, dh = d(u), d(u + h)
+        slack = 1e-12 * max(1.0, du)
+        assert dh <= du + slack
+        assert d(u + 0.5 * h) <= 0.5 * (du + dh) + slack
+        d0 = d(0.0)
+        assert d(-below) == pytest.approx(d0 + below, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def water_filling(draw):
+    k = draw(st.integers(1, 5))
+    lines = tuple(draw(LINES) for _ in range(k))
+    if all(ruin_constants(line).a == 0.0 for line in lines):
+        lines += (line_from_ruin_constants(0.5, 0.1),)
+    gammas = tuple(draw(st.floats(1.0, 4.0)) for _ in lines)
+    total = draw(st.floats(0.0, 500.0))
+    return AllocationProblem(lines=lines, total_u=total, gammas=gammas)
+
+
+class TestMethod1Exponential:
+    @settings(FIXED, max_examples=150)
+    @given(water_filling())
+    def test_budget_and_level_equalisation(self, problem):
+        res = method1_exponential(problem)
+        u = res.reserves
+        assert np.all(u >= 0.0)
+        assert u.sum() == pytest.approx(problem.total_u, rel=1e-10, abs=1e-10)
+        # m_k(u_k) = a_k**(1/gamma_k) exp(-b_k u_k / gamma_k): equal to the
+        # threshold on lines that hold reserve, at most it on the others
+        for i, (line, gamma) in enumerate(zip(problem.lines, problem.gammas)):
+            k = ruin_constants(line)
+            level = k.a ** (1.0 / gamma) * math.exp(-k.b * u[i] / gamma)
+            if i in res.active:
+                assert level == pytest.approx(res.threshold, rel=1e-8)
+            else:
+                assert u[i] == 0.0
+                assert level <= res.threshold * (1.0 + 1e-12)
+
+
+class TestProjectSimplex:
+    @settings(FIXED, max_examples=200)
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+        st.floats(1e-6, 1e3),
+    )
+    def test_feasible_and_optimal(self, values, total):
+        v = np.array(values)
+        x = _project_simplex(v, total)
+        assert np.all(x >= 0.0)
+        assert x.sum() == pytest.approx(total, rel=1e-12, abs=1e-9)
+        # KKT of the Euclidean projection: x = max(v - theta, 0) for one
+        # theta, so v - x is theta where x > 0 and at most theta elsewhere
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(v))), total)
+        held = x > 0.0
+        theta = float(np.mean((v - x)[held]))
+        assert np.all(np.abs((v - x)[held] - theta) <= 64 * scale)
+        assert np.all(v[~held] <= theta + 64 * scale)
+
+
+class TestLambertW:
+    @settings(FIXED, max_examples=300)
+    @given(st.floats(-math.exp(-1.0), 1e12))
+    def test_residual(self, y):
+        w = lambert_w0(y)
+        assert w >= -1.0
+        assert abs(w * math.exp(w) - y) <= 1e-13 * max(1.0, abs(y))
+
+
+# argv tokens with values valid and invalid for each flag; --out and
+# --config are left out so no run touches a file, and check, which takes
+# no input beyond the seed, is left out for time
+_FLAGS = {
+    "--line": ["10,1,12", "1,10,15", "0,1,1", "1,1,0.5", "nan,1,2", "1,2", "a,b,c",
+               "-1,1,2", "1e308,1e308,1e308"],
+    "--g": ["identity", "ph:0.5", "ph:1", "tvar:0.1", "varstep:0.3", "ph:2", "tvar:0",
+            "varstep:nan", "bogus"],
+    "--A": ["2", "0", "-1", "nan", "inf", "1,2", "", "1e300", "1e-300"],
+    "--delta": ["0.05", "0", "-1", "nan", "inf", "0.1,0.2", "1e300", "1e-300"],
+    "--u": ["0", "10", "-5", "nan", "inf", "1,2", "1e6"],
+    "--t": ["1", "5", "0", "-1", "inf", "nan", "abc"],
+    "--n": ["1000", "100", "10", "0", "-5", "abc", "1.5"],
+    "--seed": ["0", "7", "-1", "abc", "99999999999999999999"],
+    "--gamma": ["1,1", "0.5", "2,1,1", "nan"],
+    "--method": ["marginal-sum", "aggregate-min", "bogus"],
+    "--r-grid": ["0.02:0.88:3", "0.5:0.9:2", "1:2:2", "a:b:c", "0.1:0.2:0"],
+    "--mu": ["1", "0", "-1", "nan"],
+    "--c": ["1", "0", "-2", "inf"],
+    "--alpha": ["0.05", "2", "nan"],
+    "--precision": ["3", "0", "-1", "40"],
+    "--format": ["table", "csv", "bogus"],
+}
+# each command with the flags it needs, which every argv carries so most
+# runs get past the parser
+_COMMANDS = [
+    (["measure", "coherent"], []),
+    (["measure", "convex"], ["--A"]),
+    (["measure", "proportional"], ["--delta"]),
+    (["measure", "ear"], ["--A"]),
+    (["measure", "premium-bound"], ["--n"]),
+    (["allocate"], ["--u"]),
+    (["table", "2"], []),
+    (["figure"], ["--r-grid"]),
+    (["simulate"], ["--t", "--n", "--seed"]),
+    (["measure", "bogus"], []),
+    ([], []),
+]
+
+
+@st.composite
+def argvs(draw):
+    command, needs = draw(st.sampled_from(_COMMANDS))
+    argv = list(command)
+    good_lines = st.sampled_from(_FLAGS["--line"][:4])
+    lines = draw(st.lists(good_lines, min_size=1, max_size=3))
+    flags = needs + draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=3))
+    for line in lines:
+        argv += ["--line", line]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FLAGS[flag]))]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(FIXED, max_examples=250)
+    @given(argvs())
+    def test_exits_with_documented_codes(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
