@@ -302,7 +302,10 @@ def _pooled_deficit(a, b, g, u, tol):
     gradient integrands g'(psi~) d psi~ / d u_k share every node with
     the objective's.  For tvar, g is 1 until psi~ falls to the edge
     alpha of its primitive at v*: F = v* + the integral past v*, and the
-    boundary terms of the gradient cancel because g(psi~(v*)) = 1.
+    boundary terms of the gradient cancel because g(psi~(v*)) = 1.  Past
+    v* the tail is clamped at the edge, which it exceeds only where v*
+    carries root-finding error: every node then sits on g's first piece,
+    and no jump of g' is left at v* for the quadrature to bisect.
     """
     a = a[:, None]
     b = b[:, None]
@@ -312,9 +315,11 @@ def _pooled_deficit(a, b, g, u, tol):
         psi = a * np.exp(-b * (u + v))
         return psi, np.log1p(-psi).sum(axis=0)
 
+    _, _, edge = g.primitive_pieces
+
     def integrand(v):
         psi, log_survive = log_survival(v)
-        tail = -np.expm1(log_survive)
+        tail = np.minimum(-np.expm1(log_survive), edge)
         dtail = -b * psi * np.exp(log_survive) / (1.0 - psi)
         # a tail that underflows to 0 has dtail = 0; keep g'(0) finite
         # so that ph's infinite slope there does not make 0 * inf
@@ -322,7 +327,6 @@ def _pooled_deficit(a, b, g, u, tol):
         return np.vstack((g(tail), slope * dtail))
 
     start = 0.0
-    _, _, edge = g.primitive_pieces
     if edge < math.inf:
         excess = lambda v: -math.expm1(log_survival(v)[1][0]) - edge
         if excess(0.0) > 0.0:

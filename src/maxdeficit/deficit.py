@@ -102,11 +102,8 @@ class DeficitFunctional:
     @classmethod
     def closed_form_tvar(cls, line, alpha, horizon=math.inf):
         """Tail-value-at-risk distortion min(x/alpha, 1) of an exponential
-        line with claims."""
-        d = cls.closed_form(line, Distortion("tvar", alpha), horizon)
-        if d.constants[0] <= 0.0:
-            raise DomainError("tvar closed form needs a line with claims")
-        return d
+        line's ruin curve."""
+        return cls.closed_form(line, Distortion("tvar", alpha), horizon)
 
     @classmethod
     def quadrature(cls, g, psi, horizon=math.inf, tol=DEFAULT_TOL):

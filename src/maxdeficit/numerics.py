@@ -8,7 +8,10 @@ Three routines cover every solver need in the package:
 - tail_integral:  integral over [a, inf) of one or several decaying
                   integrands sampled together on arrays, on successive
                   doubling panels with adaptive 20-point Gauss-Lobatto
-                  (Legendre) quadrature per panel
+                  (Legendre) quadrature per panel; the integrand is
+                  called once per group of 16 panels and once per depth
+                  of bisection, so it may be sampled past the point
+                  where accumulation stops
 """
 
 import math
@@ -159,34 +162,102 @@ _RULE_W = np.concatenate((_RULE_HALF[::-1, 1], _RULE_HALF[:, 1]))
 # only a jump drives bisection this deep, and it is then located to
 # 2**-48 of its panel's width
 _MAX_DEPTH = 48
+# doubling panels sampled together in one call of the integrand; those
+# past the panel where accumulation stops are sampled but never added,
+# so a larger group adds nodes to every integral, however smooth
+_GROUP = 16
+# columns of a span's ends, midpoint and quarter points that bound its halves
+_CHILD_ENDS = np.array([0, 2, 2, 4])
 
 
-def _estimates(f, spans):
-    # rule estimates over each (lo, hi) of spans from one call of f, and
-    # f at every node; f's trailing axis runs over the points, so with m
-    # rows the estimates are an (m, len(spans)) array, and with one value
-    # per point the row axis is absent
-    lo, hi = np.array(spans).T
+def _estimates(f, lo, hi):
+    # rule estimates over the spans [lo, hi], arrays of one shape, from
+    # one call of f, and f at every node; f's trailing axis runs over the
+    # points, so with m rows the estimates have shape (m,) + lo.shape,
+    # and with one value per point the row axis is absent
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _RULE_X
+    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * _RULE_X
     y = np.asarray(f(nodes.ravel()), dtype=float)
     y = y.reshape(y.shape[:-1] + nodes.shape)
     return (y @ _RULE_W) * half, y
 
 
-def _settle(f, a, b, whole, halves, tol_abs, depth):
-    # accept the halves when they agree with the whole-span estimate in
-    # every row, else bisect with the tolerance split between the halves
-    left, right = halves
-    if depth >= _MAX_DEPTH or np.max(np.abs(left + right - whole)) <= tol_abs:
-        return left + right
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    q, _ = _estimates(f, [(a, lm), (lm, m), (m, rm), (rm, b)])
-    lower = _settle(f, a, m, left, (q[..., 0], q[..., 1]), 0.5 * tol_abs, depth + 1)
-    upper = _settle(f, m, b, right, (q[..., 2], q[..., 3]), 0.5 * tol_abs, depth + 1)
-    return lower + upper
+def _row_max(x):
+    # largest magnitude over every row, one value per entry of the last axis
+    return np.abs(x).reshape(-1, x.shape[-1]).max(axis=0)
+
+
+def _collapse(levels):
+    # each span's value is the sum of its halves when they were accepted,
+    # else its lower child's value plus its upper child's, which sit side
+    # by side one depth further down: the order of a depth-first recursion
+    value = None
+    for halves, split in reversed(levels):
+        out = halves[..., 0] + halves[..., 1]
+        if value is not None:
+            out[..., split] = value[..., 0::2] + value[..., 1::2]
+        value = out
+    return value
+
+
+def _panels(f, marks, tol):
+    # integrals over consecutive panels, row i of marks holding the left
+    # edge, the midpoint and the right edge of one, from one call of f
+    # for the panels and one per depth of bisection, and which panels
+    # meet the stopping test.  Every span whose halves disagree with it
+    # by more than its tolerance is split in the same call, across all
+    # panels, except that panels past one that has settled and stops are
+    # never split.
+    n = len(marks)
+    est, y = _estimates(f, marks[:, (0, 0, 1)], marks[:, (2, 1, 2)])
+    whole, halves = est[..., 0], est[..., 1:]
+    # the whole panel's last node is its right edge
+    quiet_end = _row_max(y[..., 0, -1]) < tol.abs_tol
+    span_tol = np.fmax(tol.abs_tol, tol.rel_tol * _row_max(whole))
+    span = marks[:, ::2]
+    owner = np.arange(n)
+    # panels that may yet stop, each checked once after it settles
+    watch = quiet_end.copy()
+    levels = []
+    for depth in range(1, _MAX_DEPTH + 1):
+        split = ~(_row_max(halves[..., 0] + halves[..., 1] - whole) <= span_tol)
+        split &= depth < _MAX_DEPTH
+        levels.append((halves, split, owner))
+        k = split.nonzero()[0]
+        # only a panel before the last one still splitting can prune
+        if k.size and watch[:owner[k[-1]]].any():
+            busy = np.zeros(n, dtype=bool)
+            busy[owner[k]] = True
+            for p in (watch > busy).nonzero()[0]:
+                watch[p] = False
+                own = []
+                for h, s, o in levels:
+                    i, j = o.searchsorted((p, p + 1))
+                    own.append((h[..., i:j, :], s[i:j]))
+                if np.max(np.abs(_collapse(own))) < tol.abs_tol:
+                    # p settled and stops, so later panels never count;
+                    # split is cleared in place, in the level just stored
+                    watch[p:] = False
+                    split &= owner <= p
+                    k = split.nonzero()[0]
+                    break
+        if not k.size:
+            break
+        # the split spans' ends, midpoints and quarter points, in order
+        cut = np.empty((k.size, 5))
+        cut[:, ::4] = span[k]
+        cut[:, 2] = 0.5 * (cut[:, 0] + cut[:, 4])
+        cut[:, 1::2] = 0.5 * (cut[:, 0:3:2] + cut[:, 2::2])
+        q, _ = _estimates(f, cut[:, :4], cut[:, 1:])
+        # children (a, m) and (m, b) of each split span, side by side;
+        # each inherits its parent's half as its whole-span estimate
+        whole = halves[..., k, :].reshape(q.shape[:-2] + (-1,))
+        halves = q.reshape(whole.shape + (2,))
+        span = cut[:, _CHILD_ENDS].reshape(-1, 2)
+        span_tol = (0.5 * span_tol[k]).repeat(2)
+        owner = owner[k].repeat(2)
+    pieces = _collapse([level[:2] for level in levels])
+    return pieces, (_row_max(pieces) < tol.abs_tol) & quiet_end
 
 
 def tail_integral(f, a, tol=DEFAULT_TOL):
@@ -199,27 +270,34 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
     is integrated by the 20-point Gauss-Lobatto rule and accepted when
     the whole-panel estimate agrees with the sum over its two halves to
     max(abs_tol, rel_tol * panel size) in every row, else bisected.
-    Accumulation stops once every row of a panel contributes less than
-    abs_tol in magnitude and is below abs_tol in magnitude at the
-    panel's right edge.  If max_iter panels do not reach that state the
-    partial result is attached to a TruncationError.
+    Panels are taken 16 at a time: f is called once for all of them and
+    once per depth of bisection, for every span at that depth that must
+    be split, so it may be sampled past the panel where accumulation
+    stops.  The panels are added in order, each bisected span as its
+    lower half plus its upper half, and accumulation stops once every
+    row of a panel contributes less than abs_tol in magnitude and is
+    below abs_tol in magnitude at the panel's right edge.  If max_iter
+    panels do not reach that state the sum over exactly those panels is
+    attached to a TruncationError.
     """
     total = 0.0
     left = float(a)
     h = 1.0
-    for _ in range(tol.max_iter):
-        right = left + h
-        m = left + 0.5 * h
-        est, y = _estimates(f, [(left, right), (left, m), (m, right)])
-        whole = est[..., 0]
-        tol_abs = max(tol.abs_tol, tol.rel_tol * float(np.max(np.abs(whole))))
-        piece = _settle(f, left, right, whole, (est[..., 1], est[..., 2]), tol_abs, 1)
-        total = total + piece
-        edge = y[..., 0, -1]  # the whole span's last node is the right edge
-        if np.max(np.abs(piece)) < tol.abs_tol and np.max(np.abs(edge)) < tol.abs_tol:
-            return total if np.ndim(total) else float(total)
-        left = right
-        h *= 2.0
+    done = 0
+    while done < tol.max_iter:
+        n = min(_GROUP, tol.max_iter - done)
+        marks = []
+        for _ in range(n):
+            right = left + h
+            marks.append((left, left + 0.5 * h, right))
+            left = right
+            h *= 2.0
+        pieces, stops = _panels(f, np.array(marks), tol)
+        for j in range(n):
+            total = total + pieces[..., j]
+            if stops[j]:
+                return total if np.ndim(total) else float(total)
+        done += n
     raise TruncationError(
         f"tail integral still active after {tol.max_iter} panels", total
     )

@@ -13,6 +13,7 @@ from maxdeficit import (
     AllocationResult,
     DEFAULT_TOL,
     aggregate_min,
+    brent_root,
     ConvergenceError,
     DomainError,
     ExponentialLine,
@@ -516,6 +517,62 @@ class TestPooledPass:
         assert res.reserves.sum() == pytest.approx(100.0)
         assert psi_calls == 0
         assert rows == {(len(lines) + 1,)}
+
+    @pytest.mark.parametrize("g", [proportional_hazard(0.8), tvar(0.1)])
+    def test_one_integrand_call_per_pass(self, lines, g, monkeypatch):
+        # the pooled tail is smooth past start, so one call samples every
+        # panel and nothing is bisected, not even at the tvar kink v*
+        passes = []
+        tail_original = allocate.tail_integral
+
+        def counted_tail(f, start, *args):
+            calls = 0
+
+            def sampled(v):
+                nonlocal calls
+                calls += 1
+                return f(v)
+
+            out = tail_original(sampled, start, *args)
+            passes.append((start, calls))
+            return out
+
+        monkeypatch.setattr(allocate, "tail_integral", counted_tail)
+        res = method2_generic(lines, g, 100.0)
+        assert res.reserves.sum() == pytest.approx(100.0)
+        assert len(passes) > 1
+        assert all(calls == 1 for _, calls in passes)
+        if g.kind == "tvar":
+            assert all(start > 0.0 for start, _ in passes)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            (3.0, 12.0, 45.0),
+            # the kink v* moves with every reserve here
+            (1.0, 2.0, 5.0),
+        ],
+    )
+    def test_tvar_pass_matches_scalar_quadrature(self, lines, u):
+        # F against tail_integral of g(psi~) from 0, and each dF/du_k
+        # against tail_integral of g'(psi~) d psi~/d u_k from the root of
+        # psi~ = alpha, on the psi_tilde route with g's own slope and no
+        # clamp, so the slope's jump at v* is left to the kernel to bisect
+        g = tvar(0.1)
+        u = np.array(u)
+        a, b = self.constants(lines)
+        got, grad = allocate._pooled_deficit(a, b, g, u, DEFAULT_TOL)
+        tail = lambda v: psi_tilde(lines, u, v)
+        assert got == pytest.approx(tail_integral(lambda v: g(tail(v)), 0.0), rel=1e-9)
+        tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15)
+        start = brent_root(lambda v: tail(v) - g.param, 0.0, 2000.0, tight)
+        for k, line in enumerate(lines):
+
+            def slope(v, k=k, line=line):
+                psi = ultimate_ruin(line, u[k] + v)
+                return g.slope(tail(v)) * -b[k] * psi * (1.0 - tail(v)) / (1.0 - psi)
+
+            assert grad[k] == pytest.approx(tail_integral(slope, start), rel=1e-9)
 
     @pytest.mark.parametrize(
         "g", [proportional_hazard(0.5), proportional_hazard(0.8), tvar(0.3)]

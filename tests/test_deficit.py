@@ -115,11 +115,11 @@ class TestClosedFormTvar:
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.01)
         assert d(-5.0) == pytest.approx(d(0.0) + 5.0, rel=1e-12)
 
-    def test_rejects_zero_frequency_line(self):
-        with pytest.raises(DomainError):
-            DeficitFunctional.closed_form_tvar(
-                line_from_ruin_constants(0.0, 0.2), 0.05
-            )
+    def test_zero_frequency_line_is_the_no_claims_curve(self):
+        # the same curve closed_form and for_line give a line without claims
+        d = DeficitFunctional.closed_form_tvar(line_from_ruin_constants(0.0, 0.2), 0.05)
+        assert d(0.0) == 0.0
+        assert d(-5.0) == pytest.approx(5.0, rel=1e-12)
 
 
 class TestQuadrature:

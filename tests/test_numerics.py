@@ -130,6 +130,44 @@ class TestTailIntegral:
         assert err.value.partial > 0.0
         assert isinstance(err.value, ConvergenceError)
 
+    def test_panels_past_the_stop_never_count(self):
+        # panels are sampled 16 at a time, so the integrand is asked for
+        # values past [31, 63], where accumulation stops; NaN there
+        # would poison the sum if those panels were added
+        asked = []
+
+        def f(v):
+            asked.append(v.max())
+            return np.where(v > 200.0, np.nan, np.exp(-np.minimum(v, 200.0)))
+
+        assert tail_integral(f, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert max(asked) > 200.0
+
+    def test_truncation_carries_exactly_the_allowed_panels(self):
+        # five panels end at 31, so the partial sum is log(1 + 31)
+        asked = []
+
+        def f(v):
+            asked.append(v.max())
+            return 1.0 / (1.0 + v)
+
+        with pytest.raises(TruncationError) as err:
+            tail_integral(f, 0.0, Tolerance(max_iter=5))
+        assert err.value.partial == pytest.approx(math.log(32.0), rel=1e-10)
+        assert max(asked) == 31.0
+
+    def test_smooth_tail_takes_one_call(self):
+        # rate 0.005 stops on the panel [8191, 16383], within the first 16
+        calls = 0
+
+        def f(v):
+            nonlocal calls
+            calls += 1
+            return np.exp(-0.005 * v)
+
+        assert tail_integral(f, 0.0) == pytest.approx(200.0, rel=1e-12)
+        assert calls == 1
+
     def test_start_offset_consistency(self):
         f = lambda v: 0.5 * np.exp(-0.2 * v)
         whole = tail_integral(f, 0.0)

@@ -15,10 +15,13 @@ from maxdeficit import (
     AllocationProblem,
     DeficitFunctional,
     Distortion,
+    Tolerance,
+    TruncationError,
     lambert_w0,
     line_from_ruin_constants,
     method1_exponential,
     ruin_constants,
+    tail_integral,
 )
 from maxdeficit.allocate import _project_simplex
 from maxdeficit.cli import main
@@ -116,6 +119,37 @@ class TestLambertW:
         w = lambert_w0(y)
         assert w >= -1.0
         assert abs(w * math.exp(w) - y) <= 1e-13 * max(1.0, abs(y))
+
+
+class TestTailIntegral:
+    # a mixture of exponentials cut off by a step: smooth panels, one jump,
+    # and panels past the cut that must be sampled but never added
+    @settings(FIXED, max_examples=40)
+    @given(
+        st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(1e-3, 3.0)), min_size=1, max_size=3),
+        st.floats(0.0, 60.0),
+    )
+    def test_cut_mixture(self, terms, cut):
+        c, r = np.array(terms).T[:, :, None]
+        asked = []
+
+        def f(v):
+            asked.append(v.max())
+            return np.where(v < cut, (c * np.exp(-r * v)).sum(axis=0), 0.0)
+
+        exact = float(np.sum(-c[:, 0] * np.expm1(-r[:, 0] * cut) / r[:, 0]))
+        assert tail_integral(f, 0.0) == pytest.approx(exact, rel=0.0, abs=1e-9)
+        # the stopping panel is the last of the fewest panels that return;
+        # panel i of a tail from 0 ends at 2**(i + 1) - 1
+        farthest = max(asked)
+        stop = 0
+        while True:
+            try:
+                tail_integral(f, 0.0, Tolerance(max_iter=stop + 1))
+                break
+            except TruncationError:
+                stop += 1
+        assert farthest <= 2.0 ** (stop + 17) - 1.0
 
 
 # argv tokens with values valid and invalid for each flag; --out and
