@@ -8,6 +8,7 @@ from .allocate import (
     invariance_check,
     method1_exponential,
     method1_generic,
+    method2_exact,
     method2_generic,
     method2_two_line,
     psi_tilde,

@@ -11,10 +11,14 @@ Two ways to split a total reserve u over K exponential lines:
 - aggregate minimum: minimise the deficit of the pooled portfolio,
   whose first-passage probability for independent lines is
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
-  a closed form; the general case runs projected gradient descent on
-  the reserve simplex.
+  a closed form.  Under identity or tvar, on up to _EXACT_MAX_LINES
+  lines, inclusion-exclusion over the subsets of lines gives the pooled
+  deficit, its gradient and its Hessian exactly, and an active-set
+  Newton method solves the split; any other case runs projected
+  gradient descent on the reserve simplex over quadrature passes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +36,13 @@ _TINY = np.finfo(float).tiny
 # which can reach 1e4, so the level solve runs much tighter than the
 # reserve tolerance it must deliver
 _LEVEL_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14)
+
+# Newton steps allowed to the tvar edge v* and to the exact aggregate split
+_NEWTON_STEPS = 100
+
+# the exact aggregate route sums 2**K - 1 inclusion-exclusion terms,
+# 4,095 at this many lines
+_EXACT_MAX_LINES = 12
 
 
 def _check_budget(total_u):
@@ -116,22 +127,29 @@ def method1_exponential(problem):
 
     with np.errstate(divide="ignore"):
         log_tops = np.log(tops)
-    order = np.argsort(-log_tops, kind="stable")
-    sorted_log_tops = log_tops[order]
-    sorted_w = w[order]
-    # log threshold with the first j + 1 lines active, for every j
-    prefix_log_s = (
-        np.cumsum(sorted_w * sorted_log_tops) - problem.total_u
-    ) / np.cumsum(sorted_w)
-    next_log_tops = np.append(sorted_log_tops[1:], -np.inf)
-    log_s = float(prefix_log_s[np.argmax(prefix_log_s >= next_log_tops)])
-    u = np.maximum(0.0, w * (log_tops - log_s))
+    u, log_s = _water_fill(log_tops, w, problem.total_u)
     active = [int(i) for i in np.flatnonzero(u > 0.0)]
     # levels relative to the threshold, kept in logs so a threshold
     # that underflows still gives a finite certificate
     relative = np.exp(log_tops[active] - b[active] * u[active] / gam[active] - log_s)
     spread = float(np.ptp(relative)) if active else 0.0
     return AllocationResult(u, active, math.exp(log_s), objective_at(u), spread)
+
+
+def _water_fill(log_tops, w, total_u):
+    """Reserves max(0, w_k log(top_k / s)) that sum to total_u > 0, and
+    log s.  Lines enter in order of decreasing log top; a line with log
+    top -inf never does."""
+    order = np.argsort(-log_tops, kind="stable")
+    sorted_log_tops = log_tops[order]
+    sorted_w = w[order]
+    # log threshold with the first j + 1 lines active, for every j
+    prefix_log_s = (
+        np.cumsum(sorted_w * sorted_log_tops) - total_u
+    ) / np.cumsum(sorted_w)
+    next_log_tops = np.append(sorted_log_tops[1:], -np.inf)
+    log_s = float(prefix_log_s[np.argmax(prefix_log_s >= next_log_tops)])
+    return np.maximum(0.0, w * (log_tops - log_s)), log_s
 
 
 def _inverse_marginal(m, top, level, tol):
@@ -307,18 +325,17 @@ def _pooled_deficit(a, b, g, u, tol):
     carries root-finding error: every node then sits on g's first piece,
     and no jump of g' is left at v* for the quadrature to bisect.
     """
+    _, _, edge = g.primitive_pieces
+    start = 0.0
+    if edge < math.inf:
+        start = _tvar_edge(a.tolist(), b.tolist(), u.tolist(), edge)
     a = a[:, None]
     b = b[:, None]
     u = u[:, None]
 
-    def log_survival(v):
-        psi = a * np.exp(-b * (u + v))
-        return psi, np.log1p(-psi).sum(axis=0)
-
-    _, _, edge = g.primitive_pieces
-
     def integrand(v):
-        psi, log_survive = log_survival(v)
+        psi = a * np.exp(-b * (u + v))
+        log_survive = np.log1p(-psi).sum(axis=0)
         tail = np.minimum(-np.expm1(log_survive), edge)
         dtail = -b * psi * np.exp(log_survive) / (1.0 - psi)
         # a tail that underflows to 0 has dtail = 0; keep g'(0) finite
@@ -326,16 +343,30 @@ def _pooled_deficit(a, b, g, u, tol):
         slope = g.slope(np.maximum(tail, _TINY))
         return np.vstack((g(tail), slope * dtail))
 
-    start = 0.0
-    if edge < math.inf:
-        excess = lambda v: -math.expm1(log_survival(v)[1][0]) - edge
-        if excess(0.0) > 0.0:
-            hi = 1.0
-            while excess(hi) > 0.0:
-                hi *= 2.0
-            start = brent_root(excess, 0.0, hi, _LEVEL_TOL)
     out = tail_integral(integrand, start, tol)
     return start + float(out[0]), out[1:]
+
+
+def _tvar_edge(a, b, u, alpha):
+    """The point v* >= 0 where the pooled tail psi~(u, v) falls to alpha,
+    0 when psi~(u, 0) <= alpha already; a, b and u are lists of floats.
+
+    The log survival sum_k log(1 - q_k), q_k = a_k exp(-b_k (u_k + v)),
+    is concave and increasing in v with slope sum_k b_k q_k / (1 - q_k),
+    so Newton steps from v = 0 rise to the root without passing it.
+    """
+    target = math.log1p(-alpha)
+    v = 0.0
+    for _ in range(_NEWTON_STEPS):
+        q = [ak * math.exp(-bk * (uk + v)) for ak, bk, uk in zip(a, b, u)]
+        gap = target - sum(math.log1p(-qk) for qk in q)
+        if gap <= 0.0:
+            return v
+        step = gap / sum(bk * qk / (1.0 - qk) for bk, qk in zip(b, q))
+        v += step
+        if step <= 1e-15 * v:
+            return v
+    raise ConvergenceError(f"tvar edge not reached in {_NEWTON_STEPS} Newton steps")
 
 
 def _project_simplex(v, total):
@@ -390,7 +421,8 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     if tol_now is not quad_tol:
         f0, grad = _pooled_deficit(a, b, g, u, tol_now)
     if k == 1 or total_u == 0.0:
-        return AllocationResult(u, [0] if total_u else [], math.nan, f0, 0.0)
+        threshold = float(np.max(-grad))
+        return AllocationResult(u, [0] if total_u else [], threshold, f0, 0.0)
 
     # step lengths are kept in reserve units, eta * max|grad| <= 8 U,
     # so nothing below depends on the size of the deficit
@@ -445,11 +477,181 @@ def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_
     return result
 
 
+@functools.lru_cache(maxsize=_EXACT_MAX_LINES)
+def _subsets(k):
+    """Every nonempty subset of k lines as a 0/1 membership row followed
+    by a 1, and the inclusion-exclusion sign (-1)**(|S| + 1) of each."""
+    member = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1
+    sign = np.where(member.sum(axis=1) % 2 == 1, 1.0, -1.0)
+    rows = np.hstack((member, np.ones((member.shape[0], 1))))
+    rows.flags.writeable = False
+    sign.flags.writeable = False
+    return rows, sign
+
+
+def _exact_pass(a, b, alpha):
+    """F, grad F and the Hessian of F for the identity (alpha = 1) or
+    tvar(alpha) pooled deficit, as a function of the reserves u and of a
+    shift s that scales all three by exp(-s).
+
+    With psi_k = a_k exp(-b_k (u_k + v)), inclusion-exclusion gives the
+    identity deficit F_id(u) as the sum over nonempty subsets S of
+    T_S = (-1)**(|S| + 1) prod_{k in S} a_k exp(-b_k u_k) / sum_{k in S} b_k,
+    each formed in logs, and d T_S / d u_k = -b_k T_S for k in S.  So
+    one product of the membership rows, weighted by T_S and scaled by
+    (-b, 1), holds the Hessian, the gradient and F.  For tvar,
+    F = v* + F_id(u + v*)/alpha and grad F = grad F_id(u + v*)/alpha,
+    since the terms in dv*/du cancel at psi~ = alpha; the Hessian adds
+    the rank-one term p p^T / sum(p) of p = d psi~/du at u + v*, from
+    dv*/du_j = -p_j / sum(p).
+    """
+    rows, sign = _subsets(a.size)
+    member = rows[:, :-1]
+    with np.errstate(divide="ignore"):
+        # a line without claims gives terms of exactly 0, not 0 * -inf
+        log_a = np.maximum(np.log(a), -1e300)
+    log_rate = np.log(member @ b)
+    scaled_rows = rows * np.append(-b, 1.0)
+    af, bf = a.tolist(), b.tolist()
+
+    def evaluate(u, shift=0.0):
+        v = _tvar_edge(af, bf, u.tolist(), alpha) if alpha < 1.0 else 0.0
+        log_psi = log_a - b * (u + v)
+        terms = sign * np.exp(member @ log_psi - log_rate - shift)
+        z = scaled_rows.T @ (terms[:, None] * scaled_rows)
+        f, grad, hess = z[-1, -1], z[:-1, -1], z[:-1, :-1]
+        if v > 0.0:
+            psi = np.exp(log_psi)
+            p = -b * psi * (1.0 - alpha) / (1.0 - psi)
+            hess = hess + np.outer(p * math.exp(-shift), p) / p.sum()
+            f = f + alpha * v * math.exp(-shift)
+        return f / alpha, grad / alpha, hess / alpha
+
+    return evaluate
+
+
+def method2_exact(lines, g, total_u):
+    """Aggregate-minimum split under the identity or a tvar distortion
+    for 1 to _EXACT_MAX_LINES lines, with no quadrature.
+
+    The pooled deficit, its gradient and its Hessian come exactly from
+    inclusion-exclusion over the 2**K - 1 subsets of lines (see
+    _exact_pass).  The split starts from water filling on the lines'
+    ruin curves and moves by Newton steps on the budget simplex: each
+    step solves the bordered KKT system on the lines that hold reserve,
+    a ratio test lets one line leave, and Armijo backtracking follows.
+    Once the Newton step on the current lines is below a reserve
+    tolerance, the idle line whose marginal reduction most exceeds the
+    multiplier enters, or the split is optimal.  Terms are scaled by the
+    largest log ruin level at the start, so deficits far below the
+    smallest float still give a split.  kkt_residual is the largest
+    marginal reduction less the smallest on lines holding reserve,
+    relative to the mean of the latter.
+    """
+    if g.kind not in ("identity", "tvar"):
+        raise DomainError(f"exact aggregate route needs identity or tvar, got {g.kind}")
+    _check_budget(total_u)
+    k = len(lines)
+    if not 1 <= k <= _EXACT_MAX_LINES:
+        raise DomainError(
+            f"exact aggregate route takes 1 to {_EXACT_MAX_LINES} lines, got {k}"
+        )
+    consts = [ruin_constants(line) for line in lines]
+    a = np.array([c.a for c in consts])
+    b = np.array([c.b for c in consts])
+    evaluate = _exact_pass(a, b, g.param if g.kind == "tvar" else 1.0)
+    if k == 1 or total_u == 0.0 or not a.any():
+        # nothing to choose, or no line can be ruined: F is 0 everywhere
+        u = np.full(k, total_u / k)
+        f, grad, _ = evaluate(u)
+        active = [int(i) for i in np.flatnonzero(u > 0.0)]
+        return AllocationResult(u, active, float(np.max(-grad)), float(f), 0.0)
+
+    with np.errstate(divide="ignore"):
+        log_a = np.log(a)
+    u, _ = _water_fill(log_a, 1.0 / b, total_u)
+    # water filling keeps the budget only to the rounding of decay
+    # lengths, which can be far longer than the budget
+    u *= total_u / u.sum()
+    shift = float(np.max(log_a - b * u))
+    f, grad, hess = evaluate(u, shift)
+    free = u > 0.0
+    # the budget plus the decay lengths 1/b_k set the scale of the split;
+    # a Newton step below 1e-14 of it is at the rounding of the solve
+    step_tol = 1e-14 * (total_u + float(np.sum(1.0 / b)))
+    for _ in range(_NEWTON_STEPS):
+        idx = np.flatnonzero(free)
+        n = idx.size
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        kkt[n, n] = 0.0
+        # far past the tvar edge a line's terms underflow and F turns
+        # linear in the others, so the Hessian can be singular; the ridge
+        # bounds the step to about 1e9 budgets, for the ratio test to cut
+        kkt[range(n), range(n)] += max(
+            1e-9 * float(np.max(np.abs(grad[idx]))) / total_u, _TINY
+        )
+        sol = np.linalg.solve(kkt, np.append(-grad[idx], 0.0))
+        step = np.zeros(k)
+        # the solve keeps the budget only up to its conditioning
+        step[idx] = sol[:n] - np.mean(sol[:n])
+        level = sol[n]
+        if np.max(np.abs(step)) <= step_tol:
+            excess = np.where(free, -np.inf, -grad - level)
+            enter = int(np.argmax(excess))
+            if excess[enter] <= 1e-11 * level:
+                break
+            free[enter] = True
+            continue
+        shrinking = step < 0.0
+        ratios = np.full(k, np.inf)
+        ratios[shrinking] = u[shrinking] / -step[shrinking]
+        leave = int(np.argmin(ratios))
+        t = min(1.0, float(ratios[leave]))
+        blocked = t < 1.0
+        slope = float(grad @ step)
+        while True:
+            cand = u + t * step
+            if blocked:
+                cand[leave] = 0.0
+            fc, gc, hc = evaluate(cand, shift)
+            # the allowance lets steps through whose decrease is below
+            # the rounding of the alternating sum near the optimum
+            if fc <= f + 1e-4 * t * slope + 1e-13 * abs(f):
+                break
+            t *= 0.5
+            blocked = False
+            if t < 1e-12:
+                raise ConvergenceError("exact aggregate line search stalled")
+        if blocked:
+            free[leave] = False
+        u, f, grad, hess = cand, fc, gc, hc
+    else:
+        raise ConvergenceError(
+            f"exact aggregate split not settled in {_NEWTON_STEPS} Newton steps"
+        )
+
+    active = [int(i) for i in np.flatnonzero(u > 0.0)]
+    reductions = -grad
+    level = float(np.mean(reductions[active]))
+    resid = float(np.max(reductions) - np.min(reductions[active])) / max(
+        level, 1e-300
+    )
+    scale = math.exp(shift)
+    return AllocationResult(u, active, level * scale, float(f) * scale, resid)
+
+
 def aggregate_min(lines, g, total_u):
     """Aggregate-minimum split: the closed two-line route for two
-    identity-distorted lines, projected gradient descent otherwise."""
-    if len(lines) == 2 and g == identity():
+    identity-distorted lines; the exact inclusion-exclusion route for
+    identity on 3 or more lines and tvar on any number, up to
+    _EXACT_MAX_LINES lines; projected gradient descent over quadrature
+    passes for ph and for more lines."""
+    k = len(lines)
+    if g == identity() and k == 2:
         return method2_two_line(lines[0], lines[1], total_u)
+    if k <= _EXACT_MAX_LINES and (g.kind == "tvar" or (g == identity() and k > 2)):
+        return method2_exact(lines, g, total_u)
     return method2_generic(lines, g, total_u)
 
 

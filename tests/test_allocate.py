@@ -23,6 +23,7 @@ from maxdeficit import (
     line_from_ruin_constants,
     method1_exponential,
     method1_generic,
+    method2_exact,
     method2_generic,
     method2_two_line,
     parse_distortion,
@@ -412,6 +413,14 @@ class TestMethod2Generic:
         assert np.all(res.reserves == 0.0)
         assert res.active == []
 
+    @pytest.mark.parametrize("g", [identity(), proportional_hazard(0.5)])
+    def test_single_line_reports_its_marginal_reduction(self, g):
+        # F(u) = psi(u)**p / (p b) on one line, so -F'(u) = psi(u)**p
+        res = method2_generic([SLOW], g, 25.0)
+        assert res.threshold == pytest.approx(
+            ultimate_ruin(SLOW, 25.0) ** g.primitive_pieces[1], rel=1e-8
+        )
+
     def test_rejects_nonconcave_distortion(self):
         with pytest.raises(DomainError):
             method2_generic([FAST, SLOW], var_step(0.4), 10.0)
@@ -661,6 +670,221 @@ class TestAggregateProperties:
             assert res.kkt_residual <= 1e-2
 
 
+def quadrature_derivatives(lines, g, u):
+    """F, grad F and the Hessian of the identity or tvar pooled deficit by
+    tail_integral on the psi_tilde route, from the tvar edge found by
+    brent_root; the Hessian adds the edge's move, which differentiating
+    the lower limit of the gradient integrals gives."""
+    alpha = g.param if g.kind == "tvar" else 1.0
+    k = len(lines)
+    b = np.array([ruin_constants(line).b for line in lines])
+    tail = lambda v: psi_tilde(lines, u, v)
+    start = 0.0
+    if tail(0.0) > alpha:
+        tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15)
+        start = brent_root(lambda v: tail(v) - alpha, 0.0, 4000.0, tight)
+
+    def ruin(v):
+        # psi_k(u_k + v), one row per line, and the pooled survival
+        psi = np.array([ultimate_ruin(line, uk + v) for line, uk in zip(lines, u)])
+        return psi, 1.0 - tail(v)
+
+    def integrand(v):
+        psi, survive = ruin(v)
+        dtail = -b[:, None] * psi * survive / (1.0 - psi)
+        cross = dtail[:, None, :] * dtail[None, :, :] / survive
+        cross[range(k), range(k)] = b[:, None] * dtail
+        return np.vstack((tail(v)[None, :], dtail, -cross.reshape(k * k, -1)))
+
+    rough = tail_integral(integrand, start)
+    scale = np.maximum(np.abs(rough), 1e-300)
+    out = np.array(
+        [
+            tail_integral(
+                lambda v, i=i: integrand(v)[i],
+                start,
+                Tolerance(abs_tol=1e-13 * scale[i], rel_tol=1e-13),
+            )
+            for i in range(1 + k + k * k)
+        ]
+    )
+    f = start + out[0] / alpha
+    grad = out[1 : 1 + k] / alpha
+    hess = out[1 + k :].reshape(k, k) / alpha
+    if start > 0.0:
+        psi, _ = ruin(start)
+        p = -b * psi * (1.0 - alpha) / (1.0 - psi)
+        hess = hess + np.outer(p, p) / p.sum() / alpha
+    return f, grad, hess
+
+
+def cap_lines(a_scale):
+    """_EXACT_MAX_LINES lines with zero-reserve ruin near a_scale."""
+    k = allocate._EXACT_MAX_LINES
+    return [
+        line_from_ruin_constants(a_scale * (1.0 - 0.001 * i), 0.05 + 0.08 * i)
+        for i in range(k)
+    ]
+
+
+class TestExactPass:
+    """The inclusion-exclusion objective, gradient and Hessian of the
+    exact aggregate route against quadrature of the pooled tail."""
+
+    @pytest.mark.parametrize(
+        "case,g,u",
+        [
+            ("standard", identity(), (3.0, 12.0, 45.0)),
+            # psi~(u, 0) is 0.94, so the tvar edge v* sits past 0
+            ("standard", tvar(0.05), (1.0, 2.0, 5.0)),
+            ("standard", tvar(0.3), (3.0, 12.0, 45.0)),
+            # a_k near 1 and small reserves: the alternating sum cancels most
+            ("cap", identity(), tuple(0.1 * i for i in range(12))),
+            ("cap", tvar(0.1), tuple(1.0 + 0.5 * i for i in range(12))),
+        ],
+    )
+    def test_matches_quadrature(self, lines, case, g, u):
+        lines = list(lines) if case == "standard" else cap_lines(0.999)
+        u = np.array(u)
+        consts = [ruin_constants(line) for line in lines]
+        a = np.array([c.a for c in consts])
+        b = np.array([c.b for c in consts])
+        alpha = g.param if g.kind == "tvar" else 1.0
+        f, grad, hess = allocate._exact_pass(a, b, alpha)(u)
+        want_f, want_grad, want_hess = quadrature_derivatives(lines, g, u)
+        assert f == pytest.approx(want_f, rel=1e-10)
+        assert grad == pytest.approx(
+            want_grad, rel=1e-10, abs=1e-10 * np.max(np.abs(want_grad))
+        )
+        assert hess == pytest.approx(
+            want_hess, rel=1e-10, abs=1e-10 * np.max(np.abs(want_hess))
+        )
+
+    def test_shift_scales_every_output(self, lines):
+        a, b = TestPooledPass.constants(lines)
+        evaluate = allocate._exact_pass(a, b, 0.05)
+        u = np.array([1.0, 2.0, 5.0])
+        plain = evaluate(u)
+        shifted = evaluate(u, -3.0)
+        for x, y in zip(plain, shifted):
+            assert np.exp(-3.0) * y == pytest.approx(x, rel=1e-14)
+
+    @pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (1.0, 2.0, 5.0), (3.0, 12.0, 45.0)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
+    def test_tvar_edge_matches_bracketed_root(self, lines, u, alpha):
+        a, b = TestPooledPass.constants(lines)
+        edge = allocate._tvar_edge(a.tolist(), b.tolist(), list(u), alpha)
+        tail = lambda v: psi_tilde(lines, u, v)
+        if tail(0.0) <= alpha:
+            assert edge == 0.0
+        else:
+            tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15)
+            want = brent_root(lambda v: tail(v) - alpha, 0.0, 4000.0, tight)
+            assert edge == pytest.approx(want, rel=1e-13)
+            # the Newton steps rise to the root and stop at or below it
+            assert tail(edge) >= alpha * (1.0 - 1e-14)
+
+
+BENCHMARK_SPLITS = [
+    ((LINE1, LINE2, LINE3), identity(), 100.0),
+    ((LINE1, LINE2, LINE3), tvar(0.1), 100.0),
+    ((LINE1, LINE2, LINE3, ExponentialLine(2.0, 2.0, 5.0)), identity(), 100.0),
+]
+
+
+class TestMethod2Exact:
+    @pytest.mark.parametrize("lines,g,total", BENCHMARK_SPLITS)
+    def test_kkt_certificate(self, lines, g, total):
+        res = method2_exact(list(lines), g, total)
+        assert res.kkt_residual <= 1e-10
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-14)
+        assert res.objective == pytest.approx(
+            scalar_objective(lines, g, res.reserves), rel=1e-10
+        )
+        assert_no_better_neighbour(lines, g, total, res.reserves)
+
+    def test_standard_lines_reference_split(self, lines):
+        res = method2_exact(list(lines), identity(), 100.0)
+        assert res.reserves == pytest.approx(
+            (0.98355745, 10.74294267, 88.27349988), abs=1e-8
+        )
+        assert res.active == [0, 1, 2]
+
+    @pytest.mark.parametrize("total", [30.0, 60.0, 120.0, 150.0, 0.5, 5.0, 90.0])
+    def test_matches_two_line_closed_form(self, total):
+        closed = method2_two_line(FAST, SLOW, total)
+        exact = method2_exact([FAST, SLOW], identity(), total)
+        assert exact.objective == pytest.approx(closed.objective, rel=1e-12)
+        assert exact.reserves == pytest.approx(closed.reserves, abs=1e-8)
+        assert exact.active == closed.active
+
+    def test_matches_two_line_at_a_large_budget(self):
+        busy = ExponentialLine(9.307, 1.393, 22.2)
+        calm = ExponentialLine(0.303, 0.664, 0.338)
+        closed = method2_two_line(busy, calm, 125.89)
+        exact = method2_exact([busy, calm], identity(), 125.89)
+        assert exact.objective == pytest.approx(closed.objective, rel=1e-12)
+        assert exact.reserves == pytest.approx(closed.reserves, abs=1e-8)
+
+    def test_deficit_below_the_smallest_float(self, lines):
+        # every ruin level is near exp(-850) at this budget, where the
+        # products of two or more are negligible and water filling on the
+        # single curves is optimal
+        res = method2_exact(list(lines), identity(), 2e5)
+        assert res.reserves.sum() == pytest.approx(2e5, rel=1e-14)
+        assert res.kkt_residual <= 1e-10
+        assert 0.0 <= res.objective < 1e-300
+        water = method1_exponential(AllocationProblem(lines=lines, total_u=2e5))
+        assert res.reserves == pytest.approx(water.reserves, rel=1e-12)
+
+    def test_line_without_claims_gets_nothing(self, lines):
+        quiet = ExponentialLine(0.0, 1.0, 1.0)
+        res = method2_exact([*lines, quiet], tvar(0.1), 50.0)
+        assert res.reserves[3] == 0.0
+        assert res.reserves.sum() == pytest.approx(50.0, rel=1e-14)
+
+    @pytest.mark.parametrize("g", [identity(), tvar(0.05)])
+    def test_trivial_splits_report_the_largest_reduction(self, lines, g):
+        single = method2_exact([LINE1], g, 25.0)
+        assert single.reserves == pytest.approx([25.0])
+        assert single.active == [0]
+        # one line: F = v* + psi(U + v*) / (alpha b), and -F' = psi(U) / alpha
+        # below the edge
+        assert single.threshold == pytest.approx(
+            min(1.0, ultimate_ruin(LINE1, 25.0) / (g.param or 1.0)), rel=1e-12
+        )
+        zero = method2_exact(list(lines), g, 0.0)
+        generic = method2_generic(list(lines), g, 0.0)
+        assert zero.active == [] and np.all(zero.reserves == 0.0)
+        assert zero.threshold == pytest.approx(generic.threshold, rel=1e-8)
+        assert zero.objective == pytest.approx(generic.objective, rel=1e-9)
+
+    def test_validation(self, lines):
+        with pytest.raises(DomainError):
+            method2_exact(list(lines), proportional_hazard(0.5), 10.0)
+        with pytest.raises(DomainError):
+            method2_exact([], identity(), 10.0)
+        with pytest.raises(DomainError):
+            method2_exact(BEYOND_CAP, identity(), 10.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                method2_exact(list(lines), identity(), bad)
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(aggregate_instances().filter(lambda instance: instance[1].kind != "ph"))
+    def test_generic_never_finds_a_better_split(self, instance):
+        lines, g, total = instance
+        res = method2_exact(lines, g, total)
+        assert np.all(res.reserves >= 0.0)
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-12)
+        assert res.kkt_residual <= 1e-10
+        generic = method2_generic(lines, g, total)
+        mine = scalar_objective(lines, g, res.reserves)
+        theirs = scalar_objective(lines, g, generic.reserves)
+        assert mine <= theirs * (1.0 + 1e-12)
+        assert res.objective == pytest.approx(mine, rel=1e-10)
+
+
 class TestInvariance:
     def test_uniform_distortion_preserves_split(self, lines):
         assert invariance_check(lines, proportional_hazard(0.5), 100.0)
@@ -680,16 +904,19 @@ class TestInvariance:
             invariance_check(lines, var_step(0.4), 10.0)
 
 
+BEYOND_CAP = [FAST, SLOW, LINE1] * 4 + [LINE2]
+
+
 class TestAggregateMinRoute:
     @pytest.fixture
     def routes(self, monkeypatch):
         taken = []
-        monkeypatch.setattr(
-            allocate, "method2_two_line", lambda *a: taken.append("two-line")
-        )
-        monkeypatch.setattr(
-            allocate, "method2_generic", lambda *a: taken.append("generic")
-        )
+        for name, tag in [
+            ("method2_two_line", "two-line"),
+            ("method2_exact", "exact"),
+            ("method2_generic", "generic"),
+        ]:
+            monkeypatch.setattr(allocate, name, lambda *a, tag=tag: taken.append(tag))
         return taken
 
     def test_two_identity_lines_take_the_closed_route(self, routes):
@@ -699,11 +926,25 @@ class TestAggregateMinRoute:
     @pytest.mark.parametrize(
         "lines,g",
         [
+            ([FAST, SLOW], tvar(0.1)),
+            ([FAST], tvar(0.1)),
+            ([FAST, SLOW, LINE1], identity()),
+            ([FAST, SLOW, LINE1] * 4, identity()),
+            ([FAST, SLOW, LINE1] * 4, tvar(0.3)),
+        ],
+    )
+    def test_identity_beyond_two_lines_and_tvar_are_exact(self, routes, lines, g):
+        aggregate_min(lines, g, 60.0)
+        assert routes == ["exact"]
+
+    @pytest.mark.parametrize(
+        "lines,g",
+        [
             ([FAST, SLOW], proportional_hazard(0.5)),
             ([FAST, SLOW], proportional_hazard(1.0)),
-            ([FAST, SLOW], tvar(0.1)),
+            (BEYOND_CAP, tvar(0.1)),
             ([FAST], identity()),
-            ([FAST, SLOW, LINE1], identity()),
+            (BEYOND_CAP, identity()),
         ],
     )
     def test_everything_else_is_generic(self, routes, lines, g):
@@ -713,3 +954,6 @@ class TestAggregateMinRoute:
     def test_results_match_the_routes(self):
         two = aggregate_min([FAST, SLOW], identity(), 60.0)
         assert np.array_equal(two.reserves, method2_two_line(FAST, SLOW, 60.0).reserves)
+        three = aggregate_min([FAST, SLOW, LINE1], tvar(0.3), 60.0)
+        exact = method2_exact([FAST, SLOW, LINE1], tvar(0.3), 60.0)
+        assert np.array_equal(three.reserves, exact.reserves)

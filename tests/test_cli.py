@@ -229,6 +229,41 @@ class TestAllocateCommand:
         assert float(rows[0][4]) == pytest.approx(3.0847647, abs=1e-4)
         assert float(rows[1][4]) == pytest.approx(56.9152353, abs=1e-4)
 
+    def test_aggregate_min_three_line_exact_route(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "allocate", "--line", "10,1,12", "--line", "1,10,15",
+            "--line", "0.1,100,20", "--u", "100", "--method", "aggregate-min",
+            "--format", "csv",
+        )
+        assert code == 0
+        body, summary = out.rsplit("threshold=", 1)
+        _, rows = csv_rows(body)
+        assert [r[4] for r in rows] == ["0.983557", "10.7429", "88.2735"]
+        assert [r[5] for r in rows] == ["yes", "yes", "yes"]
+        assert summary.split() == ["0.297992", "objective=76.1744"]
+
+    @pytest.mark.parametrize(
+        "extra,threshold",
+        [
+            # one line: -dF/du = psi(50) under identity, psi(50) / 0.1 under
+            # tvar(0.1) and 0.5 psi(50)**0.5 / 0.5 under ph(0.5)
+            (["--line", "10,1,12", "--u", "50"], 0.000200308),
+            (["--line", "10,1,12", "--u", "50", "--g", "tvar:0.1"], 0.00200308),
+            (["--line", "10,1,12", "--u", "50", "--g", "ph:0.5"], 0.014153),
+            # no budget: the largest marginal reduction at zero reserves
+            (["--line", "10,1,12", "--line", "1,10,15", "--u", "0", "--g", "ph:0.5"],
+             None),
+        ],
+    )
+    def test_aggregate_min_threshold_is_finite(self, capsys, extra, threshold):
+        code, out, _ = run(capsys, "allocate", "--method", "aggregate-min", *extra)
+        assert code == 0
+        value = float(out.rsplit("threshold=", 1)[1].split()[0])
+        assert math.isfinite(value) and value > 0.0
+        if threshold is not None:
+            assert value == pytest.approx(threshold, rel=1e-5)
+
     def test_budget_far_past_the_top_levels(self, capsys):
         code, out, _ = run(
             capsys,
