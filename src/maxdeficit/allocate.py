@@ -54,7 +54,7 @@ def _check_budget(total_u):
 class AllocationProblem:
     """A marginal-sum reserve split instance: lines, tail penalties, budget.
 
-    gammas are per-line penalty exponents (>= 1) applied as the
+    gammas are per-line finite penalty exponents (>= 1) applied as the
     distortion x**(1/gamma) to that line's ruin probability; gamma 1
     leaves the line undistorted.
     """
@@ -75,8 +75,8 @@ class AllocationProblem:
         object.__setattr__(self, "gammas", gammas)
         if len(gammas) != len(lines):
             raise DomainError("one penalty exponent per line is required")
-        if any(g < 1.0 for g in gammas):
-            raise DomainError(f"penalty exponents must be >= 1, got {gammas}")
+        if not all(1.0 <= g < math.inf for g in gammas):
+            raise DomainError(f"penalty exponents must be in [1, inf), got {gammas}")
         _check_budget(self.total_u)
 
 
@@ -149,7 +149,12 @@ def _water_fill(log_tops, w, total_u):
     ) / np.cumsum(sorted_w)
     next_log_tops = np.append(sorted_log_tops[1:], -np.inf)
     log_s = float(prefix_log_s[np.argmax(prefix_log_s >= next_log_tops)])
-    return np.maximum(0.0, w * (log_tops - log_s)), log_s
+    u = np.maximum(0.0, w * (log_tops - log_s))
+    if not u.any():
+        # a budget below the rounding of log s goes to the top line
+        u[order[0]] = total_u
+    # the sum keeps U only to the rounding of w_k (log top_k - log s)
+    return u * (total_u / u.sum()), log_s
 
 
 def _inverse_marginal(m, top, level, tol):
@@ -212,7 +217,7 @@ def rho2_two_line(line1, line2, u1, u2):
     """Identity-distorted deficit of two pooled independent lines at
     reserves (u1, u2): the sum of the single-line curves minus the
     joint-survival correction."""
-    if u1 < 0.0 or u2 < 0.0:
+    if not (u1 >= 0.0 and u2 >= 0.0):
         raise DomainError("reserves must be nonnegative")
     k1 = ruin_constants(line1)
     k2 = ruin_constants(line2)
@@ -297,7 +302,7 @@ def psi_tilde(lines, reserves, v):
     """
     if len(reserves) != len(lines):
         raise DomainError("one reserve per line is required")
-    if any(u < 0.0 for u in reserves):
+    if not all(u >= 0.0 for u in reserves):
         raise DomainError("reserves must be nonnegative")
     # summing log survivals keeps the tail accurate far below 1e-16,
     # where one minus a product of survivals rounds to zero; a line
@@ -570,9 +575,6 @@ def method2_exact(lines, g, total_u):
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
     u, _ = _water_fill(log_a, 1.0 / b, total_u)
-    # water filling keeps the budget only to the rounding of decay
-    # lengths, which can be far longer than the budget
-    u *= total_u / u.sum()
     shift = float(np.max(log_a - b * u))
     f, grad, hess = evaluate(u, shift)
     free = u > 0.0

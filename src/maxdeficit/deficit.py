@@ -7,64 +7,71 @@ For a loss process with running maximum M and a distortion g, the curve
 is the distorted expected shortfall of reserve u.  It is nonincreasing
 and convex in u, with slope D'(u) = -g(P(M > u)), and because
 P(M > v) = 1 for v < 0 it continues below zero with slope -1:
-D(u) = D(0) - u.  Three interchangeable sources are provided: one closed
-form for every distortion of an exponential line's ruin curve,
-numerical quadrature against an arbitrary tail curve, and an empirical
-estimate from sampled maxima.
+D(u) = D(0) - u.  Three interchangeable sources are provided, one class
+each, and each solves the convex and proportional rules itself:
+ClosedCurve for every distortion of an exponential line's ruin curve,
+QuadratureCurve against an arbitrary tail curve, and EmpiricalCurve
+from sampled maxima.
 
 The closed form rests on the distortion's primitive G: on a ruin curve
 psi(v) = a*exp(-b*v), D(u) = G(psi(u)) / b for u >= 0.  G's power piece
 gives D(u) = level * exp(-p*b*u) right of the kink max(v_edge, 0), where
 v_edge is the reserve at which psi meets G's edge; left of the kink,
 on G's log piece or below zero, D falls with slope -1.
+
+QuadratureCurve and EmpiricalCurve take Newton steps from zero reserve
+on the exact slope: each tangent lies below the convex D, so the
+iterates rise to the root without passing it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import Distortion, choquet_weights
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_TOL, lambert_w0, tail_integral
 from .model import ruin_constants
 from .simulate import simulate_max_loss
 
-# closed forms are tagged by whether G has a log piece (tvar, varstep)
-SOURCE_PH = "closed-ph"
-SOURCE_TVAR = "closed-tvar"
-SOURCE_QUAD = "quadrature"
-SOURCE_EMP = "empirical"
-_CLOSED = (SOURCE_PH, SOURCE_TVAR)
 
+def _newton_root(f, slope, f0, tol):
+    """Root of a convex decreasing f with f(0) = f0 > 0, by Newton steps
+    from u = 0; returns the root and f there.
 
-@dataclass(frozen=True)
-class BranchContinuity:
-    """Both closed-form branches of a curve with a plateau at its kink."""
-
-    v_alpha: float
-    left: float
-    right: float
-    two_branch: bool
+    Stops as Brent does: once |f| <= abs_tol or a step is no larger than
+    rel_tol*|u| + abs_tol.  A slope that is not negative cannot reach
+    the root and raises ConvergenceError, as do max_iter steps.
+    """
+    u, fu = 0.0, f0
+    for _ in range(tol.max_iter):
+        if abs(fu) <= tol.abs_tol:
+            return u, fu
+        rate = slope(u)
+        if not rate < 0.0:
+            raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
+        step = -fu / rate
+        u += step
+        fu = f(u)
+        if abs(step) <= tol.rel_tol * abs(u) + tol.abs_tol:
+            return u, fu
+    raise ConvergenceError(f"root not settled in {tol.max_iter} Newton steps")
 
 
 class DeficitFunctional:
-    """Callable deficit curve D(u) with a tagged construction source."""
+    """Callable deficit curve D(u) with a tagged construction source.
 
-    def __init__(self, kind, horizon, **state):
-        if kind in _CLOSED and not math.isinf(horizon):
-            raise DomainError(
-                "closed-form curves exist only for the unlimited horizon"
-            )
+    The constructors build the source classes below.  Their
+    convex_root(budget, tol) and proportional_root(margin, tol) give
+    (value, method, residual, branch) of the least u with D(u) <= budget
+    and of the u with D(u) = margin * u.
+    """
+
+    def __init__(self, kind, horizon):
         if not horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {horizon}")
-        self.kind = kind
+        self.kind = self.method = kind
         self.horizon = horizon
-        self.closed = kind in _CLOSED
-        self.method = "closed-form" if self.closed else kind
-        self._state = state
-
-    # -- constructors ------------------------------------------------------
 
     @classmethod
     def for_line(cls, line, g, horizon=None, n=10000, seed=0):
@@ -80,18 +87,7 @@ class DeficitFunctional:
     def closed_form(cls, line, g, horizon=math.inf):
         """D(u) = G(psi(u)) / b of an exponential line's ruin curve
         psi(v) = a*exp(-b*v), from the primitive G of any distortion g."""
-        k = ruin_constants(line)
-        s, p, edge = g.primitive_pieces
-        ratio = k.a / edge
-        # reserve where psi falls to the edge of G, -inf without a log piece
-        v_edge = math.log(ratio) / k.b if ratio > 0.0 else -math.inf
-        return cls(
-            SOURCE_PH if math.isinf(edge) else SOURCE_TVAR,
-            horizon,
-            a=k.a, b=k.b, s=s, p=p, pb=p * k.b, level=k.a**p / (p * s * k.b),
-            edge=edge, v_edge=v_edge, kink=max(v_edge, 0.0),
-            g_edge=g.primitive(edge) if edge < math.inf else None,
-        )
+        return ClosedCurve(line, g, horizon)
 
     @classmethod
     def closed_form_ph(cls, line, p=1.0, horizon=math.inf):
@@ -109,85 +105,63 @@ class DeficitFunctional:
     def quadrature(cls, g, psi, horizon=math.inf, tol=DEFAULT_TOL):
         """Numerical curve for any distortion g and tail function psi;
         psi maps an ndarray of v to P(M > v), including 1 for v < 0."""
-        return cls(SOURCE_QUAD, horizon, g=g, psi=psi, tol=tol)
+        return QuadratureCurve(g, psi, horizon, tol)
 
     @classmethod
     def empirical(cls, g, samples, horizon=math.inf):
         """Curve estimated from sampled maxima via the empirical Choquet
         sum; the descending sort and rank weights are cached once."""
-        x = np.asarray(samples, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise DomainError("samples must be a nonempty 1-d collection")
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-            raise DomainError("samples must be finite and nonnegative")
-        ordered = np.sort(x)[::-1]
-        weights = choquet_weights(g, x.size)
-        return cls(SOURCE_EMP, horizon, g=g, ordered=ordered, weights=weights)
-
-    # -- evaluation --------------------------------------------------------
+        return EmpiricalCurve(g, samples, horizon)
 
     def __call__(self, u):
-        u = float(u)
-        s = self._state
-        if self.closed:
-            kink = s["kink"]
-            return s["level"] * math.exp(-s["pb"] * max(u, kink)) + max(kink - u, 0.0)
-        if self.kind == SOURCE_QUAD:
-            if u < 0.0:
-                return self(0.0) - u
-            g, psi = s["g"], s["psi"]
-            return tail_integral(lambda v: g(psi(v)), u, s["tol"])
-        shortfall = np.maximum(s["ordered"] - u, 0.0)
-        return float(s["weights"] @ shortfall)
+        # one entry point, so wrapping it traces every source; each gives _value
+        return self._value(float(u))
+
+
+class ClosedCurve(DeficitFunctional):
+    """D(u) = level * exp(-p*b*max(u, kink)) + max(kink - u, 0), tagged
+    closed-tvar when G has a log piece (tvar, varstep), else closed-ph.
+    Its roots are exact and take no tolerance."""
+
+    def __init__(self, line, g, horizon):
+        k = ruin_constants(line)
+        s, p, edge = g.primitive_pieces
+        if not math.isinf(horizon):
+            raise DomainError("closed-form curves exist only for the unlimited horizon")
+        super().__init__("closed-ph" if math.isinf(edge) else "closed-tvar", horizon)
+        self.method = "closed-form"
+        self._a, self._b, self._s, self._p = k.a, k.b, s, p
+        self._pb = p * k.b
+        self._level = k.a**p / (p * s * k.b)
+        ratio = k.a / edge
+        # reserve where psi falls to the edge of G, -inf without a log piece
+        self._v_edge = math.log(ratio) / k.b if ratio > 0.0 else -math.inf
+        self._kink = max(self._v_edge, 0.0)
+        self._g_edge = g.primitive(edge) if edge < math.inf else None
+
+    def _value(self, u):
+        kink = self._kink
+        return self._level * math.exp(-self._pb * max(u, kink)) + max(kink - u, 0.0)
 
     def slope(self, u):
-        """Right derivative D'(u) = -g(S(u)), with S(u) the curve's tail.
+        raise DomainError("closed forms are inverted analytically and give no slope")
 
-        S is 1 below zero, psi for quadrature and the share of samples
-        above u for empirical curves, whose piecewise-linear D it
-        differentiates from the right.  D is convex, so
-        D(v) >= D(u) + (v - u) * D'(u) for v >= u.  Closed forms are
-        inverted analytically and raise DomainError.
-        """
-        if self.closed:
-            raise DomainError("slope is given for quadrature and empirical curves")
-        u = float(u)
-        if u < 0.0:
-            return -1.0
-        s = self._state
-        if self.kind == SOURCE_QUAD:
-            return -float(s["g"](s["psi"](np.array([u])))[0])
-        above = int(np.count_nonzero(s["ordered"] > u))
-        return -s["g"](above / s["ordered"].size)
-
-    # -- closed forms --------------------------------------------------------
-
-    def _closed_field(self, name, kind=None):
-        if not self.closed or kind not in (None, self.kind):
-            raise DomainError(f"{name} applies to {kind or 'closed-form'} curves")
-        return self._state
-
-    def convex_root(self, budget):
-        """(value, method, residual, branch) of the least reserve with
-        D(u) <= budget, closed forms only.
-
-        Past the level at the kink a curve with a plateau follows its
+    def convex_root(self, budget, tol=DEFAULT_TOL):
+        """Past the level at the kink a curve with a plateau follows its
         slope -1 line (branch "linear"); a curve without one continues
-        its power piece to negative reserves (branch "continuation").
-        """
-        s = self._closed_field("convex_root")
-        kink = s["kink"]
+        its power piece to negative reserves (branch "continuation")."""
+        kink = self._kink
         at_kink = self(kink)
-        if budget > at_kink and s["g_edge"] is not None:
+        if budget > at_kink and self._g_edge is not None:
             value = kink + at_kink - budget
             return value, "closed-form", abs(self(value) - budget), "linear"
-        if s["level"] <= 0.0:
+        level, pb = self._level, self._pb
+        if level <= 0.0:
             raise DomainError("degenerate line: no claims, nothing to reserve")
-        level, pb = s["level"], s["pb"]
         # ln(level); with s = 1 it is taken as p ln a - ln(pb), as the ph
         # closed form always has, which keeps reported residuals bit-stable
-        if s["s"] == 1.0:
-            log_level = s["p"] * math.log(s["a"]) - math.log(pb)
+        if self._s == 1.0:
+            log_level = self._p * math.log(self._a) - math.log(pb)
         else:
             log_level = math.log(level)
         value = (log_level - math.log(budget)) / pb
@@ -195,53 +169,89 @@ class DeficitFunctional:
         branch = "exponential" if budget <= at_kink else "continuation"
         return value, "closed-form", residual, branch
 
-    def proportional_root(self, margin):
-        """(value, method, residual, branch) of the reserve with
-        D(u) = margin * u, closed forms only: a Lambert W step on the
-        power piece or a linear solve on the plateau."""
-        s = self._closed_field("proportional_root")
+    def proportional_root(self, margin, tol=DEFAULT_TOL):
+        """Lambert W step on the power piece, or linear solve on the plateau."""
         if self(0.0) <= 0.0:
             return 0.0, "closed-form", 0.0, "degenerate"
-        v_edge, b = s["v_edge"], s["b"]
-        if v_edge > 0.0 and margin >= s["g_edge"] / (b * v_edge):
-            value = (v_edge + s["g_edge"] / b) / (1.0 + margin)
+        v_edge, b, g_edge = self._v_edge, self._b, self._g_edge
+        if v_edge > 0.0 and margin >= g_edge / (b * v_edge):
+            value = (v_edge + g_edge / b) / (1.0 + margin)
             method, branch = "closed-form", "linear"
         else:
-            value = lambert_w0(s["a"] ** s["p"] / (s["s"] * margin)) / s["pb"]
-            method, branch = "lambert-w", None if s["g_edge"] is None else "tail"
+            value = lambert_w0(self._a**self._p / (self._s * margin)) / self._pb
+            method, branch = "lambert-w", None if g_edge is None else "tail"
         return value, method, abs(self(value) - margin * value), branch
 
-    @property
-    def constants(self):
-        """(a, b) of the underlying ruin curve; closed forms only."""
-        s = self._closed_field("constants")
-        return s["a"], s["b"]
 
-    @property
-    def ph_exponent(self):
-        return self._closed_field("ph_exponent", SOURCE_PH)["p"]
+class NewtonCurve(DeficitFunctional):
+    """A curve known through its tail S(u) = P(M > u), solved by Newton
+    steps from zero reserve (method "root-bracketed"); each source gives
+    _tail_weight(u) = g(S(u)) for u >= 0."""
 
-    @property
-    def tvar_level(self):
-        return self._closed_field("tvar_level", SOURCE_TVAR)["edge"]
+    def slope(self, u):
+        """Right derivative D'(u) = -g(S(u)), with S = 1 below zero; D is
+        convex, so D(v) >= D(u) + (v - u) * D'(u) for v >= u."""
+        u = float(u)
+        if u < 0.0:
+            return -1.0
+        return -self._tail_weight(u)
 
-    @property
-    def plateau_edge(self):
-        """Reserve where the distorted tail leaves its plateau at 1."""
-        return self._closed_field("plateau_edge", SOURCE_TVAR)["v_edge"]
+    def convex_root(self, budget, tol=DEFAULT_TOL):
+        """A budget of at least D(0) meets the slope -1 part at
+        D(0) - budget; a smaller one takes Newton steps on D(u) - budget."""
+        d0 = self(0.0)
+        if d0 <= budget:
+            value = d0 - budget
+            return value, "root-bracketed", abs(d0 - value - budget), None
+        root, f = _newton_root(lambda u: self(u) - budget, self.slope, d0 - budget, tol)
+        return root, "root-bracketed", abs(f), None
 
-    def continuity_match(self):
-        """Evaluate both branches of a curve with a plateau at its kink.
+    def proportional_root(self, margin, tol=DEFAULT_TOL):
+        """Newton steps on D(u) - margin * u, of slope D'(u) - margin."""
+        d0 = self(0.0)
+        if d0 <= 0.0:
+            return 0.0, "root-bracketed", abs(d0), "degenerate"
+        root, f = _newton_root(
+            lambda u: self(u) - margin * u, lambda u: self.slope(u) - margin, d0, tol
+        )
+        return root, "root-bracketed", abs(f), None
 
-        With the plateau edge v_alpha positive the linear and power
-        branches must both equal G(edge)/b there; two_branch is False
-        when the plateau already ends at or below zero reserve and only
-        the power branch is live on u >= 0.
-        """
-        s = self._closed_field("continuity_match", SOURCE_TVAR)
-        v_edge = s["v_edge"]
-        if v_edge <= 0.0:
-            d0 = self(0.0)
-            return BranchContinuity(v_edge, d0, d0, two_branch=False)
-        # self(v_edge) is the power branch: the slope -1 part ends there
-        return BranchContinuity(v_edge, s["g_edge"] / s["b"], self(v_edge), True)
+
+class QuadratureCurve(NewtonCurve):
+    """D(u) by tail_integral of g(psi(v)) from u, and D(0) - u below zero."""
+
+    def __init__(self, g, psi, horizon, tol):
+        super().__init__("quadrature", horizon)
+        self._g, self._psi, self._tol = g, psi, tol
+
+    def _value(self, u):
+        if u < 0.0:
+            return self(0.0) - u
+        return tail_integral(lambda v: self._g(self._psi(v)), u, self._tol)
+
+    def _tail_weight(self, u):
+        return float(self._g(self._psi(np.array([u])))[0])
+
+
+class EmpiricalCurve(NewtonCurve):
+    """D(u) as the empirical Choquet sum of the shortfalls of sampled
+    maxima, whose weights sum to one, so u < 0 needs no special case; S
+    is the share of samples above u, and slope a right derivative."""
+
+    def __init__(self, g, samples, horizon):
+        x = np.asarray(samples, dtype=float)
+        if x.ndim != 1 or x.size == 0:
+            raise DomainError("samples must be a nonempty 1-d collection")
+        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+            raise DomainError("samples must be finite and nonnegative")
+        super().__init__("empirical", horizon)
+        self._g, self._ordered = g, np.sort(x)[::-1]
+        self._weights = choquet_weights(g, x.size)
+
+    def _value(self, u):
+        shortfall = np.maximum(self._ordered - u, 0.0)
+        return float(self._weights @ shortfall)
+
+    def _tail_weight(self, u):
+        above = int(np.count_nonzero(self._ordered > u))
+        return self._g(above / self._ordered.size)

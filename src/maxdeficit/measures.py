@@ -14,18 +14,16 @@ rule built on the expected area under the loss path, and the premium
 level below which no finite time-0 requirement controls the rolling
 one-period exposure.
 
-Closed-form curves solve the convex and proportional rules themselves,
-from the primitive of their distortion.  On quadrature and empirical
-curves the rules are solved on the curve itself by Newton steps from
-zero reserve, using the exact slope D'(u) = -g(P(M > u)).  D is convex, so each tangent lies below it and
-the iterates rise to the root without passing it.
+Each curve solves the convex and proportional rules itself: closed
+forms from the primitive of their distortion, quadrature and empirical
+curves by Newton steps on their exact slope (see the deficit module).
 """
 
 import math
 from dataclasses import dataclass
 
 from .distortion import choquet_empirical, choquet_se
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import ruin_constants
 from .numerics import DEFAULT_TOL
 from .simulate import derive_seed, simulate_aggregate_claims
@@ -53,71 +51,21 @@ def coherent_measure(d):
     return MeasureResult(value=d(0.0), method=d.method, residual=0.0)
 
 
-def _newton_root(f, slope, f0, tol):
-    """Root of a convex decreasing f with f(0) = f0 > 0, by Newton steps
-    from u = 0; returns the root and f there.
-
-    Stops as Brent does: once |f| <= abs_tol or a step is no larger than
-    rel_tol*|u| + abs_tol.  A slope that is not negative cannot reach
-    the root and raises ConvergenceError, as do max_iter steps.
-    """
-    u, fu = 0.0, f0
-    for _ in range(tol.max_iter):
-        if abs(fu) <= tol.abs_tol:
-            return u, fu
-        rate = slope(u)
-        if not rate < 0.0:
-            raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
-        step = -fu / rate
-        u += step
-        fu = f(u)
-        if abs(step) <= tol.rel_tol * abs(u) + tol.abs_tol:
-            return u, fu
-    raise ConvergenceError(f"root not settled in {tol.max_iter} Newton steps")
-
-
 def convex_measure(d, budget, tol=DEFAULT_TOL):
-    """Least reserve whose residual shortfall stays within budget.
-
-    Closed forms are solved by DeficitFunctional.convex_root (method
-    "closed-form").  Other curves are solved on the curve itself (method
-    "root-bracketed"): its sub-zero part is linear, so a budget of at
-    least D(0) gives D(0) - A exactly, and a smaller one is reached by
-    Newton steps on D(u) - A from zero.
-    """
+    """Least reserve whose residual shortfall stays within budget,
+    solved by the curve itself (DeficitFunctional.convex_root)."""
     if not 0.0 < budget < math.inf:
         raise DomainError(f"budget must be positive and finite, got {budget}")
-    if d.closed:
-        return MeasureResult(*d.convex_root(budget))
-    d0 = d(0.0)
-    if d0 <= budget:
-        value = d0 - budget
-        return MeasureResult(value, "root-bracketed", abs(d0 - value - budget))
-    root, f = _newton_root(lambda u: d(u) - budget, d.slope, d0 - budget, tol)
-    return MeasureResult(root, "root-bracketed", abs(f))
+    return MeasureResult(*d.convex_root(budget, tol))
 
 
 def proportional_measure(d, margin, tol=DEFAULT_TOL):
-    """Reserve with residual shortfall equal to margin times itself.
-
-    The crossing is unique because D decreases while the comparison
-    line rises.  Closed forms are solved by
-    DeficitFunctional.proportional_root, through the Lambert W function
-    on their power piece; other sources take Newton steps on
-    D(u) - margin * u from zero (method "root-bracketed"), whose slope
-    is D'(u) - margin.
-    """
+    """Reserve with residual shortfall equal to margin times itself,
+    solved by the curve itself (DeficitFunctional.proportional_root);
+    it is unique because D decreases while the margin line rises."""
     if not 0.0 < margin < math.inf:
         raise DomainError(f"margin must be positive and finite, got {margin}")
-    if d.closed:
-        return MeasureResult(*d.proportional_root(margin))
-    d0 = d(0.0)
-    if d0 <= 0.0:
-        return MeasureResult(0.0, "root-bracketed", abs(d0), "degenerate")
-    root, f = _newton_root(
-        lambda u: d(u) - margin * u, lambda u: d.slope(u) - margin, d0, tol
-    )
-    return MeasureResult(root, "root-bracketed", abs(f))
+    return MeasureResult(*d.proportional_root(margin, tol))
 
 
 def critical_threshold(d):

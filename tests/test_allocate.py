@@ -118,8 +118,9 @@ class TestProblemValidation:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 AllocationProblem(lines=lines, total_u=bad)
-        with pytest.raises(DomainError):
-            AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 0.5, 1.0))
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, bad, 1.0))
         with pytest.raises(DomainError):
             AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 1.0))
 
@@ -173,6 +174,26 @@ class TestMethod1Exponential:
         assert np.all(res.reserves == 0.0)
         assert res.active == []
         assert res.threshold == pytest.approx(5.0 / 6.0, rel=1e-12)
+
+    def test_keeps_budget_with_long_decay_lengths(self):
+        # 1/b far longer than U: the water-filling sum misses U by far
+        # more than rounding until it is rescaled
+        lines = [
+            ExponentialLine(0.016, 9.014, 1.0),
+            ExponentialLine(0.0003, 1400.5912, 1.0),
+            ExponentialLine(0.0243, 7.4005, 1.0),
+            ExponentialLine(0.0324, 11.4847, 1.0),
+        ]
+        total = 0.00014555333
+        res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+        assert len(res.active) == 1
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("total", [1e-300, 1e-20])
+    def test_budget_below_rounding_goes_to_the_top_line(self, lines, total):
+        res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+        assert list(res.reserves) == [total, 0.0, 0.0]
+        assert res.active == [0]
 
     def test_monotone_with_nested_active_sets(self, lines):
         prev = np.zeros(3)
@@ -262,8 +283,9 @@ class TestRho2:
             assert pooled > 0.0
 
     def test_rejects_negative_reserves(self):
-        with pytest.raises(DomainError):
-            rho2_two_line(FAST, SLOW, -1.0, 5.0)
+        for u1, u2 in ((-1.0, 5.0), (math.nan, 5.0), (5.0, math.nan)):
+            with pytest.raises(DomainError):
+                rho2_two_line(FAST, SLOW, u1, u2)
 
     def test_monte_carlo_agreement(self):
         # rho2 is the mean pooled shortfall E[max_k (M_k - u_k)^+]; the
@@ -389,8 +411,9 @@ class TestPsiTilde:
     def test_validation(self):
         with pytest.raises(DomainError):
             psi_tilde([FAST, SLOW], [1.0], 0.0)
-        with pytest.raises(DomainError):
-            psi_tilde([FAST, SLOW], [1.0, -1.0], 0.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                psi_tilde([FAST, SLOW], [1.0, bad], 0.0)
 
 
 class TestMethod2Generic:
@@ -836,6 +859,13 @@ class TestMethod2Exact:
         assert 0.0 <= res.objective < 1e-300
         water = method1_exponential(AllocationProblem(lines=lines, total_u=2e5))
         assert res.reserves == pytest.approx(water.reserves, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [identity(), tvar(0.1)])
+    def test_budget_below_rounding_of_water_filling(self, lines, g):
+        # water filling rounds every reserve to zero at this budget
+        res = method2_exact(list(lines), g, 1e-20)
+        assert res.reserves == pytest.approx([0.0, 0.0, 1e-20], rel=1e-14, abs=0.0)
+        assert res.kkt_residual == 0.0
 
     def test_line_without_claims_gets_nothing(self, lines):
         quiet = ExponentialLine(0.0, 1.0, 1.0)

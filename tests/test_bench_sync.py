@@ -31,7 +31,7 @@ def spans():
     return module
 
 
-def every_constructed_kind():
+def every_constructed_curve():
     distortions = (identity(), proportional_hazard(0.5), tvar(0.1), var_step(0.1))
     curves = [DeficitFunctional.for_line(LINE1, g) for g in distortions]
     curves += [DeficitFunctional.closed_form(LINE1, g) for g in distortions]
@@ -42,7 +42,11 @@ def every_constructed_kind():
         DeficitFunctional.empirical(identity(), [0.0, 1.0, 2.5]),
         DeficitFunctional.for_line(LINE1, identity(), 5.0, 50, 1),
     ]
-    return {d.kind for d in curves}
+    return curves
+
+
+def every_constructed_kind():
+    return {d.kind for d in every_constructed_curve()}
 
 
 def test_every_kind_has_a_layer(spans):
@@ -75,3 +79,30 @@ def test_install_and_uninstall_resolve_every_traced_name(spans):
     # the restored curve still evaluates
     assert DeficitFunctional.for_line(LINE1, identity())(0.0) == pytest.approx(5.0)
     assert math.isfinite(DeficitFunctional.for_line(LINE1, var_step(0.1))(1.0))
+
+
+def test_every_source_evaluates_through_the_one_call():
+    # the tracer and the evaluation counters wrap DeficitFunctional.__call__;
+    # a source that defined its own would escape both
+    for d in every_constructed_curve():
+        assert type(d).__call__ is DeficitFunctional.__call__
+
+
+def test_traced_calls_are_counted_per_source(spans):
+    one_per_kind = {d.kind: d for d in every_constructed_curve()}
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        tracer.request = 0
+        for d in one_per_kind.values():
+            d(1.0)
+    finally:
+        uninstall()
+    layers = set(spans._DEFICIT_LAYER.values())
+    calls = {layer: tracer.layers.get(layer, [0])[0] for layer in layers}
+    # closed-ph and closed-tvar share one layer
+    assert calls == {
+        "deficit.closed": 2,
+        "deficit.quadrature": 1,
+        "deficit.empirical": 1,
+    }

@@ -218,6 +218,17 @@ class TestAllocateCommand:
         _, rows = csv_rows(out.rsplit("threshold=", 1)[0])
         assert float(rows[2][4]) == pytest.approx(92.4598471, abs=1e-4)
 
+    @pytest.mark.parametrize("gammas", ["nan,1", "inf,1"])
+    def test_non_finite_penalty_exponent_is_three(self, capsys, gammas):
+        code, out, err = run(
+            capsys,
+            "allocate", "--line", "10,1,12", "--line", "1,10,15",
+            "--u", "10", "--gamma", gammas,
+        )
+        assert code == 3
+        assert out == ""
+        assert "penalty exponents" in err
+
     def test_aggregate_min_two_line_route(self, capsys):
         code, out, _ = run(
             capsys,

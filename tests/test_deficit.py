@@ -28,6 +28,12 @@ def psi1(v):
     return ultimate_ruin(LINE1, v)
 
 
+def plateau_edge(line, alpha):
+    # reserve where the ruin curve a*exp(-b*v) falls to alpha
+    k = ruin_constants(line)
+    return math.log(k.a / alpha) / k.b
+
+
 class TestClosedFormPh:
     def test_undistorted_level(self):
         d = DeficitFunctional.closed_form_ph(LINE1)
@@ -62,53 +68,53 @@ class TestClosedFormPh:
 
     def test_introspection(self):
         d = DeficitFunctional.closed_form_ph(LINE1, p=0.5)
-        a, b = d.constants
-        assert (a, b) == pytest.approx((5.0 / 6.0, 1.0 / 6.0))
-        assert d.ph_exponent == 0.5
-        with pytest.raises(DomainError):
-            d.tvar_level
+        k = ruin_constants(LINE1)
+        assert (k.a, k.b) == pytest.approx((5.0 / 6.0, 1.0 / 6.0))
+        # the power piece decays as exp(-p*b*u)
+        assert math.log(d(0.0) / d(1.0)) / k.b == pytest.approx(0.5, rel=1e-12)
+        assert d.kind == "closed-ph"
 
 
 class TestClosedFormTvar:
     def test_level_and_kink(self):
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.01)
-        assert d.plateau_edge == pytest.approx(26.5370917752, abs=1e-9)
+        assert plateau_edge(LINE1, 0.01) == pytest.approx(26.5370917752, abs=1e-9)
         assert d(0.0) == pytest.approx(32.5370917752, abs=1e-9)
 
     def test_linear_left_of_kink(self):
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.01)
-        v = d.plateau_edge
+        v = plateau_edge(LINE1, 0.01)
         # unit slope: the distorted tail is flat at 1 on the plateau
         assert d(v - 10.0) - d(v - 3.0) == pytest.approx(7.0, rel=1e-12)
 
     def test_exponential_right_of_kink(self):
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.01)
-        v = d.plateau_edge
+        v = plateau_edge(LINE1, 0.01)
         assert d(v + 6.0) / d(v) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_continuity_at_kink(self):
-        for d, level in (
-            (DeficitFunctional.closed_form_tvar(LINE1, 0.01), 6.0),
-            (
-                DeficitFunctional.closed_form_tvar(
-                    line_from_ruin_constants(0.95, 0.05), 0.05
-                ),
-                20.0,
-            ),
+        # the slope -1 part and the power piece both equal G(alpha)/b at
+        # the plateau edge
+        for line, alpha, level in (
+            (LINE1, 0.01, 6.0),
+            (line_from_ruin_constants(0.95, 0.05), 0.05, 20.0),
         ):
-            match = d.continuity_match()
-            assert match.two_branch
-            assert match.left == pytest.approx(level, rel=1e-12)
-            assert match.right == pytest.approx(level, rel=1e-12)
-            assert d(match.v_alpha) == pytest.approx(level, rel=1e-12)
+            d = DeficitFunctional.closed_form_tvar(line, alpha)
+            v = plateau_edge(line, alpha)
+            assert v > 0.0
+            left = tvar(alpha).primitive(alpha) / ruin_constants(line).b
+            assert left == pytest.approx(level, rel=1e-12)
+            assert d(v) == pytest.approx(level, rel=1e-12)
+            for side in (-math.inf, math.inf):
+                assert d(math.nextafter(v, side)) == pytest.approx(level, rel=1e-12)
 
     def test_plateau_already_gone(self):
         # alpha above a: the plateau ends at negative reserve, one branch
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.9)
-        match = d.continuity_match()
-        assert not match.two_branch
-        assert match.v_alpha < 0.0
-        assert match.left == match.right == pytest.approx(d(0.0), rel=1e-12)
+        assert plateau_edge(LINE1, 0.9) < 0.0
+        # only the power piece is live on u >= 0: D(0) = G(psi(0)) / b
+        k = ruin_constants(LINE1)
+        assert d(0.0) == pytest.approx(tvar(0.9).primitive(k.a) / k.b, rel=1e-12)
         assert d(-2.0) == pytest.approx(d(0.0) + 2.0, rel=1e-12)
 
     def test_negative_reserve_is_linear_extension(self):
@@ -134,7 +140,7 @@ class TestQuadrature:
         g = tvar(0.05)
         closed = DeficitFunctional.closed_form_tvar(LINE1, 0.05)
         quad = DeficitFunctional.quadrature(g, psi1)
-        for u in (0.0, closed.plateau_edge, 30.0):
+        for u in (0.0, plateau_edge(LINE1, 0.05), 30.0):
             assert quad(u) == pytest.approx(closed(u), rel=1e-6)
 
     def test_step_distortion_integrates_to_plateau(self):
@@ -307,8 +313,6 @@ class TestSourceTags:
         quad = DeficitFunctional.quadrature(identity(), psi1)
         emp = DeficitFunctional.empirical(identity(), rng.exponential(1.0, 50))
         assert len({closed.kind, quad.kind, emp.kind}) == 3
-        with pytest.raises(DomainError):
-            quad.constants
 
 
 def ruin_maxima(a, b, n, rng):
@@ -366,7 +370,7 @@ class TestOneClosedForm:
         # the convex root inverts D, i.e. G then psi, on every piece where
         # D decreases strictly: varstep only left of its plateau edge
         d = DeficitFunctional.for_line(LINE1, g)
-        top = d.plateau_edge if g.kind == "varstep" else 60.0
+        top = plateau_edge(LINE1, g.param) if g.kind == "varstep" else 60.0
         for u in np.linspace(0.0, top, 13)[:-1]:
             value, method, residual, _ = d.convex_root(d(u))
             assert value == pytest.approx(u, abs=1e-9 * max(1.0, u))

@@ -20,6 +20,7 @@ from maxdeficit import (
     premium_lower_bound,
     proportional_hazard,
     proportional_measure,
+    ruin_constants,
     tvar,
     ultimate_ruin,
     var_step,
@@ -151,7 +152,9 @@ class TestProportional:
         assert r.value == pytest.approx(oracle, abs=1e-8)
 
     def test_tvar_branch_edge(self, d_tv):
-        edge = 1.0 / (d_tv.constants[1] * d_tv.plateau_edge)
+        k = ruin_constants(LINE1)
+        plateau_edge = math.log(k.a / 0.01) / k.b
+        edge = 1.0 / (k.b * plateau_edge)
         assert edge == pytest.approx(0.2260986264, abs=1e-9)
         lo = proportional_measure(d_tv, edge * (1.0 - 1e-9))
         hi = proportional_measure(d_tv, edge * (1.0 + 1e-9))
