@@ -580,7 +580,8 @@ def method2_exact(lines, g, total_u):
     free = u > 0.0
     # the budget plus the decay lengths 1/b_k set the scale of the split;
     # a Newton step below 1e-14 of it is at the rounding of the solve
-    step_tol = 1e-14 * (total_u + float(np.sum(1.0 / b)))
+    scale = total_u + float(np.sum(1.0 / b))
+    step_tol = 1e-14 * scale
     for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(free)
         n = idx.size
@@ -589,9 +590,11 @@ def method2_exact(lines, g, total_u):
         kkt[n, n] = 0.0
         # far past the tvar edge a line's terms underflow and F turns
         # linear in the others, so the Hessian can be singular; the ridge
-        # bounds the step to about 1e9 budgets, for the ratio test to cut
+        # bounds the step to about 1e9 times the scale, for the ratio test
+        # to cut.  Bounded by the budget instead, a step at a budget far
+        # below the scale would pass for rounding and never move reserve.
         kkt[range(n), range(n)] += max(
-            1e-9 * float(np.max(np.abs(grad[idx]))) / total_u, _TINY
+            1e-9 * float(np.max(np.abs(grad[idx]))) / scale, _TINY
         )
         sol = np.linalg.solve(kkt, np.append(-grad[idx], 0.0))
         step = np.zeros(k)

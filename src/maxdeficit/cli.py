@@ -394,7 +394,8 @@ def _run_checks(seed):
         for line in STANDARD_LINES:
             for g in (identity(), proportional_hazard(0.5), tvar(0.01), var_step(0.01)):
                 closed, numeric = DeficitFunctional.for_line(line, g), quad(line, g)
-                for u in (0.0, 2.0, 17.0):
+                # 1000 is past every line's edge, up to 782 on the third
+                for u in (0.0, 2.0, 17.0, 1000.0):
                     if abs(closed(u) - numeric(u)) > 1e-6 * max(1.0, closed(u)):
                         return False
         return True

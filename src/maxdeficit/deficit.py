@@ -19,16 +19,25 @@ gives D(u) = level * exp(-p*b*u) right of the kink max(v_edge, 0), where
 v_edge is the reserve at which psi meets G's edge; left of the kink,
 on G's log piece or below zero, D falls with slope -1.
 
+QuadratureCurve integrates g(psi) only where it is smooth.  tvar and
+varstep take g(psi) = 1 up to the edge reserve v_e where psi meets their
+edge alpha, and leave it there with a kink or a jump, which adaptive
+quadrature could only bisect, level by level, on every call.  So v_e is
+located once, to adjacent floats, when the curve is built; D(u) is
+D(v_e) + (v_e - u) up to it, from one kept integral, and one integral
+from u beyond it, the same max(u, kink) shape as the closed form.
+
 QuadratureCurve and EmpiricalCurve take Newton steps from zero reserve
 on the exact slope: each tangent lies below the convex D, so the
 iterates rise to the root without passing it.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .distortion import Distortion, choquet_weights
+from .distortion import Distortion, choquet_weights, edge_reserve
 from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_TOL, lambert_w0, tail_integral
 from .model import ruin_constants
@@ -218,16 +227,28 @@ class NewtonCurve(DeficitFunctional):
 
 
 class QuadratureCurve(NewtonCurve):
-    """D(u) by tail_integral of g(psi(v)) from u, and D(0) - u below zero."""
+    """D(u) = D(v_e) + (v_e - u) for u <= v_e = edge_reserve(g, psi),
+    below zero included, with D(v_e) integrated on first use and kept;
+    beyond v_e, tail_integral of the smooth g(psi(v)) from u.  v_e is
+    found when the curve is built, and is 0 for identity and ph."""
 
     def __init__(self, g, psi, horizon, tol):
         super().__init__("quadrature", horizon)
         self._g, self._psi, self._tol = g, psi, tol
+        self._edge = edge_reserve(g, psi, tol)
+
+    def _integral(self, u):
+        return tail_integral(lambda v: self._g(self._psi(v)), u, self._tol)
+
+    @functools.cached_property
+    def _at_edge(self):
+        return self._integral(self._edge)
 
     def _value(self, u):
-        if u < 0.0:
-            return self(0.0) - u
-        return tail_integral(lambda v: self._g(self._psi(v)), u, self._tol)
+        edge = self._edge
+        if u <= edge:
+            return self._at_edge + (edge - u)
+        return self._integral(u)
 
     def _tail_weight(self, u):
         return float(self._g(self._psi(np.array([u])))[0])

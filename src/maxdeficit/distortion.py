@@ -7,8 +7,9 @@ empirical counterpart weights descending order statistics by increments
 of g on the uniform grid.  Each kind also gives its primitive
 G(y) = integral of g(x)/x over (0, y], a power piece up to an edge and a
 log piece beyond it, from which the deficit module builds the closed
-form of every distortion on an exponential line.  This module is the
-only one that tells the kinds apart.
+form of every distortion on an exponential line, and g leaves 1 at
+that edge, so a tail integral of g need only cover the tail beyond it
+(edge_reserve).  This module is the only one that tells the kinds apart.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .numerics import DEFAULT_TOL, tail_integral
 
 _KINDS = ("identity", "ph", "tvar", "varstep")
@@ -156,10 +157,59 @@ def parse_distortion(spec):
     return Distortion(kind, value)
 
 
+# parts into which each call of the tail cuts edge_reserve's bracket
+_EDGE_CUTS = 33
+
+
+def edge_reserve(g, tail, tol=DEFAULT_TOL):
+    """The least v >= 0 with tail(v) <= edge, the edge of g's primitive:
+    alpha for tvar and varstep, where g(tail) leaves 1 with a kink or a
+    jump.  Without an edge (identity, ph) it is 0, and tail is not called.
+    g(tail) is 1 below v, so an integral of g(tail) over [u, inf) with
+    u <= v is v - u plus the integral from v, over which g is smooth.
+
+    tail is nonincreasing and maps an ndarray of v to one value per
+    point.  One call brackets v among the ends 0, 1, 3, ..., 2**k - 1 of
+    tail_integral's first max_iter panels; each further call cuts the
+    bracket into _EDGE_CUTS parts, evenly in the bit patterns of its
+    floats, until its ends are adjacent floats: about 13 calls in all.
+    The end returned has tail(v) <= edge, so no sliver where g = 1 is
+    left beyond it; values past the first panel end at or below the
+    edge, NaN included, are not used.  A tail above the edge at every
+    panel end raises TruncationError, as tail_integral would, with the
+    integral of g = 1 up to the last one as its partial value.
+    """
+    edge = g.primitive_pieces[2]
+    if edge == math.inf:
+        return 0.0
+    ends = np.exp2(np.arange(tol.max_iter + 1.0)) - 1.0
+    below = np.asarray(tail(ends)) <= edge
+    if below[0]:
+        return 0.0
+    if not below.any():
+        raise TruncationError(
+            f"tail stays above the distortion's edge {edge} up to {ends[-1]:g}",
+            float(ends[-1]),
+        )
+    j = int(below.argmax())
+    # nonnegative floats order as their bit patterns read as integers
+    lo, hi = ends[j - 1:j + 1].view(np.int64)
+    steps = np.arange(_EDGE_CUTS + 1)
+    while hi - lo > 1:
+        # a step rounded up puts the last cut on hi or beyond, capped to hi
+        cuts = np.minimum(lo - (lo - hi) // _EDGE_CUTS * steps, hi)
+        below = np.asarray(tail(cuts.view(np.float64))) <= edge
+        j = int(below.argmax())
+        lo, hi = cuts[j - 1], cuts[j]
+    return float(hi.view(np.float64))
+
+
 def choquet_tail(g, tail, tol=DEFAULT_TOL):
     """Distorted expectation of a nonnegative variable from its survival
-    function: integral of g(tail(x)) over [0, inf)."""
-    return tail_integral(lambda x: g(tail(x)), 0.0, tol)
+    function: integral of g(tail(x)) over [0, inf), which is v plus the
+    integral from v = edge_reserve(g, tail)."""
+    v = edge_reserve(g, tail, tol)
+    return v + tail_integral(lambda x: g(tail(x)), v, tol)
 
 
 def choquet_weights(g, n):

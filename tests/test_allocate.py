@@ -867,6 +867,16 @@ class TestMethod2Exact:
         assert res.reserves == pytest.approx([0.0, 0.0, 1e-20], rel=1e-14, abs=0.0)
         assert res.kkt_residual == 0.0
 
+    @pytest.mark.parametrize("total", [1e-300, 1e-200, 1e-20])
+    @pytest.mark.parametrize("g", [identity(), tvar(0.1)])
+    def test_budget_far_below_the_decay_lengths(self, lines, g, total):
+        # the whole budget goes to the line of the largest reduction, as
+        # at 1e-9; water filling starts it on line 0
+        res = method2_exact(list(lines), g, total)
+        assert res.reserves == pytest.approx([0.0, 0.0, total], rel=1e-14, abs=0.0)
+        assert res.active == [2]
+        assert res.kkt_residual <= 1e-10
+
     def test_line_without_claims_gets_nothing(self, lines):
         quiet = ExponentialLine(0.0, 1.0, 1.0)
         res = method2_exact([*lines, quiet], tvar(0.1), 50.0)

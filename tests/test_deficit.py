@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from maxdeficit import (
     DeficitFunctional,
     DomainError,
+    TruncationError,
     convex_measure,
     identity,
     line_from_ruin_constants,
@@ -21,7 +22,7 @@ from maxdeficit import (
     ultimate_ruin,
     var_step,
 )
-from tests.conftest import LINE1
+from tests.conftest import LINE1, LINE2, LINE3
 
 
 def psi1(v):
@@ -159,6 +160,46 @@ class TestQuadrature:
     def test_rejects_nan_horizon(self):
         with pytest.raises(DomainError):
             DeficitFunctional.quadrature(identity(), psi1, horizon=math.nan)
+
+
+class TestQuadratureEdge:
+    # the curve finds the edge reserve v_e of tvar and varstep once, keeps
+    # D(v_e), and integrates only the smooth tail beyond it
+
+    @pytest.mark.parametrize("line", [LINE1, LINE2, LINE3])
+    @pytest.mark.parametrize(
+        "g", [tvar(0.01), tvar(0.3), tvar(0.9), var_step(0.01), var_step(0.4)]
+    )
+    def test_matches_closed_form_on_both_sides(self, line, g):
+        # LINE1 has a = 5/6, so tvar(0.9) leaves it no plateau
+        k = ruin_constants(line)
+        edge = max(math.log(k.a / g.param) / k.b, 0.0)
+        closed, quad = DeficitFunctional.for_line(line, g), quad_curve(line, g)
+        for u in (-2.0, 0.0, 0.99 * edge, 1.01 * edge, edge + 1.0 / k.b, edge + 4.0 / k.b):
+            assert quad(u) == pytest.approx(closed(u), rel=1e-12, abs=1e-12)
+        assert quad(-2.0) == quad(0.0) + 2.0
+
+    @pytest.mark.parametrize("g", [tvar(0.01), var_step(0.01)])
+    def test_one_integrand_call_per_value(self, g):
+        # the edge is at 26.5 on LINE1: 0, 3 and 20 lie before it, 40 past it
+        calls = []
+
+        def psi(v):
+            calls.append(v)
+            return ultimate_ruin(LINE1, v)
+
+        for u in (0.0, 3.0, 20.0, 40.0):
+            quad = DeficitFunctional.quadrature(g, psi)
+            calls.clear()
+            quad(u)
+            assert len(calls) == 1
+            # the value at the edge is kept
+            quad(u)
+            assert len(calls) == (1 if u < 26.5 else 2)
+
+    def test_tail_that_never_reaches_the_edge(self):
+        with pytest.raises(TruncationError):
+            DeficitFunctional.quadrature(tvar(0.1), lambda v: np.full(v.shape, 0.5))(0.0)
 
 
 class TestEmpirical:

@@ -15,10 +15,15 @@ from maxdeficit import (
     identity,
     parse_distortion,
     proportional_hazard,
+    TruncationError,
+    ruin_constants,
     tail_integral,
     tvar,
+    ultimate_ruin,
     var_step,
 )
+from maxdeficit.distortion import edge_reserve
+from tests.conftest import LINE1, LINE2, LINE3
 
 
 class TestParsing:
@@ -266,6 +271,90 @@ class TestChoquetTail:
         est = choquet_empirical(g, x)
         se = choquet_se(g, x, seed=11)
         assert abs(est - exact) < 3.0 * se
+
+
+    @pytest.mark.parametrize("g", [tvar(0.05), var_step(0.4)])
+    def test_edge_kinds_match_the_primitive(self, g):
+        # D(0) = G(a) / b on an exponential line's ruin curve
+        k = ruin_constants(LINE1)
+        got = choquet_tail(g, lambda v: ultimate_ruin(LINE1, v))
+        assert got == pytest.approx(g.primitive(k.a) / k.b, rel=1e-12)
+
+    def test_never_reaching_the_edge_raises(self):
+        with pytest.raises(TruncationError):
+            choquet_tail(tvar(0.1), lambda v: np.full(v.shape, 0.5))
+
+
+def counted(tail):
+    # the tail and a list of the calls made of it
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return tail(v)
+
+    return f, calls
+
+
+class TestEdgeReserve:
+    # the least v >= 0 with tail(v) <= alpha, where g(tail) leaves 1
+
+    @pytest.mark.parametrize("line", [LINE1, LINE2, LINE3])
+    @pytest.mark.parametrize("g", [tvar(0.01), var_step(0.01), tvar(0.3), var_step(0.4)])
+    def test_first_float_at_or_below_the_edge(self, line, g):
+        tail, calls = counted(lambda v: ultimate_ruin(line, v))
+        v = edge_reserve(g, tail)
+        k = ruin_constants(line)
+        assert v == pytest.approx(math.log(k.a / g.param) / k.b, rel=1e-14)
+        before = np.nextafter(v, 0.0)
+        assert ultimate_ruin(line, np.array([v]))[0] <= g.param
+        assert ultimate_ruin(line, np.array([before]))[0] > g.param
+        # one call on the doubling grid, then about 5 bits per call
+        assert len(calls) <= 14
+
+    def test_edge_below_one(self):
+        # the bracket [0, 1] spans the most floats
+        tail, calls = counted(lambda v: np.exp(-v))
+        v = edge_reserve(tvar(0.9), tail)
+        assert np.exp(-v) <= 0.9 < np.exp(-np.nextafter(v, 0.0))
+        assert len(calls) <= 14
+
+    def test_values_past_the_bracket_are_not_used(self):
+        # NaN far out, as a tail whose terms overflow there would give
+        def tail(v):
+            return np.where(v < 5.0, 0.9, np.where(v < 1e30, 0.05, np.nan))
+
+        assert edge_reserve(tvar(0.1), tail) == 5.0
+
+    def test_tail_at_or_below_the_edge_at_zero(self):
+        # LINE1 has a = 5/6: tvar(0.9) leaves no plateau
+        assert edge_reserve(tvar(0.9), lambda v: ultimate_ruin(LINE1, v)) == 0.0
+        assert edge_reserve(var_step(5.0 / 6.0), lambda v: ultimate_ruin(LINE1, v)) == 0.0
+
+    @pytest.mark.parametrize("g", [identity(), proportional_hazard(0.5)])
+    def test_no_edge_calls_no_tail(self, g):
+        tail, calls = counted(lambda v: ultimate_ruin(LINE1, v))
+        assert edge_reserve(g, tail) == 0.0
+        assert calls == []
+
+    def test_step_tail_jumping_across_the_edge(self):
+        q = 7.25
+
+        def tail(v):
+            return np.where(v < q, 0.9, 0.05 * np.exp(q - v))
+
+        assert edge_reserve(tvar(0.1), tail) == q
+        assert edge_reserve(var_step(0.1), tail) == q
+        # 1 up to q, then half the tail's integral for tvar; 0 for varstep
+        assert choquet_tail(tvar(0.1), tail) == pytest.approx(q + 0.5, rel=1e-12)
+        assert choquet_tail(var_step(0.1), tail) == q
+
+    def test_tail_that_never_reaches_the_edge(self):
+        # tail_integral gives up after max_iter panels, the last ending
+        # at 2**200 - 1; g(tail) is 1 up to there
+        with pytest.raises(TruncationError) as err:
+            edge_reserve(var_step(0.1), lambda v: np.full(v.shape, 0.5))
+        assert err.value.partial == 2.0**200 - 1.0
 
 
 class TestChoquetSe:
