@@ -157,27 +157,38 @@ def _water_fill(log_tops, w, total_u):
     return u * (total_u / u.sum()), log_s
 
 
-def _inverse_marginal(m, top, level, tol):
-    if level >= top:
+def _inverse_marginal(m, log_top, log_level, last):
+    """Reserve u with ln m(u) = log_level, 0 where log_top = ln m(0) is
+    no higher; the doubling bracket starts from last, the reserve at a
+    nearby level.  Where m underflows to 0 the plain level gap stands in
+    for the log gap, with the same sign."""
+    if log_level >= log_top:
         return 0.0
-    hi = 1.0
+    level = math.exp(log_level)
+
+    def gap(u):
+        value = m(u)
+        return math.log(value) - log_level if value > 0.0 else value - level
+
+    lo, hi = 0.0, last if last > 0.0 else 1.0
     for _ in range(200):
-        if m(hi) <= level:
+        if gap(hi) <= 0.0:
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise ConvergenceError("marginal level not reached while expanding")
-    return brent_root(lambda x: m(x) - level, 0.0, hi, tol)
+    return brent_root(gap, lo, hi, _LEVEL_TOL)
 
 
-def method1_generic(marginals, total_u, tol=DEFAULT_TOL):
+def method1_generic(marginals, total_u):
     """Marginal-sum allocation for arbitrary decreasing marginal maps.
 
     marginals are callables u -> distorted ruin probability of one
-    line.  Each is inverted by bracketed root finding inside the same
-    threshold bisection as the exponential case.  A coarse grid check
-    rejects non-monotone marginals up front.  Each marginal must accept
-    an ndarray of reserves as well as a float.
+    line.  The threshold s is found by bracketed root finding on
+    ln s, and at each trial s every marginal is inverted by bracketed
+    root finding on ln m(u) - ln s, both at the level tolerance.  A
+    coarse grid check rejects non-monotone marginals up front.  Each
+    marginal must accept an ndarray of reserves as well as a float.
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
@@ -192,20 +203,31 @@ def method1_generic(marginals, total_u, tol=DEFAULT_TOL):
     if level_max <= 0.0:
         raise DomainError("every marginal vanishes: nothing to allocate")
 
-    def reserves_at(level):
-        return [
-            _inverse_marginal(m, top, level, tol) for m, top in zip(marginals, tops)
-        ]
-
     if total_u == 0.0:
         zero = np.zeros(len(marginals))
         obj = sum(tail_integral(m, 0.0) for m in marginals)
         return AllocationResult(zero, [], level_max, obj, 0.0)
 
-    level = brent_root(
-        lambda s: sum(reserves_at(s)) - total_u, _LEVEL_FLOOR, level_max, _LEVEL_TOL
+    log_tops = [math.log(top) if top > 0.0 else -math.inf for top in tops]
+    # each line's last positive reserve seeds its next doubling bracket
+    seeds = [0.0] * len(marginals)
+
+    def reserves_at(log_level):
+        reserves = []
+        for i, (m, log_top) in enumerate(zip(marginals, log_tops)):
+            u = _inverse_marginal(m, log_top, log_level, seeds[i])
+            seeds[i] = u or seeds[i]
+            reserves.append(u)
+        return reserves
+
+    log_level = brent_root(
+        lambda t: sum(reserves_at(t)) - total_u,
+        math.log(_LEVEL_FLOOR),
+        math.log(level_max),
+        _LEVEL_TOL,
     )
-    u = np.array(reserves_at(level))
+    u = np.array(reserves_at(log_level))
+    level = math.exp(log_level)
     active = [int(i) for i in np.flatnonzero(u > 0.0)]
     objective = sum(tail_integral(m, ui) for m, ui in zip(marginals, u))
     levels = [marginals[i](u[i]) for i in active]
@@ -380,7 +402,13 @@ def _project_simplex(v, total):
     desc = np.sort(v)[::-1]
     css = np.cumsum(desc) - total
     idx = np.arange(1, n + 1)
-    rho = idx[desc - css / idx > 0.0][-1]
+    above = desc - css / idx > 0.0
+    if not above.any():
+        # total is below the rounding of the largest entry, which then
+        # absorbs it; the projection moves with v, and the gaps to the
+        # largest entry are exact where they are small
+        return _project_simplex(v - desc[0], total)
+    rho = idx[above][-1]
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 

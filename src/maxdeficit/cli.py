@@ -401,12 +401,14 @@ def _run_checks(seed):
         return True
 
     def check_measures():
-        g = proportional_hazard(0.7)
-        for line in STANDARD_LINES:
-            lw = proportional_measure(DeficitFunctional.for_line(line, g), 0.05)
-            br = proportional_measure(quad(line, g), 0.05)
-            if abs(lw.value - br.value) > 1e-8 or lw.residual > 1e-8:
-                return False
+        # budget 2 and margin 0.05 put every tvar:0.01 root past the edge
+        for g in (proportional_hazard(0.7), tvar(0.01)):
+            for line in STANDARD_LINES:
+                closed, numeric = DeficitFunctional.for_line(line, g), quad(line, g)
+                for rule, param in ((convex_measure, 2.0), (proportional_measure, 0.05)):
+                    lw, br = rule(closed, param), rule(numeric, param)
+                    if abs(lw.value - br.value) > 1e-8 or lw.residual > 1e-8:
+                        return False
         return True
 
     def check_allocation():

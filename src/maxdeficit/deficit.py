@@ -27,9 +27,18 @@ located once, to adjacent floats, when the curve is built; D(u) is
 D(v_e) + (v_e - u) up to it, from one kept integral, and one integral
 from u beyond it, the same max(u, kink) shape as the closed form.
 
-QuadratureCurve and EmpiricalCurve take Newton steps from zero reserve
-on the exact slope: each tangent lies below the convex D, so the
-iterates rise to the root without passing it.
+QuadratureCurve and EmpiricalCurve solve their rules from their kink k,
+v_e for a quadrature curve and zero otherwise, left of which D has
+slope -1: a budget or margin met at or left of k is met there and
+solved exactly, as the closed form does.  Otherwise the exponential
+D(k)*exp(-beta*(u - k)) with the curve's own value and slope at k, the
+Cramer-Lundberg shape of every ruin curve past its kink, gives the
+start of Newton steps on the exact slope: its root in closed form, by
+a logarithm or a Lambert W step.  On an exponential line that start is
+the root to rounding, so a rule costs two evaluations of D.  Each
+tangent lies below the convex D, so a start past the root steps back
+below it, and from there the iterates rise to the root without passing
+it.
 """
 
 import functools
@@ -44,21 +53,29 @@ from .model import ruin_constants
 from .simulate import simulate_max_loss
 
 
-def _newton_root(f, slope, f0, tol):
-    """Root of a convex decreasing f with f(0) = f0 > 0, by Newton steps
-    from u = 0; returns the root and f there.
+# the proportional start takes W(y) with ln y below this; beyond it,
+# where exp(ln y) would overflow, the solve starts from the kink
+_LOG_W_MAX = 700.0
+
+
+def _newton_root(f, slope, u, fu, tol, restart):
+    """Root of a convex decreasing f by Newton steps from u, where
+    f(u) = fu; returns the root and f there.
 
     Stops as Brent does: once |f| <= abs_tol or a step is no larger than
-    rel_tol*|u| + abs_tol.  A slope that is not negative cannot reach
-    the root and raises ConvergenceError, as do max_iter steps.
+    rel_tol*|u| + abs_tol.  Where the slope is not negative, the solve
+    goes back once to restart, a pair (u, f(u)) left of the root; a
+    second such slope raises ConvergenceError, as do max_iter steps.
     """
-    u, fu = 0.0, f0
     for _ in range(tol.max_iter):
         if abs(fu) <= tol.abs_tol:
             return u, fu
         rate = slope(u)
         if not rate < 0.0:
-            raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
+            if restart is None:
+                raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
+            (u, fu), restart = restart, None
+            continue
         step = -fu / rate
         u += step
         fu = f(u)
@@ -194,8 +211,11 @@ class ClosedCurve(DeficitFunctional):
 
 class NewtonCurve(DeficitFunctional):
     """A curve known through its tail S(u) = P(M > u), solved by Newton
-    steps from zero reserve (method "root-bracketed"); each source gives
-    _tail_weight(u) = g(S(u)) for u >= 0."""
+    steps from the root of its exponential fit at its kink (method
+    "root-bracketed"); each source gives _kink, left of which D has
+    slope -1, and _tail_weight(u) = g(S(u)) for u >= 0."""
+
+    _kink = 0.0
 
     def slope(self, u):
         """Right derivative D'(u) = -g(S(u)), with S = 1 below zero; D is
@@ -206,24 +226,56 @@ class NewtonCurve(DeficitFunctional):
         return -self._tail_weight(u)
 
     def convex_root(self, budget, tol=DEFAULT_TOL):
-        """A budget of at least D(0) meets the slope -1 part at
-        D(0) - budget; a smaller one takes Newton steps on D(u) - budget."""
-        d0 = self(0.0)
-        if d0 <= budget:
-            value = d0 - budget
-            return value, "root-bracketed", abs(d0 - value - budget), None
-        root, f = _newton_root(lambda u: self(u) - budget, self.slope, d0 - budget, tol)
-        return root, "root-bracketed", abs(f), None
+        """A budget of at least D(k) at the kink k meets the slope -1 part
+        at k + D(k) - budget; a smaller one takes Newton steps on
+        D(u) - budget from k + ln(D(k)/budget)/beta, where the curve's
+        exponential fit D(k)*exp(-beta*(u - k)) meets it."""
+        kink = self._kink
+        d_k = self(kink)
+        if d_k <= budget:
+            value = kink + d_k - budget
+            return value, "root-bracketed", abs(d_k + (kink - value) - budget), None
+        rate = self._tail_weight(kink) / d_k
+        start = kink + (math.log(d_k) - math.log(budget)) / rate
+        return self._newton_from(
+            lambda u: self(u) - budget, self.slope, start, d_k - budget, tol
+        )
 
     def proportional_root(self, margin, tol=DEFAULT_TOL):
-        """Newton steps on D(u) - margin * u, of slope D'(u) - margin."""
-        d0 = self(0.0)
-        if d0 <= 0.0:
-            return 0.0, "root-bracketed", abs(d0), "degenerate"
-        root, f = _newton_root(
-            lambda u: self(u) - margin * u, lambda u: self.slope(u) - margin, d0, tol
+        """A margin met at or left of the kink k, D(k) <= margin * k, is
+        met on the slope -1 part at (k + D(k))/(1 + margin); otherwise
+        Newton steps on D(u) - margin * u, of slope D'(u) - margin, start
+        where the exponential fit meets the margin line, at W(y)/beta
+        with y = beta * D(k) * exp(beta * k) / margin."""
+        kink = self._kink
+        d_k = self(kink)
+        if kink + d_k <= 0.0:
+            return 0.0, "root-bracketed", abs(d_k), "degenerate"
+        if d_k <= margin * kink:
+            value = (kink + d_k) / (1.0 + margin)
+            residual = abs(d_k + (kink - value) - margin * value)
+            return value, "root-bracketed", residual, None
+        weight = self._tail_weight(kink)
+        rate = weight / d_k
+        log_y = math.log(weight) - math.log(margin) + rate * kink
+        start = lambert_w0(math.exp(log_y)) / rate if log_y < _LOG_W_MAX else kink
+        return self._newton_from(
+            lambda u: self(u) - margin * u,
+            lambda u: self.slope(u) - margin,
+            start,
+            d_k - margin * kink,
+            tol,
         )
-        return root, "root-bracketed", abs(f), None
+
+    def _newton_from(self, f, slope, start, f_kink, tol):
+        """Newton steps from start, or from the kink where the start is
+        not finite, with the kink, where f is f_kink > 0, to go back to."""
+        kink = self._kink
+        if not start < math.inf:
+            start = kink
+        f_start = f_kink if start == kink else f(start)
+        root, f_root = _newton_root(f, slope, start, f_start, tol, (kink, f_kink))
+        return root, "root-bracketed", abs(f_root), None
 
 
 class QuadratureCurve(NewtonCurve):
@@ -235,19 +287,19 @@ class QuadratureCurve(NewtonCurve):
     def __init__(self, g, psi, horizon, tol):
         super().__init__("quadrature", horizon)
         self._g, self._psi, self._tol = g, psi, tol
-        self._edge = edge_reserve(g, psi, tol)
+        self._kink = edge_reserve(g, psi, tol)
 
     def _integral(self, u):
         return tail_integral(lambda v: self._g(self._psi(v)), u, self._tol)
 
     @functools.cached_property
-    def _at_edge(self):
-        return self._integral(self._edge)
+    def _at_kink(self):
+        return self._integral(self._kink)
 
     def _value(self, u):
-        edge = self._edge
-        if u <= edge:
-            return self._at_edge + (edge - u)
+        kink = self._kink
+        if u <= kink:
+            return self._at_kink + (kink - u)
         return self._integral(u)
 
     def _tail_weight(self, u):

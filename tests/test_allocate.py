@@ -233,6 +233,33 @@ class TestMethod1Generic:
         closed = method1_exponential(AllocationProblem(lines=lines, total_u=100.0))
         assert res.reserves == pytest.approx(closed.reserves, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "g, total",
+        [
+            (proportional_hazard(0.5), 40.0),
+            (proportional_hazard(0.8), 100.0),
+            (identity(), 100.0),
+        ],
+    )
+    def test_log_level_solve_is_exact_in_few_calls(self, lines, g, total):
+        calls = []
+
+        def marginal(line):
+            def m(u):
+                calls.append(u)
+                return g(ultimate_ruin(line, u))
+            return m
+
+        res = method1_generic([marginal(line) for line in lines], total)
+        assert len(calls) <= 200
+        # (a exp(-b u))**p is the marginal level of penalty exponent 1/p
+        p = 1.0 if g.kind == "identity" else g.param
+        problem = AllocationProblem(lines=lines, total_u=total, gammas=(1.0 / p,) * 3)
+        closed = method1_exponential(problem)
+        assert res.reserves == pytest.approx(closed.reserves, rel=1e-12)
+        assert res.threshold == pytest.approx(closed.threshold, rel=1e-12)
+        assert res.kkt_residual <= 1e-12
+
     def test_single_line_takes_everything(self):
         res = method1_generic([lambda u: ultimate_ruin(LINE1, u)], 7.0)
         assert res.reserves == pytest.approx([7.0], abs=1e-9)
@@ -443,6 +470,19 @@ class TestMethod2Generic:
         assert res.threshold == pytest.approx(
             ultimate_ruin(SLOW, 25.0) ** g.primitive_pieces[1], rel=1e-8
         )
+
+    @pytest.mark.parametrize("total", [1e-17, 1e-20, 1e-300])
+    def test_budget_below_rounding_of_the_gradient_step(self, lines, total):
+        # u - grad / |grad| rounds every reserve away: the split is the
+        # one at 1e-16, all of U on the third line
+        g = proportional_hazard(0.7)
+        want = method2_generic(lines, g, 1e-16)
+        res = method2_generic(lines, g, total)
+        assert res.reserves / total == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        assert want.reserves / 1e-16 == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        assert math.isfinite(res.threshold)
+        assert res.threshold == pytest.approx(want.threshold, rel=1e-12)
+        assert res.objective == pytest.approx(want.objective, rel=1e-12)
 
     def test_rejects_nonconcave_distortion(self):
         with pytest.raises(DomainError):

@@ -240,6 +240,20 @@ class TestAllocateCommand:
         assert float(rows[0][4]) == pytest.approx(3.0847647, abs=1e-4)
         assert float(rows[1][4]) == pytest.approx(56.9152353, abs=1e-4)
 
+    @pytest.mark.parametrize("total", ["1e-17", "1e-20", "1e-300"])
+    def test_aggregate_min_budget_below_rounding(self, capsys, total):
+        code, out, _ = run(
+            capsys,
+            "allocate", "--line", "10,1,12", "--line", "1,10,15",
+            "--line", "0.1,100,20", "--u", total, "--method", "aggregate-min",
+            "--g", "ph:0.7", "--format", "csv",
+        )
+        assert code == 0
+        body, summary = out.rsplit("threshold=", 1)
+        _, rows = csv_rows(body)
+        assert [r[4] for r in rows] == ["0", "0", total]
+        assert summary.split() == ["0.563218", "objective=186.522"]
+
     def test_aggregate_min_three_line_exact_route(self, capsys):
         code, out, _ = run(
             capsys,

@@ -11,12 +11,14 @@ from maxdeficit import (
     DomainError,
     ExponentialLine,
     Tolerance,
+    brent_root,
     coherent_measure,
     convex_measure,
     critical_threshold,
     ear_convex_measure,
     identity,
     line_from_ruin_constants,
+    parse_distortion,
     premium_lower_bound,
     proportional_hazard,
     proportional_measure,
@@ -25,7 +27,7 @@ from maxdeficit import (
     ultimate_ruin,
     var_step,
 )
-from tests.conftest import LINE1, LINE3
+from tests.conftest import LINE1, LINE2, LINE3
 
 
 def bisect(f, lo, hi, steps=200):
@@ -287,13 +289,106 @@ class TestNewtonRoute:
                 assert d(r.value) == pytest.approx(margin * r.value, rel=1e-9)
 
     def test_step_limit_raises(self):
-        quad = DeficitFunctional.quadrature(
-            proportional_hazard(0.5), lambda v: ultimate_ruin(LINE1, v)
-        )
+        # the exponential fit at zero misses a Pareto tail's roots by far
+        # more than two Newton steps mend
+        quad = DeficitFunctional.quadrature(identity(), pareto_tail)
         with pytest.raises(ConvergenceError):
             convex_measure(quad, 0.01, Tolerance(max_iter=2))
         with pytest.raises(ConvergenceError):
             proportional_measure(quad, 0.01, Tolerance(max_iter=2))
+
+
+def pareto_tail(v):
+    """P(M > v) = (1 + v)**-3 for v >= 0, a tail no exponential fits."""
+    v = np.asarray(v, dtype=float)
+    return np.where(v < 0.0, 1.0, (1.0 + np.maximum(v, 0.0)) ** -3.0)
+
+
+def requirement(d, rule, param):
+    if rule == "coherent":
+        return coherent_measure(d).value
+    if rule == "convex":
+        return convex_measure(d, param).value
+    if rule == "proportional":
+        return proportional_measure(d, param).value
+    return critical_threshold(d)
+
+
+class TestFittedStart:
+    @pytest.mark.parametrize(
+        "gtext, rule, param, evals",
+        [
+            ("identity", "coherent", None, 1),
+            ("identity", "convex", 2.0, 2),
+            ("identity", "proportional", 0.05, 2),
+            ("identity", "critical", None, 2),
+            ("ph:0.5", "coherent", None, 1),
+            ("ph:0.5", "convex", 2.0, 2),
+            ("ph:0.5", "proportional", 0.05, 2),
+            ("ph:0.5", "critical", None, 2),
+            ("tvar:0.01", "coherent", None, 1),
+            ("tvar:0.01", "convex", 10.0, 1),
+            ("tvar:0.01", "proportional", 0.05, 2),
+            ("tvar:0.01", "critical", None, 2),
+        ],
+    )
+    def test_two_evaluations_per_rule(self, gtext, rule, param, evals, count_evals):
+        g = parse_distortion(gtext)
+        quad = DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(LINE1, v))
+        want = requirement(DeficitFunctional.closed_form(LINE1, g), rule, param)
+        count_evals.clear()
+        got = requirement(quad, rule, param)
+        assert len(count_evals) == evals
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("line", [LINE1, LINE2, LINE3])
+    @pytest.mark.parametrize("gtext", ["identity", "ph:0.5", "tvar:0.01", "tvar:0.3"])
+    def test_roots_match_closed_forms_on_both_sides_of_the_edge(self, line, gtext):
+        g = parse_distortion(gtext)
+        quad = DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))
+        closed = DeficitFunctional.closed_form(line, g)
+        d0 = closed(0.0)
+        branches = set()
+        for budget in (1e-4 * d0, 0.05 * d0, 0.5 * d0, 0.9 * d0):
+            want = convex_measure(closed, budget)
+            branches.add(want.branch)
+            got = convex_measure(quad, budget)
+            assert got.value == pytest.approx(want.value, rel=1e-10)
+            assert got.residual <= 1e-10
+        for margin in (1e-3, 0.05, 1.0, 10.0):
+            want = proportional_measure(closed, margin)
+            branches.add(want.branch)
+            got = proportional_measure(quad, margin)
+            assert got.value == pytest.approx(want.value, rel=1e-10)
+            assert got.residual <= 1e-10
+        if g.kind == "tvar":
+            # roots left of the edge, on the slope -1 part, and right of it
+            assert {"linear", "exponential", "tail"} <= branches
+
+    def test_empirical_start_past_the_largest_sample(self, count_evals):
+        # the fit at zero decays more slowly than uniform samples run out,
+        # so it starts where D is flat at 0 and the solve goes back to zero
+        x = np.random.default_rng(5).uniform(0.0, 1.0, 500)
+        for g in (identity(), proportional_hazard(0.5), tvar(0.1)):
+            d = DeficitFunctional.empirical(g, x)
+            for budget in (1e-3, 1e-6):
+                count_evals.clear()
+                r = convex_measure(d, budget)
+                assert max(count_evals) > x.max()
+                assert r.value < x.max()
+                assert d(r.value) == pytest.approx(budget, rel=1e-9)
+                assert d(r.value * (1.0 - 1e-6)) > budget
+
+    @pytest.mark.parametrize("g", [identity(), tvar(0.3)])
+    @pytest.mark.parametrize("param", [0.01, 0.3])
+    def test_pareto_tail_matches_brent(self, g, param):
+        quad = DeficitFunctional.quadrature(g, pareto_tail)
+        tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15)
+        want = brent_root(lambda u: quad(u) - param, 0.0, 100.0, tight)
+        assert convex_measure(quad, param).value == pytest.approx(want, rel=1e-9)
+        want = brent_root(lambda u: quad(u) - param * u, 0.0, 100.0, tight)
+        got = proportional_measure(quad, param).value
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestCriticalThreshold:

@@ -111,6 +111,15 @@ class TestProjectSimplex:
         assert np.all(np.abs((v - x)[held] - theta) <= 64 * scale)
         assert np.all(v[~held] <= theta + 64 * scale)
 
+    @pytest.mark.parametrize("total", [1e-17, 1e-20, 1e-300])
+    def test_total_below_rounding_of_the_largest_entry(self, total):
+        v = np.array([0.5, 1.0, 1.0 - 2.0**-52, -2.0])
+        x = _project_simplex(v, total)
+        assert np.array_equal(x, [0.0, total, 0.0, 0.0])
+        # entries as close as their rounding share it
+        x = _project_simplex(np.array([1.0, 1.0, 0.5]), total)
+        assert x == pytest.approx([total / 2, total / 2, 0.0], rel=1e-15)
+
 
 class TestLambertW:
     @settings(FIXED, max_examples=300)
