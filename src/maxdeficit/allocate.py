@@ -11,11 +11,11 @@ Two ways to split a total reserve u over K exponential lines:
 - aggregate minimum: minimise the deficit of the pooled portfolio,
   whose first-passage probability for independent lines is
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
-  a closed form.  Under identity or tvar, on up to _EXACT_MAX_LINES
-  lines, inclusion-exclusion over the subsets of lines gives the pooled
-  deficit, its gradient and its Hessian exactly, and an active-set
-  Newton method solves the split; any other case runs projected
-  gradient descent on the reserve simplex over quadrature passes.
+  a closed form.  Otherwise one active-set Newton method solves the
+  split from the pooled deficit, its gradient and its Hessian, which
+  inclusion-exclusion over the subsets of lines gives exactly under
+  identity or tvar on up to _EXACT_MAX_LINES lines, and one quadrature
+  pass gives in any other case.
 """
 
 import functools
@@ -300,20 +300,20 @@ def method2_two_line(line1, line2, total_u):
             lambda x: _log_reduction_gap(k1, k2, x, total_u - x), 0.0, total_u
         )
         u = np.array([u1, total_u - u1])
-    red = _reductions(k1, k2, u[0], u[1])
+    red = np.array(_reductions(k1, k2, u[0], u[1]))
+    return _certified(u, rho2_two_line(line1, line2, u[0], u[1]), red)
+
+
+def _certified(u, f, reductions):
+    """The aggregate result at the split u with deficit f: threshold is
+    the mean marginal reduction on lines holding reserve, kkt_residual
+    the largest reduction less their smallest, relative to that mean."""
     active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    if len(active) == 2:
-        threshold = 0.5 * (red[0] + red[1])
-        resid = abs(red[0] - red[1]) / max(threshold, 1e-300)
-    elif active:
-        threshold = red[active[0]]
-        other = red[1 - active[0]]
-        resid = max(0.0, other - threshold) / max(threshold, 1e-300)
-    else:
-        threshold = max(red)
-        resid = 0.0
-    objective = rho2_two_line(line1, line2, u[0], u[1])
-    return AllocationResult(u, active, threshold, objective, resid)
+    if not active:
+        return AllocationResult(u, [], float(np.max(reductions)), float(f), 0.0)
+    level = float(np.mean(reductions[active]))
+    resid = float(np.max(reductions) - np.min(reductions[active])) / max(level, 1e-300)
+    return AllocationResult(u, active, level, float(f), resid)
 
 
 def psi_tilde(lines, reserves, v):
@@ -337,41 +337,60 @@ def psi_tilde(lines, reserves, v):
     return tail if np.ndim(tail) else float(tail)
 
 
-def _pooled_deficit(a, b, g, u, tol):
+def _pooled_deficit(a, b, g, u, tol, rows=()):
     """The distorted pooled deficit F(u) = integral over v >= 0 of
-    g(psi~(u, v)) and its gradient in u, from one vectorised quadrature.
+    g(psi~(u, v)), its gradient in u and its Hessian on the lines flagged
+    in rows (NaN elsewhere), from one vectorised quadrature.
 
-    a and b hold the lines' ruin constants.  The pooled tail is
-    psi~ = 1 - prod_k (1 - psi_k) with psi_k = a_k exp(-b_k (u_k + v)),
-    and d psi~ / d u_k = -b_k psi_k (1 - psi~) / (1 - psi_k), so the
-    gradient integrands g'(psi~) d psi~ / d u_k share every node with
-    the objective's.  For tvar, g is 1 until psi~ falls to the edge
-    alpha of its primitive at v*: F = v* + the integral past v*, and the
-    boundary terms of the gradient cancel because g(psi~(v*)) = 1.  Past
-    v* the tail is clamped at the edge, which it exceeds only where v*
-    carries root-finding error: every node then sits on g's first piece,
-    and no jump of g' is left at v* for the quadrature to bisect.
-    """
+    a and b hold the lines' ruin constants.  With psi_k = a_k exp(-b_k
+    (u_k + v)), S = prod_k (1 - psi_k) and q_k = b_k psi_k / (1 - psi_k),
+    psi~ = 1 - S and d psi~ / d u_k = -S q_k, so the gradient integrand is
+    -g' S q and the Hessian's is (g'' S**2 - g' S) q q^T + diag(g' S b q
+    / (1 - psi)), all on the objective's nodes.  For tvar, g is 1 until
+    psi~ falls to its edge alpha at v*: F = v* + the integral past v*, the
+    gradient's boundary terms cancel as g(psi~(v*)) = 1, and the Hessian
+    adds the move of v*, g'(alpha) p p^T / sum(p) for p = d psi~ / du
+    there.  Past v* the tail is clamped at the edge, which it exceeds only
+    by v*'s rounding, so no jump of g' is left for the quadrature."""
     _, _, edge = g.primitive_pieces
     start = 0.0
     if edge < math.inf:
         start = _tvar_edge(a.tolist(), b.tolist(), u.tolist(), edge)
-    a = a[:, None]
-    b = b[:, None]
-    u = u[:, None]
+    k = a.size
+    held = np.flatnonzero(rows)
+    n = held.size
+    a_, b_, u_ = a[:, None], b[:, None], u[:, None]
 
     def integrand(v):
-        psi = a * np.exp(-b * (u + v))
+        psi = a_ * np.exp(-b_ * (u_ + v))
         log_survive = np.log1p(-psi).sum(axis=0)
+        survive = np.exp(log_survive)
         tail = np.minimum(-np.expm1(log_survive), edge)
-        dtail = -b * psi * np.exp(log_survive) / (1.0 - psi)
-        # a tail that underflows to 0 has dtail = 0; keep g'(0) finite
-        # so that ph's infinite slope there does not make 0 * inf
-        slope = g.slope(np.maximum(tail, _TINY))
-        return np.vstack((g(tail), slope * dtail))
+        q = b_ * psi / (1.0 - psi)
+        # a tail that underflows to 0 has q = 0; keep g' finite so that
+        # ph's infinite slope there does not make 0 * inf, and g'' too,
+        # which grows like x**(p - 2) and so needs the floor's root
+        lift = g.slope(np.maximum(tail, _TINY)) * survive
+        out = np.empty((1 + k + n * n, v.size))
+        out[0] = g(tail)
+        np.multiply(-lift, q, out=out[1:k + 1])
+        if n:
+            bend = g.curvature(np.maximum(tail, _TINY**0.5)) * survive**2 - lift
+            qh = q[held]
+            np.multiply(bend * qh[:, None], qh, out=out[k + 1:].reshape(n, n, -1))
+            # b / (1 - psi) = b + q on the diagonal
+            out[k + 1::n + 1] += lift * qh * (b_[held] + qh)
+        return out
 
     out = tail_integral(integrand, start, tol)
-    return start + float(out[0]), out[1:]
+    hess = np.full((k, k), np.nan)
+    block = out[k + 1:].reshape(n, n)
+    if start > 0.0:
+        psi = a * np.exp(-b * (u + start))
+        p = -b * psi * (1.0 - edge) / (1.0 - psi)
+        block = block + g.slope(edge) * np.outer(p[held], p[held]) / p.sum()
+    hess[held[:, None], held] = block
+    return start + float(out[0]), out[1:k + 1], hess
 
 
 def _tvar_edge(a, b, u, alpha):
@@ -396,118 +415,130 @@ def _tvar_edge(a, b, u, alpha):
     raise ConvergenceError(f"tvar edge not reached in {_NEWTON_STEPS} Newton steps")
 
 
-def _project_simplex(v, total):
-    # Euclidean projection onto {x >= 0, sum x = total}, sort-based
-    n = v.size
-    desc = np.sort(v)[::-1]
-    css = np.cumsum(desc) - total
-    idx = np.arange(1, n + 1)
-    above = desc - css / idx > 0.0
-    if not above.any():
-        # total is below the rounding of the largest entry, which then
-        # absorbs it; the projection moves with v, and the gaps to the
-        # largest entry are exact where they are small
-        return _project_simplex(v - desc[0], total)
-    rho = idx[above][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def method2_generic(lines, g, total_u, tol=1e-6, max_iter=500, quad_tol=DEFAULT_TOL):
-    """Aggregate-minimum split for any number of lines and a concave
-    distortion of the pooled curve.
-
-    Minimises the distorted pooled deficit over the reserve simplex by
-    projected gradient descent with Armijo backtracking.  Each step
-    takes the objective and its analytic gradient from the same
-    vectorised quadrature pass.  Nothing depends on the size of the
-    deficit, which falls by orders of magnitude as the budget grows: the
-    quadrature tolerance is min(abs_tol, rel_tol * F) at the last
-    accepted point, steps are bounded in reserve units, and the split is
-    stationary once a unit move along the normalised gradient,
-    projected back onto the budget simplex, shifts it by at most tol
-    and empties no line.  Returns the optimum with a KKT certificate:
-    the relative spread of the marginal reductions across lines that
-    received reserves.
-    """
-    if not g.concave:
-        raise DomainError("aggregate objective needs a concave distortion")
+def _first_split(lines, g, total_u):
+    """The lines' ruin constants a and b, and the split where the
+    aggregate routes start: all of U on the line with the largest
+    water-filling reserve, unless water filling is surely better.  For a
+    concave g, F lies between the largest single-line deficit G(psi_k(u_k))
+    / b_k and their sum, so water filling wins where its sum is below the
+    vertex's largest: the optimum then lies far inside, and Newton steps
+    from the vertex would near it one decay length at a time."""
     _check_budget(total_u)
-    k = len(lines)
-    if k == 0:
+    if not lines:
         raise DomainError("allocation needs at least one line")
     consts = [ruin_constants(line) for line in lines]
     a = np.array([c.a for c in consts])
     b = np.array([c.b for c in consts])
+    if total_u == 0.0 or not a.any():
+        # nothing to move, or no line can be ruined: F is 0 everywhere
+        return a, b, np.full(a.size, total_u / a.size)
+    with np.errstate(divide="ignore"):
+        water, _ = _water_fill(np.log(a), 1.0 / b, total_u)
+    vertex = np.zeros(a.size)
+    vertex[np.argmax(water)] = total_u
+    single = lambda u: g.primitive(a * np.exp(-b * u)) / b
+    return a, b, (water if single(water).sum() < single(vertex).max() else vertex)
 
-    def tightened(f):
-        # never looser than rel_tol of the objective: the deficit can be
-        # far below abs_tol and still falls by orders of magnitude
-        tight = quad_tol.rel_tol * f
-        if 0.0 < tight < quad_tol.abs_tol:
-            return replace(quad_tol, abs_tol=tight)
-        return quad_tol
 
-    u = np.full(k, total_u / k)
-    f0, grad = _pooled_deficit(a, b, g, u, quad_tol)
-    tol_now = tightened(f0)
-    if tol_now is not quad_tol:
-        f0, grad = _pooled_deficit(a, b, g, u, tol_now)
-    if k == 1 or total_u == 0.0:
-        threshold = float(np.max(-grad))
-        return AllocationResult(u, [0] if total_u else [], threshold, f0, 0.0)
+def _newton_split(evaluate, u, b):
+    """Minimise a convex F over the budget simplex {u >= 0, sum u = U}
+    by active-set Newton steps from the split u; returns the optimum.
 
-    # step lengths are kept in reserve units, eta * max|grad| <= 8 U,
-    # so nothing below depends on the size of the deficit
-    eta = total_u / (np.max(np.abs(grad)) or 1.0)
-    converged = False
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(grad)))
-        reference = _project_simplex(u - grad / (norm or 1.0), total_u)
-        # stationary: a unit move along the normalised gradient gets
-        # nowhere and would empty no line that holds reserve
-        if float(np.linalg.norm(reference - u)) <= tol and np.array_equal(
-            reference > 0.0, u > 0.0
-        ):
-            converged = True
+    evaluate(u, rows) gives F, grad F and a Hessian filled on the rows
+    and columns of the lines flagged in rows: all lines at the start,
+    then, after a step that is not short, those holding reserve or able
+    to enter; entries left NaN keep their last values.  Each step solves
+    the bordered KKT system on the lines holding reserve, a ratio test
+    lets one leave, and Armijo backtracking follows.  Once the step is
+    small the idle line whose reduction most exceeds the multiplier
+    enters; below 1e-14 of U plus the decay lengths 1/b with none to
+    enter, the split is optimal, so a certified vertex takes one
+    evaluation and no solve."""
+    k = u.size
+    scale = u.sum() + float(np.sum(1.0 / b))
+    free = u > 0.0
+    f, grad, hess = evaluate(u, np.ones(k, dtype=bool))
+    # steps below step_tol are rounding, below reuse_tol they move the
+    # Hessian far less than their own error, below enter_tol a line may enter
+    step_tol, reuse_tol, enter_tol = 1e-14 * scale, 1e-5 * scale, 1e-2 * scale
+    for _ in range(_NEWTON_STEPS):
+        idx = np.flatnonzero(free)
+        n = idx.size
+        if n == 0:
             break
-        while True:
-            cand = _project_simplex(u - eta * grad, total_u)
-            fc, new_grad = _pooled_deficit(a, b, g, cand, tol_now)
-            tiny_step = eta * norm < 1e-14 * total_u
-            if fc <= f0 - 1e-4 * float(grad @ (u - cand)) or tiny_step:
+        step = np.zeros(k)
+        level = -grad[idx[0]]
+        if n > 1:
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = hess[idx][:, idx]
+            kkt[n, n] = 0.0
+            # where F is linear in a line (far past the tvar edge) the ridge
+            # bounds the step to about 1e9 scales, for the ratio test to cut
+            ridge = max(1e-9 * np.abs(grad[idx]).max() / scale, _TINY)
+            kkt.flat[: n * (n + 2) : n + 2] += ridge
+            sol = np.linalg.solve(kkt, np.append(-grad[idx], 0.0))
+            # the solve keeps the budget only up to its conditioning
+            step[idx] = sol[:n] - sol[:n].sum() / n
+            level = sol[n]
+        excess = np.where(free, -np.inf, -grad - level)
+        size = np.abs(step).max()
+        if size <= enter_tol:
+            enter = int(np.argmax(excess))
+            if excess[enter] > 1e-11 * level:
+                free[enter] = True
+                if np.isnan(hess[enter, enter]):
+                    f, grad, hess = evaluate(u, free)
+                continue
+            if size <= step_tol:
                 break
-            eta *= 0.5
-        if fc >= f0 and tiny_step:
-            converged = True  # no further descent available at noise level
-            break
-        step = cand - u
-        curve = float(step @ (new_grad - grad))
-        longest = total_u * 8.0 / (np.max(np.abs(new_grad)) or 1.0)
-        # spectral step: inverse Rayleigh quotient along the last move;
-        # a plain doubling retry covers flat or noisy curvature estimates
-        if curve > 0.0:
-            eta = min(float(step @ step) / curve, longest)
-        else:
-            eta = min(eta * 2.0, longest)
-        u, f0, grad = cand, fc, new_grad
-        tol_now = tightened(f0)
-
-    active = [int(i) for i in np.flatnonzero(u > 1e-8 * max(1.0, total_u))]
-    reductions = -grad
-    if active:
-        level = float(np.mean(reductions[active]))
-        spread = float(np.ptp(reductions[active])) / max(abs(level), 1e-300)
+        ratios = np.divide(u, -step, out=np.full(k, np.inf), where=step < 0.0)
+        leave = int(np.argmin(ratios))
+        if ratios[leave] == 0.0:
+            # an early entrant shrinks at once: it leaves, and entry waits
+            free[leave], enter_tol = False, step_tol
+            continue
+        t = min(1.0, float(ratios[leave]))
+        blocked = t < 1.0
+        slope = float(grad @ step)
+        rows = free | (excess > 0.0) if size > reuse_tol else ()
+        while True:
+            cand = u + t * step
+            if blocked:
+                cand[leave] = 0.0
+            fc, gc, hc = evaluate(cand, rows)
+            # the allowance lets steps through whose decrease is below
+            # the rounding of F near the optimum
+            if fc <= f + 1e-4 * t * slope + 1e-13 * abs(f):
+                break
+            t *= 0.5
+            blocked = False
+            if t < 1e-12:
+                raise ConvergenceError("aggregate line search stalled")
+        if blocked:
+            free[leave] = False
+        u, f, grad = cand, fc, gc
+        hess = np.where(np.isnan(hc), hess, hc)
     else:
-        level, spread = float(np.max(reductions)), 0.0
-    result = AllocationResult(u, active, level, f0, spread)
-    if not converged:
-        err = ConvergenceError(
-            f"projected gradient did not reach tolerance {tol} in {max_iter} steps"
-        )
-        err.best = result
-        raise err
-    return result
+        raise ConvergenceError(f"aggregate split not settled in {_NEWTON_STEPS} steps")
+    return _certified(u, f, -grad)
+
+
+def method2_generic(lines, g, total_u):
+    """Aggregate-minimum split for any number of lines and a concave
+    distortion of the pooled curve: _newton_split from _first_split over
+    quadrature passes that each give F, its gradient and the Hessian rows
+    of the lines that may move (see _pooled_deficit), at a tolerance set
+    once, min(abs_tol, rel_tol * D) for the largest single-line deficit D
+    at the first split, a lower bound on F there."""
+    if not g.concave:
+        raise DomainError("aggregate objective needs a concave distortion")
+    a, b, u = _first_split(lines, g, total_u)
+    floor = DEFAULT_TOL.rel_tol * float(np.max(g.primitive(a * np.exp(-b * u)) / b))
+    tol = DEFAULT_TOL
+    if 0.0 < floor < tol.abs_tol:
+        tol = replace(tol, abs_tol=floor)
+    evaluate = lambda u, rows: _pooled_deficit(a, b, g, u, tol, rows)
+    return _newton_split(evaluate, u, b)
 
 
 @functools.lru_cache(maxsize=_EXACT_MAX_LINES)
@@ -530,14 +561,11 @@ def _exact_pass(a, b, alpha):
     With psi_k = a_k exp(-b_k (u_k + v)), inclusion-exclusion gives the
     identity deficit F_id(u) as the sum over nonempty subsets S of
     T_S = (-1)**(|S| + 1) prod_{k in S} a_k exp(-b_k u_k) / sum_{k in S} b_k,
-    each formed in logs, and d T_S / d u_k = -b_k T_S for k in S.  So
-    one product of the membership rows, weighted by T_S and scaled by
-    (-b, 1), holds the Hessian, the gradient and F.  For tvar,
-    F = v* + F_id(u + v*)/alpha and grad F = grad F_id(u + v*)/alpha,
-    since the terms in dv*/du cancel at psi~ = alpha; the Hessian adds
-    the rank-one term p p^T / sum(p) of p = d psi~/du at u + v*, from
-    dv*/du_j = -p_j / sum(p).
-    """
+    each formed in logs, and d T_S / d u_k = -b_k T_S for k in S, so one
+    product of the membership rows, weighted by T_S and scaled by (-b, 1),
+    holds the Hessian, the gradient and F.  For tvar, F = v* + F_id(u +
+    v*)/alpha, its gradient follows as in _pooled_deficit, and the
+    Hessian adds p p^T / sum(p) for p = d psi~/du at u + v*."""
     rows, sign = _subsets(a.size)
     member = rows[:, :-1]
     with np.errstate(divide="ignore"):
@@ -565,121 +593,30 @@ def _exact_pass(a, b, alpha):
 
 def method2_exact(lines, g, total_u):
     """Aggregate-minimum split under the identity or a tvar distortion
-    for 1 to _EXACT_MAX_LINES lines, with no quadrature.
-
-    The pooled deficit, its gradient and its Hessian come exactly from
-    inclusion-exclusion over the 2**K - 1 subsets of lines (see
-    _exact_pass).  The split starts from water filling on the lines'
-    ruin curves and moves by Newton steps on the budget simplex: each
-    step solves the bordered KKT system on the lines that hold reserve,
-    a ratio test lets one line leave, and Armijo backtracking follows.
-    Once the Newton step on the current lines is below a reserve
-    tolerance, the idle line whose marginal reduction most exceeds the
-    multiplier enters, or the split is optimal.  Terms are scaled by the
-    largest log ruin level at the start, so deficits far below the
-    smallest float still give a split.  kkt_residual is the largest
-    marginal reduction less the smallest on lines holding reserve,
-    relative to the mean of the latter.
-    """
+    for 1 to _EXACT_MAX_LINES lines, with no quadrature: _newton_split
+    from _first_split on F, its gradient and its Hessian from
+    inclusion-exclusion (see _exact_pass), whose terms are scaled by the
+    largest log ruin level at the first split, so that deficits far
+    below the smallest float still give a split."""
     if g.kind not in ("identity", "tvar"):
         raise DomainError(f"exact aggregate route needs identity or tvar, got {g.kind}")
-    _check_budget(total_u)
-    k = len(lines)
-    if not 1 <= k <= _EXACT_MAX_LINES:
-        raise DomainError(
-            f"exact aggregate route takes 1 to {_EXACT_MAX_LINES} lines, got {k}"
-        )
-    consts = [ruin_constants(line) for line in lines]
-    a = np.array([c.a for c in consts])
-    b = np.array([c.b for c in consts])
+    if len(lines) > _EXACT_MAX_LINES:
+        raise DomainError(f"exact aggregate route takes up to {_EXACT_MAX_LINES} lines")
+    a, b, u = _first_split(lines, g, total_u)
     evaluate = _exact_pass(a, b, g.param if g.kind == "tvar" else 1.0)
-    if k == 1 or total_u == 0.0 or not a.any():
-        # nothing to choose, or no line can be ruined: F is 0 everywhere
-        u = np.full(k, total_u / k)
-        f, grad, _ = evaluate(u)
-        active = [int(i) for i in np.flatnonzero(u > 0.0)]
-        return AllocationResult(u, active, float(np.max(-grad)), float(f), 0.0)
-
     with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-    u, _ = _water_fill(log_a, 1.0 / b, total_u)
-    shift = float(np.max(log_a - b * u))
-    f, grad, hess = evaluate(u, shift)
-    free = u > 0.0
-    # the budget plus the decay lengths 1/b_k set the scale of the split;
-    # a Newton step below 1e-14 of it is at the rounding of the solve
-    scale = total_u + float(np.sum(1.0 / b))
-    step_tol = 1e-14 * scale
-    for _ in range(_NEWTON_STEPS):
-        idx = np.flatnonzero(free)
-        n = idx.size
-        kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = hess[np.ix_(idx, idx)]
-        kkt[n, n] = 0.0
-        # far past the tvar edge a line's terms underflow and F turns
-        # linear in the others, so the Hessian can be singular; the ridge
-        # bounds the step to about 1e9 times the scale, for the ratio test
-        # to cut.  Bounded by the budget instead, a step at a budget far
-        # below the scale would pass for rounding and never move reserve.
-        kkt[range(n), range(n)] += max(
-            1e-9 * float(np.max(np.abs(grad[idx]))) / scale, _TINY
-        )
-        sol = np.linalg.solve(kkt, np.append(-grad[idx], 0.0))
-        step = np.zeros(k)
-        # the solve keeps the budget only up to its conditioning
-        step[idx] = sol[:n] - np.mean(sol[:n])
-        level = sol[n]
-        if np.max(np.abs(step)) <= step_tol:
-            excess = np.where(free, -np.inf, -grad - level)
-            enter = int(np.argmax(excess))
-            if excess[enter] <= 1e-11 * level:
-                break
-            free[enter] = True
-            continue
-        shrinking = step < 0.0
-        ratios = np.full(k, np.inf)
-        ratios[shrinking] = u[shrinking] / -step[shrinking]
-        leave = int(np.argmin(ratios))
-        t = min(1.0, float(ratios[leave]))
-        blocked = t < 1.0
-        slope = float(grad @ step)
-        while True:
-            cand = u + t * step
-            if blocked:
-                cand[leave] = 0.0
-            fc, gc, hc = evaluate(cand, shift)
-            # the allowance lets steps through whose decrease is below
-            # the rounding of the alternating sum near the optimum
-            if fc <= f + 1e-4 * t * slope + 1e-13 * abs(f):
-                break
-            t *= 0.5
-            blocked = False
-            if t < 1e-12:
-                raise ConvergenceError("exact aggregate line search stalled")
-        if blocked:
-            free[leave] = False
-        u, f, grad, hess = cand, fc, gc, hc
-    else:
-        raise ConvergenceError(
-            f"exact aggregate split not settled in {_NEWTON_STEPS} Newton steps"
-        )
-
-    active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    reductions = -grad
-    level = float(np.mean(reductions[active]))
-    resid = float(np.max(reductions) - np.min(reductions[active])) / max(
-        level, 1e-300
-    )
-    scale = math.exp(shift)
-    return AllocationResult(u, active, level * scale, float(f) * scale, resid)
+        shift = float(np.max(np.log(a) - b * u)) if a.any() else 0.0
+    res = _newton_split(lambda u, rows: evaluate(u, shift), u, b)
+    unit = math.exp(shift)
+    return replace(res, threshold=res.threshold * unit, objective=res.objective * unit)
 
 
 def aggregate_min(lines, g, total_u):
     """Aggregate-minimum split: the closed two-line route for two
     identity-distorted lines; the exact inclusion-exclusion route for
     identity on 3 or more lines and tvar on any number, up to
-    _EXACT_MAX_LINES lines; projected gradient descent over quadrature
-    passes for ph and for more lines."""
+    _EXACT_MAX_LINES lines; the quadrature route for ph and for more
+    lines.  Both of the last take the same Newton steps."""
     k = len(lines)
     if g == identity() and k == 2:
         return method2_two_line(lines[0], lines[1], total_u)

@@ -108,6 +108,19 @@ class Distortion:
         out = np.where(arr > edge, 0.0, p * arr ** (p - 1.0) / s)
         return out if out.ndim else float(out)
 
+    def curvature(self, x):
+        """The second derivative g''; accepts a float or an ndarray of values
+        in [0, 1].  ph gives p * (p - 1) * x**(p - 2), -inf at 0 when p < 1;
+        the linear pieces of identity and tvar give 0; varstep raises
+        DomainError, as for slope."""
+        arr = _unit_interval(x)
+        if not self.concave:
+            raise DomainError("varstep distortion has no curvature")
+        s, p, _ = self.primitive_pieces
+        # only p = 1 comes with an edge, and x**(p - 2) is infinite at 0
+        out = p * (p - 1.0) * arr ** (p - 2.0) / s if p < 1.0 else 0.0 * arr
+        return out if out.ndim else float(out)
+
     def primitive(self, y):
         """G(y) = integral of g(x)/x over (0, y]; accepts a float or an
         ndarray of values in [0, 1].  On a ruin curve psi, x = psi(v) turns

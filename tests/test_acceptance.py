@@ -381,9 +381,8 @@ def test_criterion_14_uniform_distortion_invariance(announce):
 def test_criterion_15_generic_solver_vs_closed_form(announce):
     fast = line_from_ruin_constants(0.9, 0.05)
     slow = line_from_ruin_constants(0.9, 0.01)
-    # reserve tolerance 1e-6 on the solver maps to ≤ ~2e-7 in objective
-    # through the largest marginal rate, so 1e-6 slack covers exact grid
-    # ties at the corner without masking a real miss
+    # 1e-6 slack in objective covers exact grid ties at the corner
+    # without masking a real miss
     obj_slack = 1e-6
     worst_component = 0.0
     grid_ok = True
@@ -403,7 +402,7 @@ def test_criterion_15_generic_solver_vs_closed_form(announce):
                         grid_ok = False
     ok = worst_component <= 1e-3 and grid_ok
     announce(
-        15, ok, f"projected gradient within {worst_component:.1e} of closed "
+        15, ok, f"active-set Newton within {worst_component:.1e} of closed "
         "form; beats all feasible 50×50 grid points"
     )
     assert ok, f"component gap {worst_component:.2e}, grid dominance {grid_ok}"

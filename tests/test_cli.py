@@ -254,6 +254,19 @@ class TestAllocateCommand:
         assert [r[4] for r in rows] == ["0", "0", total]
         assert summary.split() == ["0.563218", "objective=186.522"]
 
+    @pytest.mark.parametrize("total", ["1e-09", "1e-17"])
+    def test_aggregate_min_corner_below_1e_8_is_active(self, capsys, total):
+        code, out, _ = run(
+            capsys,
+            "allocate", "--line", "10,1,12", "--line", "1,10,15",
+            "--line", "0.1,100,20", "--u", total, "--method", "aggregate-min",
+            "--g", "ph:0.7", "--format", "csv",
+        )
+        assert code == 0
+        _, rows = csv_rows(out.rsplit("threshold=", 1)[0])
+        assert [r[4] for r in rows] == ["0", "0", total]
+        assert [r[5] for r in rows] == ["no", "no", "yes"]
+
     def test_aggregate_min_three_line_exact_route(self, capsys):
         code, out, _ = run(
             capsys,

@@ -128,6 +128,30 @@ class TestSlope:
             identity().slope(1.5)
 
 
+class TestCurvature:
+    @pytest.mark.parametrize(
+        "g", [identity(), proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.2)]
+    )
+    def test_matches_central_differences_of_slope(self, g):
+        # stay clear of 0, of 1 and of the tvar kink at 0.2
+        x = np.array([0.01, 0.05, 0.15, 0.3, 0.55, 0.9])
+        h = 1e-6
+        numeric = (g.slope(x + h) - g.slope(x - h)) / (2.0 * h)
+        assert g.curvature(x) == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+
+    def test_scalar_in_scalar_out(self):
+        # ph:0.5 gives -x**-1.5 / 4
+        assert proportional_hazard(0.5).curvature(0.25) == pytest.approx(-2.0)
+        assert tvar(0.1).curvature(0.5) == 0.0
+        assert isinstance(identity().curvature(0.0), float)
+
+    def test_varstep_refused(self):
+        with pytest.raises(DomainError):
+            var_step(0.4).curvature(np.array([0.1, 0.5]))
+        with pytest.raises(DomainError):
+            identity().curvature(1.5)
+
+
 class TestScalarPath:
     # a float argument to g takes plain float arithmetic; it must agree
     # with the array form, including at the endpoints, the kink and NaN

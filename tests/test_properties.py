@@ -23,7 +23,6 @@ from maxdeficit import (
     ruin_constants,
     tail_integral,
 )
-from maxdeficit.allocate import _project_simplex
 from maxdeficit.cli import main
 
 FIXED = settings(derandomize=True, deadline=None, database=None)
@@ -90,35 +89,6 @@ class TestMethod1Exponential:
             else:
                 assert u[i] == 0.0
                 assert level <= res.threshold * (1.0 + 1e-12)
-
-
-class TestProjectSimplex:
-    @settings(FIXED, max_examples=200)
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
-        st.floats(1e-6, 1e3),
-    )
-    def test_feasible_and_optimal(self, values, total):
-        v = np.array(values)
-        x = _project_simplex(v, total)
-        assert np.all(x >= 0.0)
-        assert x.sum() == pytest.approx(total, rel=1e-12, abs=1e-9)
-        # KKT of the Euclidean projection: x = max(v - theta, 0) for one
-        # theta, so v - x is theta where x > 0 and at most theta elsewhere
-        scale = 1e-12 * max(1.0, float(np.max(np.abs(v))), total)
-        held = x > 0.0
-        theta = float(np.mean((v - x)[held]))
-        assert np.all(np.abs((v - x)[held] - theta) <= 64 * scale)
-        assert np.all(v[~held] <= theta + 64 * scale)
-
-    @pytest.mark.parametrize("total", [1e-17, 1e-20, 1e-300])
-    def test_total_below_rounding_of_the_largest_entry(self, total):
-        v = np.array([0.5, 1.0, 1.0 - 2.0**-52, -2.0])
-        x = _project_simplex(v, total)
-        assert np.array_equal(x, [0.0, total, 0.0, 0.0])
-        # entries as close as their rounding share it
-        x = _project_simplex(np.array([1.0, 1.0, 0.5]), total)
-        assert x == pytest.approx([total / 2, total / 2, 0.0], rel=1e-15)
 
 
 class TestLambertW:
