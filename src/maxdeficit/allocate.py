@@ -37,6 +37,9 @@ _TINY = np.finfo(float).tiny
 # reserve tolerance it must deliver
 _LEVEL_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14)
 
+# chord refits of method1_generic's exponential fits before it brackets
+_FIT_ROUNDS = 4
+
 # Newton steps allowed to the tvar edge v* and to the exact aggregate split
 _NEWTON_STEPS = 100
 
@@ -157,9 +160,14 @@ def _water_fill(log_tops, w, total_u):
     return u * (total_u / u.sum()), log_s
 
 
-def _inverse_marginal(m, log_top, log_level, last):
+def _log(x):
+    """ln x for x > 0, -inf otherwise."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _inverse_marginal(m, log_top, log_level, seed):
     """Reserve u with ln m(u) = log_level, 0 where log_top = ln m(0) is
-    no higher; the doubling bracket starts from last, the reserve at a
+    no higher; the doubling bracket starts from seed, a reserve at a
     nearby level.  Where m underflows to 0 the plain level gap stands in
     for the log gap, with the same sign."""
     if log_level >= log_top:
@@ -170,7 +178,7 @@ def _inverse_marginal(m, log_top, log_level, last):
         value = m(u)
         return math.log(value) - log_level if value > 0.0 else value - level
 
-    lo, hi = 0.0, last if last > 0.0 else 1.0
+    lo, hi = 0.0, seed if seed > 0.0 else 1.0
     for _ in range(200):
         if gap(hi) <= 0.0:
             break
@@ -180,59 +188,136 @@ def _inverse_marginal(m, log_top, log_level, last):
     return brent_root(gap, lo, hi, _LEVEL_TOL)
 
 
+def _fitted_split(marginals, log_tops, rates, total_u):
+    """Water filling on the exponential fits top_k * exp(-rates[k] * u) of
+    the marginals, each active line refitted to its chord in ln m from 0
+    to its reserve until every active ln m matches ln s, s the threshold,
+    to rounding, and once more to polish.  Returns the reserves and ln s
+    of the last fit (None before any), the largest gap of an active ln m
+    from ln s at the last check (inf before any), and whether the fits
+    settled; they do not where a rate is not finite and positive or
+    _FIT_ROUNDS rounds pass without agreement."""
+    u = log_s = None
+    miss, settled = math.inf, False
+    log_top_array = np.array(log_tops)
+    for _ in range(_FIT_ROUNDS):
+        if not all(0.0 < rate < math.inf for rate in rates):
+            break
+        u, log_s = _water_fill(log_top_array, 1.0 / np.array(rates), total_u)
+        if settled:
+            break
+        tol = 1e-14 * max(1.0, abs(log_s))
+        miss, settled = 0.0, True
+        for k, x in enumerate(u.tolist()):
+            if x > 0.0:
+                log_level = _log(marginals[k](x))
+                miss = max(miss, abs(log_level - log_s))
+                settled = settled and abs(log_level - log_s) <= tol
+                chord = (log_tops[k] - log_level) / x
+                # a reserve within rounding of 0 leaves its chord to rounding
+                if chord > 0.0:
+                    rates[k] = chord
+    return u, log_s, miss, settled
+
+
+def _level_bracket(gap, start, step, top):
+    """Ends lo < hi of ln s with gap(lo) > 0 >= gap(hi), found by steps
+    of step, 2 step, 4 step, ... from start toward the sign change; hi is
+    at most top, where gap < 0, and lo no lower than the level floor,
+    whose gap may still not be positive (brent_root then refuses it)."""
+    floor = math.log(_LEVEL_FLOOR)
+    lo = hi = min(max(start, floor), top)
+    if gap(lo) > 0.0:
+        while gap(hi) > 0.0:
+            lo, hi, step = hi, min(hi + step, top), 2.0 * step
+    else:
+        while lo > floor and gap(lo) <= 0.0:
+            hi, lo, step = lo, max(lo - step, floor), 2.0 * step
+    return lo, hi
+
+
+def _bracketed_split(marginals, log_tops, total_u, u, log_s, miss):
+    """ln s where the reserves that invert the marginals at s add up to
+    total_u, and those reserves, by brent_root on ln s over the bracket
+    that _level_bracket finds from the last fit's ln s in steps of its
+    miss, or from the highest top in steps of 1 where no fit was made.
+    The fit's reserves u seed each line's first doubling bracket."""
+    top = max(log_tops)
+    # each line's last positive reserve seeds its next doubling bracket
+    seeds = [0.0] * len(marginals) if u is None else u.tolist()
+
+    @functools.lru_cache(maxsize=None)
+    def reserves_at(log_level):
+        reserves = []
+        for i, (m, log_top) in enumerate(zip(marginals, log_tops)):
+            x = _inverse_marginal(m, log_top, log_level, seeds[i])
+            seeds[i] = x or seeds[i]
+            reserves.append(x)
+        return tuple(reserves)
+
+    gap = lambda log_level: sum(reserves_at(log_level)) - total_u
+    # a fit that did not settle missed by more than rounding, unless a
+    # level it checked was NaN
+    start, step = (log_s, miss) if log_s is not None and miss > 0.0 else (top, 1.0)
+    log_level = brent_root(gap, *_level_bracket(gap, start, step, top), _LEVEL_TOL)
+    return log_level, np.array(reserves_at(log_level))
+
+
+def _marginal_objective(marginals, u):
+    """The sum over lines of the integral of m_k from u_k: one tail
+    integral over w >= 0 of the sum of m_k(u_k + w)."""
+    held = list(zip(marginals, u.tolist()))
+    return tail_integral(lambda w: sum(m(x + w) for m, x in held), 0.0)
+
+
 def method1_generic(marginals, total_u):
     """Marginal-sum allocation for arbitrary decreasing marginal maps.
 
-    marginals are callables u -> distorted ruin probability of one
-    line.  The threshold s is found by bracketed root finding on
-    ln s, and at each trial s every marginal is inverted by bracketed
-    root finding on ln m(u) - ln s, both at the level tolerance.  A
-    coarse grid check rejects non-monotone marginals up front.  Each
-    marginal must accept an ndarray of reserves as well as a float.
+    marginals are callables u -> distorted ruin probability of one line;
+    each must accept an ndarray of reserves as well as a float.  A coarse
+    grid check rejects non-monotone marginals up front, and its first
+    step h fits each marginal by the exponential of rate ln(m(0)/m(h))/h,
+    the Cramer-Lundberg shape of every ruin curve.  Water filling on the
+    fits, refitted by chords (_fitted_split), gives the split; an
+    exponential marginal settles at the first check.  Where the fits do
+    not settle, the threshold s is found by bracketed root finding on
+    ln s from the last fit (_bracketed_split), and at each trial s every
+    marginal is inverted by bracketed root finding on ln m(u) - ln s,
+    both at the level tolerance.
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
     _check_budget(total_u)
     span = max(1.0, 2.0 * total_u)
     grid = np.linspace(0.0, span, 41)
-    for m in marginals:
-        if np.any(np.diff(m(grid)) > 1e-12):
-            raise DomainError("marginal map is not nonincreasing")
-    tops = [m(0.0) for m in marginals]
+    values = np.array([m(grid) for m in marginals])
+    if np.any(np.diff(values, axis=1) > 1e-12):
+        raise DomainError("marginal map is not nonincreasing")
+    tops, firsts = values[:, 0].tolist(), values[:, 1].tolist()
     level_max = max(tops)
     if level_max <= 0.0:
         raise DomainError("every marginal vanishes: nothing to allocate")
 
     if total_u == 0.0:
         zero = np.zeros(len(marginals))
-        obj = sum(tail_integral(m, 0.0) for m in marginals)
-        return AllocationResult(zero, [], level_max, obj, 0.0)
+        objective = _marginal_objective(marginals, zero)
+        return AllocationResult(zero, [], level_max, objective, 0.0)
 
-    log_tops = [math.log(top) if top > 0.0 else -math.inf for top in tops]
-    # each line's last positive reserve seeds its next doubling bracket
-    seeds = [0.0] * len(marginals)
-
-    def reserves_at(log_level):
-        reserves = []
-        for i, (m, log_top) in enumerate(zip(marginals, log_tops)):
-            u = _inverse_marginal(m, log_top, log_level, seeds[i])
-            seeds[i] = u or seeds[i]
-            reserves.append(u)
-        return reserves
-
-    log_level = brent_root(
-        lambda t: sum(reserves_at(t)) - total_u,
-        math.log(_LEVEL_FLOOR),
-        math.log(level_max),
-        _LEVEL_TOL,
-    )
-    u = np.array(reserves_at(log_level))
-    level = math.exp(log_level)
-    active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    objective = sum(tail_integral(m, ui) for m, ui in zip(marginals, u))
-    levels = [marginals[i](u[i]) for i in active]
+    log_tops = [_log(top) for top in tops]
+    # a line without level never holds reserve, whatever its rate
+    rates = [
+        (log_top - _log(first)) / grid[1] if top > 0.0 else 1.0
+        for top, first, log_top in zip(tops, firsts, log_tops)
+    ]
+    u, log_s, miss, settled = _fitted_split(marginals, log_tops, rates, total_u)
+    if not settled:
+        log_s, u = _bracketed_split(marginals, log_tops, total_u, u, log_s, miss)
+    level = math.exp(log_s)
+    active = [k for k, x in enumerate(u.tolist()) if x > 0.0]
+    levels = [marginals[k](x) for k, x in zip(active, u[active].tolist())]
     spread = (max(levels) - min(levels)) / level if active else 0.0
-    return AllocationResult(u, active, level, float(objective), float(spread))
+    objective = _marginal_objective(marginals, u)
+    return AllocationResult(u, active, level, objective, float(spread))
 
 
 def rho2_two_line(line1, line2, u1, u2):

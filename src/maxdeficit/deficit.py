@@ -62,19 +62,25 @@ def _newton_root(f, slope, u, fu, tol, restart):
     """Root of a convex decreasing f by Newton steps from u, where
     f(u) = fu; returns the root and f there.
 
-    Stops as Brent does: once |f| <= abs_tol or a step is no larger than
-    rel_tol*|u| + abs_tol.  Where the slope is not negative, the solve
-    goes back once to restart, a pair (u, f(u)) left of the root; a
-    second such slope raises ConvergenceError, as do max_iter steps.
+    Stops once a step is no larger than rel_tol*|u| + abs_tol, or once
+    |f| <= abs_tol and so is the step f/f' that the last slope implies:
+    on a flat tail a small f alone leaves u far from the root.  At the
+    start, with no slope yet, |f| <= abs_tol stops.  Where the slope is
+    not negative, the solve goes back once to restart, a pair (u, f(u))
+    left of the root; a second such slope raises ConvergenceError, as do
+    max_iter steps.
     """
+    rate = None
     for _ in range(tol.max_iter):
-        if abs(fu) <= tol.abs_tol:
+        if abs(fu) <= tol.abs_tol and (
+            rate is None or abs(fu / rate) <= tol.rel_tol * abs(u) + tol.abs_tol
+        ):
             return u, fu
         rate = slope(u)
         if not rate < 0.0:
             if restart is None:
                 raise ConvergenceError(f"curve is flat at u={u} with f={fu}")
-            (u, fu), restart = restart, None
+            (u, fu), restart, rate = restart, None, None
             continue
         step = -fu / rate
         u += step

@@ -172,6 +172,22 @@ def parse_distortion(spec):
 
 # parts into which each call of the tail cuts edge_reserve's bracket
 _EDGE_CUTS = 33
+# offsets in floats from the log-linear root that edge_reserve probes: the
+# nearest 8 on either side, then steps of _EDGE_CUTS out to 272, so that a
+# crossing within 272 floats of the root is one cut from adjacent ends, then
+# doubling steps, which leave a crossing further out inside a factor 2
+_EDGE_REACH = [
+    *range(1, 9),
+    *range(8 + _EDGE_CUTS, 273, _EDGE_CUTS),
+    *(272 << k for k in range(1, 41)),
+]
+_EDGE_PROBE = np.array([-k for k in reversed(_EDGE_REACH)] + [0] + _EDGE_REACH)
+
+
+def _log_ratio(x, y):
+    """ln(x / y) of floats, -inf where x / y is 0 or NaN."""
+    ratio = x / y
+    return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
 def edge_reserve(g, tail, tol=DEFAULT_TOL):
@@ -183,20 +199,25 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
 
     tail is nonincreasing and maps an ndarray of v to one value per
     point.  One call brackets v among the ends 0, 1, 3, ..., 2**k - 1 of
-    tail_integral's first max_iter panels; each further call cuts the
-    bracket into _EDGE_CUTS parts, evenly in the bit patterns of its
-    floats, until its ends are adjacent floats: about 13 calls in all.
-    The end returned has tail(v) <= edge, so no sliver where g = 1 is
-    left beyond it; values past the first panel end at or below the
-    edge, NaN included, are not used.  A tail above the edge at every
-    panel end raises TruncationError, as tail_integral would, with the
-    integral of g = 1 up to the last one as its partial value.
+    tail_integral's first max_iter panels.  The second probes the root of
+    the line through ln tail at the bracket's ends, where an exponential
+    tail meets the edge, and the floats next to it; on an exponential
+    tail they hold the crossing, and the search ends there.  Otherwise
+    the probe narrows the bracket, and each further call cuts it into
+    _EDGE_CUTS parts, evenly in the bit patterns of its floats, until its
+    ends are adjacent floats.  The end returned has tail(v) <= edge, so
+    no sliver where g = 1 is left beyond it; values past the first panel
+    end at or below the edge, NaN included, are not used.  A tail above
+    the edge at every panel end raises TruncationError, as tail_integral
+    would, with the integral of g = 1 up to the last one as its partial
+    value.
     """
     edge = g.primitive_pieces[2]
     if edge == math.inf:
         return 0.0
     ends = np.exp2(np.arange(tol.max_iter + 1.0)) - 1.0
-    below = np.asarray(tail(ends)) <= edge
+    values = np.asarray(tail(ends))
+    below = values <= edge
     if below[0]:
         return 0.0
     if not below.any():
@@ -205,16 +226,25 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
             float(ends[-1]),
         )
     j = int(below.argmax())
+    v_lo, v_hi = ends[j - 1:j + 1].tolist()
+    t_lo, t_hi = values[j - 1:j + 1].tolist()
+    root = v_lo + _log_ratio(edge, t_lo) / _log_ratio(t_hi, t_lo) * (v_hi - v_lo)
+    if not v_lo <= root <= v_hi:
+        # NaN, or a tail that is not monotone
+        root = v_lo
     # nonnegative floats order as their bit patterns read as integers
     lo, hi = ends[j - 1:j + 1].view(np.int64)
+    probe = np.minimum(np.maximum(np.float64(root).view(np.int64) + _EDGE_PROBE, lo), hi)
+    cuts = np.concatenate(([lo], probe, [hi]))
     steps = np.arange(_EDGE_CUTS + 1)
-    while hi - lo > 1:
-        # a step rounded up puts the last cut on hi or beyond, capped to hi
-        cuts = np.minimum(lo - (lo - hi) // _EDGE_CUTS * steps, hi)
+    while True:
         below = np.asarray(tail(cuts.view(np.float64))) <= edge
         j = int(below.argmax())
         lo, hi = cuts[j - 1], cuts[j]
-    return float(hi.view(np.float64))
+        if hi - lo <= 1:
+            return float(hi.view(np.float64))
+        # a step rounded up puts the last cut on hi or beyond, capped to hi
+        cuts = np.minimum(lo - (lo - hi) // _EDGE_CUTS * steps, hi)
 
 
 def choquet_tail(g, tail, tol=DEFAULT_TOL):

@@ -293,8 +293,10 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
             left = right
             h *= 2.0
         pieces, stops = _panels(f, np.array(marks), tol)
+        # one integrand's panels add as plain floats, to the same sums
+        columns = pieces.tolist() if pieces.ndim == 1 else pieces.T
         for j in range(n):
-            total = total + pieces[..., j]
+            total = total + columns[j]
             if stops[j]:
                 return total if np.ndim(total) else float(total)
         done += n

@@ -10,6 +10,18 @@ LINE2 = ExponentialLine(1.0, 10.0, 15.0)
 LINE3 = ExponentialLine(0.1, 100.0, 20.0)
 
 
+def counted(f):
+    """f wrapped to record the argument of every call, and that record:
+    the call counter of the edge search and marginal-call tests."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
 @pytest.fixture
 def lines():
     return (LINE1, LINE2, LINE3)

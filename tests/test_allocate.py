@@ -37,7 +37,7 @@ from maxdeficit import (
     var_step,
 )
 from maxdeficit import allocate
-from tests.conftest import LINE1, LINE2, LINE3
+from tests.conftest import LINE1, LINE2, LINE3, counted
 
 # the pair used throughout the aggregate-method checks: same zero-reserve
 # ruin probability, very different decay rates
@@ -242,22 +242,81 @@ class TestMethod1Generic:
     )
     def test_log_level_solve_is_exact_in_few_calls(self, lines, g, total):
         calls = []
+        marginals = []
+        for line in lines:
+            m, seen = counted(lambda u, line=line: g(ultimate_ruin(line, u)))
+            marginals.append(m)
+            calls.append(seen)
 
-        def marginal(line):
-            def m(u):
-                calls.append(u)
-                return g(ultimate_ruin(line, u))
-            return m
-
-        res = method1_generic([marginal(line) for line in lines], total)
-        assert len(calls) <= 200
+        res = method1_generic(marginals, total)
+        # per line: the grid, the check of the fit, the level at the
+        # polished split and one objective pass
+        assert sum(map(len, calls)) <= 12
         # (a exp(-b u))**p is the marginal level of penalty exponent 1/p
         p = 1.0 if g.kind == "identity" else g.param
         problem = AllocationProblem(lines=lines, total_u=total, gammas=(1.0 / p,) * 3)
         closed = method1_exponential(problem)
-        assert res.reserves == pytest.approx(closed.reserves, rel=1e-12)
-        assert res.threshold == pytest.approx(closed.threshold, rel=1e-12)
+        assert res.reserves == pytest.approx(closed.reserves, rel=1e-14)
+        assert res.threshold == pytest.approx(closed.threshold, rel=1e-14)
+        assert res.kkt_residual <= 1e-14
+        assert res.objective == pytest.approx(closed.objective, rel=1e-10)
+
+    def test_objective_is_one_tail_integral(self, lines, monkeypatch):
+        passes = []
+        inner = allocate.tail_integral
+
+        def one_pass(f, a, *rest):
+            passes.append(a)
+            return inner(f, a, *rest)
+
+        monkeypatch.setattr(allocate, "tail_integral", one_pass)
+        marginals = [(lambda u, line=line: ultimate_ruin(line, u)) for line in lines]
+        for total in (0.0, 100.0):
+            passes.clear()
+            method1_generic(marginals, total)
+            assert passes == [0.0]
+
+    @pytest.mark.parametrize("total, most", [(500.0, 170), (1000.0, 100)])
+    def test_tvar_plateaus_take_the_bracketed_solve(self, lines, total, most):
+        # min(psi / alpha, 1) is flat at 1 up to each line's edge reserve,
+        # so the grid gives no rate; past the edges the lines water-fill
+        # as a_k / alpha * exp(-b_k u), which sets the exact split
+        alpha = 0.1
+        calls = []
+        marginals = []
+        for line in lines:
+            m, seen = counted(lambda u, line=line: tvar(alpha)(ultimate_ruin(line, u)))
+            marginals.append(m)
+            calls.append(seen)
+        res = method1_generic(marginals, total)
+        # bracketing ln s up from the floor 1e-14 takes 206 and 190 calls
+        assert sum(map(len, calls)) <= most
         assert res.kkt_residual <= 1e-12
+        consts = [ruin_constants(line) for line in lines]
+        w = np.array([1.0 / k.b for k in consts])
+        log_tops = np.array([math.log(k.a / alpha) for k in consts])
+        log_s = (w @ log_tops - total) / w.sum()
+        assert res.reserves == pytest.approx(w * (log_tops - log_s), rel=1e-10)
+        assert res.threshold == pytest.approx(math.exp(log_s), rel=1e-10)
+
+    def test_pareto_marginals_take_the_bracketed_solve(self):
+        # (1 + u)**-n is no exponential: the chord refits do not settle
+        powers = (3.0, 4.0, 5.0)
+        calls = []
+        marginals = []
+        for n in powers:
+            m, seen = counted(lambda u, n=n: (1.0 + np.asarray(u)) ** -n)
+            marginals.append(m)
+            calls.append(seen)
+        res = method1_generic(marginals, 5.0)
+        # bracketing ln s up from the floor 1e-14 takes 341 calls
+        assert sum(map(len, calls)) <= 150
+        assert res.kkt_residual <= 1e-12
+        assert res.reserves.sum() == pytest.approx(5.0, rel=1e-12)
+        levels = [(1.0 + u) ** -n for u, n in zip(res.reserves, powers)]
+        assert levels == pytest.approx([res.threshold] * 3, rel=1e-12)
+        tails = [(1.0 + u) ** (1.0 - n) / (n - 1.0) for u, n in zip(res.reserves, powers)]
+        assert res.objective == pytest.approx(sum(tails), rel=1e-9)
 
     def test_single_line_takes_everything(self):
         res = method1_generic([lambda u: ultimate_ruin(LINE1, u)], 7.0)

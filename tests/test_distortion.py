@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdeficit import (
     Distortion,
@@ -13,6 +15,7 @@ from maxdeficit import (
     choquet_tail,
     choquet_weights,
     identity,
+    line_from_ruin_constants,
     parse_distortion,
     proportional_hazard,
     TruncationError,
@@ -23,7 +26,7 @@ from maxdeficit import (
     var_step,
 )
 from maxdeficit.distortion import edge_reserve
-from tests.conftest import LINE1, LINE2, LINE3
+from tests.conftest import LINE1, LINE2, LINE3, counted
 
 
 class TestParsing:
@@ -309,17 +312,6 @@ class TestChoquetTail:
             choquet_tail(tvar(0.1), lambda v: np.full(v.shape, 0.5))
 
 
-def counted(tail):
-    # the tail and a list of the calls made of it
-    calls = []
-
-    def f(v):
-        calls.append(v)
-        return tail(v)
-
-    return f, calls
-
-
 class TestEdgeReserve:
     # the least v >= 0 with tail(v) <= alpha, where g(tail) leaves 1
 
@@ -333,14 +325,45 @@ class TestEdgeReserve:
         before = np.nextafter(v, 0.0)
         assert ultimate_ruin(line, np.array([v]))[0] <= g.param
         assert ultimate_ruin(line, np.array([before]))[0] > g.param
-        # one call on the doubling grid, then about 5 bits per call
-        assert len(calls) <= 14
+        # one call on the doubling grid, then the probe around the root of
+        # the log-linear fit, which holds the crossing of an exponential tail
+        assert len(calls) <= 2
 
     def test_edge_below_one(self):
         # the bracket [0, 1] spans the most floats
         tail, calls = counted(lambda v: np.exp(-v))
         v = edge_reserve(tvar(0.9), tail)
         assert np.exp(-v) <= 0.9 < np.exp(-np.nextafter(v, 0.0))
+        assert len(calls) <= 14
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        a=st.floats(0.01, 0.99),
+        log_b=st.floats(-8.0, 4.0),
+        log_alpha=st.floats(math.log(1e-6), math.log(0.999)),
+        kind=st.sampled_from(["tvar", "varstep"]),
+    )
+    def test_least_float_on_random_lines(self, a, log_b, log_alpha, kind):
+        line = line_from_ruin_constants(a, math.exp(log_b))
+        alpha = math.exp(log_alpha)
+        tail, calls = counted(lambda v: ultimate_ruin(line, v))
+        v = edge_reserve(Distortion(kind, alpha), tail)
+        at, before = ultimate_ruin(line, np.array([v, np.nextafter(v, 0.0)]))
+        assert at <= alpha
+        assert v == 0.0 or before > alpha
+        # an edge within 1 % below tail(0) puts the crossing within the
+        # rounding of the tail, up to 1/(b v) floats from the fitted root,
+        # which the probe's doubling steps bracket and the cuts then close
+        assert len(calls) <= (14 if 0.99 * a < alpha < a else 3)
+
+    @pytest.mark.parametrize("closeness", [1e-3, 1e-6, 1e-9, 1e-14])
+    def test_edge_just_below_tail_at_zero(self, closeness):
+        line = line_from_ruin_constants(0.5, 1.0)
+        alpha = 0.5 * (1.0 - closeness)
+        tail, calls = counted(lambda v: ultimate_ruin(line, v))
+        v = edge_reserve(tvar(alpha), tail)
+        at, before = ultimate_ruin(line, np.array([v, np.nextafter(v, 0.0)]))
+        assert at <= alpha < before
         assert len(calls) <= 14
 
     def test_values_past_the_bracket_are_not_used(self):
@@ -364,14 +387,17 @@ class TestEdgeReserve:
     def test_step_tail_jumping_across_the_edge(self):
         q = 7.25
 
-        def tail(v):
+        def step(v):
             return np.where(v < q, 0.9, 0.05 * np.exp(q - v))
 
+        tail, calls = counted(step)
         assert edge_reserve(tvar(0.1), tail) == q
+        # no fit holds a jump: the probe only narrows the bracket
+        assert len(calls) <= 14
         assert edge_reserve(var_step(0.1), tail) == q
         # 1 up to q, then half the tail's integral for tvar; 0 for varstep
-        assert choquet_tail(tvar(0.1), tail) == pytest.approx(q + 0.5, rel=1e-12)
-        assert choquet_tail(var_step(0.1), tail) == q
+        assert choquet_tail(tvar(0.1), step) == pytest.approx(q + 0.5, rel=1e-12)
+        assert choquet_tail(var_step(0.1), step) == q
 
     def test_tail_that_never_reaches_the_edge(self):
         # tail_integral gives up after max_iter panels, the last ending

@@ -380,13 +380,16 @@ class TestFittedStart:
                 assert d(r.value * (1.0 - 1e-6)) > budget
 
     @pytest.mark.parametrize("g", [identity(), tvar(0.3)])
-    @pytest.mark.parametrize("param", [0.01, 0.3])
+    @pytest.mark.parametrize("param", [1e-4, 0.01, 0.3])
     def test_pareto_tail_matches_brent(self, g, param):
+        # at budget 1e-4 the slope is near -3e-6, so |f| <= abs_tol alone
+        # would stop up to 3e-5 short of the root; at margin 1e-4 under
+        # tvar:0.3 the root lies past 100
         quad = DeficitFunctional.quadrature(g, pareto_tail)
         tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15)
-        want = brent_root(lambda u: quad(u) - param, 0.0, 100.0, tight)
+        want = brent_root(lambda u: quad(u) - param, 0.0, 1000.0, tight)
         assert convex_measure(quad, param).value == pytest.approx(want, rel=1e-9)
-        want = brent_root(lambda u: quad(u) - param * u, 0.0, 100.0, tight)
+        want = brent_root(lambda u: quad(u) - param * u, 0.0, 1000.0, tight)
         got = proportional_measure(quad, param).value
         assert got == pytest.approx(want, rel=1e-9)
 
