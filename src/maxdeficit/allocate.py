@@ -168,13 +168,16 @@ def _log(x):
 def _inverse_marginal(m, log_top, log_level, seed):
     """Reserve u with ln m(u) = log_level, 0 where log_top = ln m(0) is
     no higher; the doubling bracket starts from seed, a reserve at a
-    nearby level.  Where m underflows to 0 the plain level gap stands in
-    for the log gap, with the same sign."""
+    nearby level; the gap at 0 is log_top - log_level, with no call.
+    Where m underflows to 0 the plain level gap stands in for the log
+    gap, with the same sign."""
     if log_level >= log_top:
         return 0.0
     level = math.exp(log_level)
 
     def gap(u):
+        if u == 0.0:
+            return log_top - log_level
         value = m(u)
         return math.log(value) - log_level if value > 0.0 else value - level
 
@@ -241,10 +244,12 @@ def _bracketed_split(marginals, log_tops, total_u, u, log_s, miss):
     total_u, and those reserves, by brent_root on ln s over the bracket
     that _level_bracket finds from the last fit's ln s in steps of its
     miss, or from the highest top in steps of 1 where no fit was made.
-    The fit's reserves u seed each line's first doubling bracket."""
+    The fit's reserves u seed each line's first doubling bracket; the
+    marginals' values are kept, so no reserve is evaluated twice."""
     top = max(log_tops)
     # each line's last positive reserve seeds its next doubling bracket
     seeds = [0.0] * len(marginals) if u is None else u.tolist()
+    marginals = [functools.lru_cache(maxsize=None)(m) for m in marginals]
 
     @functools.lru_cache(maxsize=None)
     def reserves_at(log_level):
@@ -261,6 +266,15 @@ def _bracketed_split(marginals, log_tops, total_u, u, log_s, miss):
     start, step = (log_s, miss) if log_s is not None and miss > 0.0 else (top, 1.0)
     log_level = brent_root(gap, *_level_bracket(gap, start, step, top), _LEVEL_TOL)
     return log_level, np.array(reserves_at(log_level))
+
+
+def _plateau_end(m, top, hi):
+    """The last float below hi at which m, flat at top from 0, is still
+    at top, by bisection to adjacent floats."""
+    lo = 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if m(mid) >= top else (lo, mid)
+    return lo
 
 
 def _marginal_objective(marginals, u):
@@ -312,6 +326,15 @@ def method1_generic(marginals, total_u):
     u, log_s, miss, settled = _fitted_split(marginals, log_tops, rates, total_u)
     if not settled:
         log_s, u = _bracketed_split(marginals, log_tops, total_u, u, log_s, miss)
+        # a solve that ends on a jump, at the top of lines flat there up
+        # to an edge, misses U; any split that keeps them on their
+        # plateaus is optimal, so they share what the others leave of U
+        held = np.abs(np.array(log_tops) - log_s) <= 1e-12 * (1.0 + abs(log_s))
+        if held.any() and abs(u.sum() - total_u) > 1e-9 * total_u:
+            flat = [(m, t) for m, t, h in zip(marginals, tops, held) if h]
+            ends = np.array([_plateau_end(m, t, total_u) for m, t in flat])
+            share = (total_u - u[~held].sum()) / ends.sum()
+            u[held] = ends * min(max(share, 0.0), 1.0)
     level = math.exp(log_s)
     active = [k for k, x in enumerate(u.tolist()) if x > 0.0]
     levels = [marginals[k](x) for k, x in zip(active, u[active].tolist())]

@@ -27,10 +27,9 @@ located once, to adjacent floats, when the curve is built; D(u) is
 D(v_e) + (v_e - u) up to it, from one kept integral, and one integral
 from u beyond it, the same max(u, kink) shape as the closed form.
 
-QuadratureCurve and EmpiricalCurve solve their rules from their kink k,
-v_e for a quadrature curve and zero otherwise, left of which D has
-slope -1: a budget or margin met at or left of k is met there and
-solved exactly, as the closed form does.  Otherwise the exponential
+QuadratureCurve solves its rules from its kink k = v_e, left of which
+D has slope -1: a budget or margin met at or left of k is met there
+and solved exactly, as the closed form does.  Otherwise the exponential
 D(k)*exp(-beta*(u - k)) with the curve's own value and slope at k, the
 Cramer-Lundberg shape of every ruin curve past its kink, gives the
 start of Newton steps on the exact slope: its root in closed form, by
@@ -38,7 +37,8 @@ a logarithm or a Lambert W step.  On an exponential line that start is
 the root to rounding, so a rule costs two evaluations of D.  Each
 tangent lies below the convex D, so a start past the root steps back
 below it, and from there the iterates rise to the root without passing
-it.
+it.  EmpiricalCurve is linear between its samples, so its rules are
+one inverse interpolation each, exact to rounding.
 """
 
 import functools
@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .distortion import Distortion, choquet_weights, edge_reserve
+from .distortion import Distortion, edge_reserve
 from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_TOL, lambert_w0, tail_integral
 from .model import ruin_constants
@@ -58,18 +58,19 @@ from .simulate import simulate_max_loss
 _LOG_W_MAX = 700.0
 
 
-def _newton_root(f, slope, u, fu, tol, restart):
-    """Root of a convex decreasing f by Newton steps from u, where
-    f(u) = fu; returns the root and f there.
+def _newton_root(f, slope, start, restart, tol):
+    """Root of a convex decreasing f by Newton steps from start, or from
+    restart, a pair (u, f(u)) left of the root, where start is not
+    finite; returns the root and f there.
 
     Stops once a step is no larger than rel_tol*|u| + abs_tol, or once
     |f| <= abs_tol and so is the step f/f' that the last slope implies:
     on a flat tail a small f alone leaves u far from the root.  At the
     start, with no slope yet, |f| <= abs_tol stops.  Where the slope is
-    not negative, the solve goes back once to restart, a pair (u, f(u))
-    left of the root; a second such slope raises ConvergenceError, as do
-    max_iter steps.
+    not negative, the solve goes back once to restart; a second such
+    slope raises ConvergenceError, as do max_iter steps.
     """
+    u, fu = (start, f(start)) if start < math.inf else restart
     rate = None
     for _ in range(tol.max_iter):
         if abs(fu) <= tol.abs_tol and (
@@ -142,7 +143,7 @@ class DeficitFunctional:
     @classmethod
     def empirical(cls, g, samples, horizon=math.inf):
         """Curve estimated from sampled maxima via the empirical Choquet
-        sum; the descending sort and rank weights are cached once."""
+        sum, kept as its values at the sorted samples."""
         return EmpiricalCurve(g, samples, horizon)
 
     def __call__(self, u):
@@ -215,80 +216,12 @@ class ClosedCurve(DeficitFunctional):
         return value, method, abs(self(value) - margin * value), branch
 
 
-class NewtonCurve(DeficitFunctional):
-    """A curve known through its tail S(u) = P(M > u), solved by Newton
-    steps from the root of its exponential fit at its kink (method
-    "root-bracketed"); each source gives _kink, left of which D has
-    slope -1, and _tail_weight(u) = g(S(u)) for u >= 0."""
-
-    _kink = 0.0
-
-    def slope(self, u):
-        """Right derivative D'(u) = -g(S(u)), with S = 1 below zero; D is
-        convex, so D(v) >= D(u) + (v - u) * D'(u) for v >= u."""
-        u = float(u)
-        if u < 0.0:
-            return -1.0
-        return -self._tail_weight(u)
-
-    def convex_root(self, budget, tol=DEFAULT_TOL):
-        """A budget of at least D(k) at the kink k meets the slope -1 part
-        at k + D(k) - budget; a smaller one takes Newton steps on
-        D(u) - budget from k + ln(D(k)/budget)/beta, where the curve's
-        exponential fit D(k)*exp(-beta*(u - k)) meets it."""
-        kink = self._kink
-        d_k = self(kink)
-        if d_k <= budget:
-            value = kink + d_k - budget
-            return value, "root-bracketed", abs(d_k + (kink - value) - budget), None
-        rate = self._tail_weight(kink) / d_k
-        start = kink + (math.log(d_k) - math.log(budget)) / rate
-        return self._newton_from(
-            lambda u: self(u) - budget, self.slope, start, d_k - budget, tol
-        )
-
-    def proportional_root(self, margin, tol=DEFAULT_TOL):
-        """A margin met at or left of the kink k, D(k) <= margin * k, is
-        met on the slope -1 part at (k + D(k))/(1 + margin); otherwise
-        Newton steps on D(u) - margin * u, of slope D'(u) - margin, start
-        where the exponential fit meets the margin line, at W(y)/beta
-        with y = beta * D(k) * exp(beta * k) / margin."""
-        kink = self._kink
-        d_k = self(kink)
-        if kink + d_k <= 0.0:
-            return 0.0, "root-bracketed", abs(d_k), "degenerate"
-        if d_k <= margin * kink:
-            value = (kink + d_k) / (1.0 + margin)
-            residual = abs(d_k + (kink - value) - margin * value)
-            return value, "root-bracketed", residual, None
-        weight = self._tail_weight(kink)
-        rate = weight / d_k
-        log_y = math.log(weight) - math.log(margin) + rate * kink
-        start = lambert_w0(math.exp(log_y)) / rate if log_y < _LOG_W_MAX else kink
-        return self._newton_from(
-            lambda u: self(u) - margin * u,
-            lambda u: self.slope(u) - margin,
-            start,
-            d_k - margin * kink,
-            tol,
-        )
-
-    def _newton_from(self, f, slope, start, f_kink, tol):
-        """Newton steps from start, or from the kink where the start is
-        not finite, with the kink, where f is f_kink > 0, to go back to."""
-        kink = self._kink
-        if not start < math.inf:
-            start = kink
-        f_start = f_kink if start == kink else f(start)
-        root, f_root = _newton_root(f, slope, start, f_start, tol, (kink, f_kink))
-        return root, "root-bracketed", abs(f_root), None
-
-
-class QuadratureCurve(NewtonCurve):
+class QuadratureCurve(DeficitFunctional):
     """D(u) = D(v_e) + (v_e - u) for u <= v_e = edge_reserve(g, psi),
     below zero included, with D(v_e) integrated on first use and kept;
     beyond v_e, tail_integral of the smooth g(psi(v)) from u.  v_e is
-    found when the curve is built, and is 0 for identity and ph."""
+    found when the curve is built, 0 for identity and ph; its rules take
+    Newton steps."""
 
     def __init__(self, g, psi, horizon, tol):
         super().__init__("quadrature", horizon)
@@ -308,14 +241,66 @@ class QuadratureCurve(NewtonCurve):
             return self._at_kink + (kink - u)
         return self._integral(u)
 
-    def _tail_weight(self, u):
-        return float(self._g(self._psi(np.array([u])))[0])
+    def slope(self, u):
+        """Right derivative D'(u) = -g(psi(u)), -1 below zero; D is convex,
+        so D(v) >= D(u) + (v - u) * D'(u) for v >= u."""
+        u = float(u)
+        if u < 0.0:
+            return -1.0
+        return -float(self._g(self._psi(np.array([u])))[0])
+
+    def convex_root(self, budget, tol=DEFAULT_TOL):
+        """A budget of at least D(k) at the kink k meets the slope -1 part
+        at k + D(k) - budget; a smaller one takes Newton steps on
+        D(u) - budget from k + ln(D(k)/budget)/beta, where the curve's
+        exponential fit D(k)*exp(-beta*(u - k)) meets it."""
+        kink = self._kink
+        d_k = self(kink)
+        if d_k <= budget:
+            value = kink + d_k - budget
+            return value, "root-bracketed", abs(d_k + (kink - value) - budget), None
+        rate = -self.slope(kink) / d_k
+        start = kink + (math.log(d_k) - math.log(budget)) / rate
+        root, f_root = _newton_root(
+            lambda u: self(u) - budget, self.slope, start, (kink, d_k - budget), tol
+        )
+        return root, "root-bracketed", abs(f_root), None
+
+    def proportional_root(self, margin, tol=DEFAULT_TOL):
+        """A margin met at or left of the kink k, D(k) <= margin * k, is
+        met on the slope -1 part at (k + D(k))/(1 + margin); otherwise
+        Newton steps on D(u) - margin * u, of slope D'(u) - margin, start
+        where the exponential fit meets the margin line, at W(y)/beta
+        with y = beta * D(k) * exp(beta * k) / margin."""
+        kink = self._kink
+        d_k = self(kink)
+        if kink + d_k <= 0.0:
+            return 0.0, "root-bracketed", abs(d_k), "degenerate"
+        if d_k <= margin * kink:
+            value = (kink + d_k) / (1.0 + margin)
+            residual = abs(d_k + (kink - value) - margin * value)
+            return value, "root-bracketed", residual, None
+        weight = -self.slope(kink)
+        rate = weight / d_k
+        log_y = math.log(weight) - math.log(margin) + rate * kink
+        start = lambert_w0(math.exp(log_y)) / rate if log_y < _LOG_W_MAX else math.inf
+        root, f_root = _newton_root(
+            lambda u: self(u) - margin * u,
+            lambda u: self.slope(u) - margin,
+            start,
+            (kink, d_k - margin * kink),
+            tol,
+        )
+        return root, "root-bracketed", abs(f_root), None
 
 
-class EmpiricalCurve(NewtonCurve):
+class EmpiricalCurve(DeficitFunctional):
     """D(u) as the empirical Choquet sum of the shortfalls of sampled
-    maxima, whose weights sum to one, so u < 0 needs no special case; S
-    is the share of samples above u, and slope a right derivative."""
+    maxima x_0 >= ... >= x_(n-1), linear with slope -c_j = -g((j + 1)/n)
+    on (x_(j+1), x_j) and -1 below x_(n-1); so it is kept as its knots
+    D(x_0) = 0, D(x_(j+1)) = D(x_j) + c_j * (x_j - x_(j+1)).  Both rules
+    invert the interpolation exactly and, as the closed form, take no
+    tolerance (method "root-bracketed")."""
 
     def __init__(self, g, samples, horizon):
         x = np.asarray(samples, dtype=float)
@@ -324,13 +309,35 @@ class EmpiricalCurve(NewtonCurve):
         if np.any(x < 0.0) or not np.all(np.isfinite(x)):
             raise DomainError("samples must be finite and nonnegative")
         super().__init__("empirical", horizon)
-        self._g, self._ordered = g, np.sort(x)[::-1]
-        self._weights = choquet_weights(g, x.size)
+        # ascending, as np.interp takes them, with D summed from the top
+        x = np.sort(x)
+        drops = g(np.arange(x.size - 1, 0, -1) / x.size) * np.diff(x)
+        self._g, self._x = g, x
+        self._d = np.append(np.cumsum(drops[::-1])[::-1], 0.0)
+        self._low, self._d_low = float(x[0]), float(self._d[0])
 
     def _value(self, u):
-        shortfall = np.maximum(self._ordered - u, 0.0)
-        return float(self._weights @ shortfall)
+        return float(np.interp(u, self._x, self._d)) + max(self._low - u, 0.0)
 
-    def _tail_weight(self, u):
-        above = int(np.count_nonzero(self._ordered > u))
-        return self._g(above / self._ordered.size)
+    def slope(self, u):
+        """Right derivative D'(u) = -g(share of the samples above u)."""
+        above = self._x.size - int(np.searchsorted(self._x, float(u), side="right"))
+        return -self._g(above / self._x.size)
+
+    def convex_root(self, budget, tol=DEFAULT_TOL):
+        """The least u with D(u) <= budget, between the knots that hold
+        budget or on the slope -1 part below x_(n-1)."""
+        value = float(np.interp(-budget, -self._d, self._x))
+        value -= max(budget - self._d_low, 0.0)
+        return value, "root-bracketed", abs(self(value) - budget), None
+
+    def proportional_root(self, margin, tol=DEFAULT_TOL):
+        """The u with D(u) = margin * u: on the slope -1 part below
+        x_(n-1) if it is there, else between the knots where margin * x_j
+        - D(x_j) turns from negative to not."""
+        low, d_low = self._low, self._d_low
+        value = (low + d_low) / (1.0 + margin)
+        if value > low:
+            value = float(np.interp(0.0, margin * self._x - self._d, self._x))
+        branch = None if low + d_low > 0.0 else "degenerate"
+        return value, "root-bracketed", abs(self(value) - margin * value), branch

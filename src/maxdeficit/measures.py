@@ -14,9 +14,9 @@ rule built on the expected area under the loss path, and the premium
 level below which no finite time-0 requirement controls the rolling
 one-period exposure.
 
-Each curve solves the convex and proportional rules itself: closed
-forms from the primitive of their distortion, quadrature and empirical
-curves by Newton steps on their exact slope (see the deficit module).
+Each curve solves the convex and proportional rules itself: closed forms
+from their distortion's primitive, quadrature curves by Newton steps on
+their exact slope, empirical curves by exact interpolation (see deficit).
 """
 
 import math

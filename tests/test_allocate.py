@@ -299,6 +299,37 @@ class TestMethod1Generic:
         assert res.reserves == pytest.approx(w * (log_tops - log_s), rel=1e-10)
         assert res.threshold == pytest.approx(math.exp(log_s), rel=1e-10)
 
+    def test_bracketed_solve_reuses_its_evaluations(self, lines):
+        # brent_root does not evaluate the doubling brackets' ends again,
+        # nor u = 0: 160 scalar calls before, 78 of them repeats
+        calls = []
+        marginals = []
+        for line in lines:
+            m, seen = counted(lambda u, line=line: tvar(0.1)(ultimate_ruin(line, u)))
+            marginals.append(m)
+            calls.append(seen)
+        res = method1_generic(marginals, 500.0)
+        assert sum(np.ndim(u) == 0 for seen in calls for u in seen) <= 82
+        assert res.reserves.sum() == pytest.approx(500.0, rel=1e-14)
+
+    @pytest.mark.parametrize("total", [5.0, 40.0, 100.0])
+    def test_shared_plateau_holds_the_budget(self, lines, total):
+        # tvar:0.1 keeps every line at level 1 up to its edge reserve, and
+        # the edges add up to 391.5 > total: no level s < 1 spends the
+        # budget, and any split inside the plateaus is optimal
+        alpha = 0.1
+        marginals = [
+            (lambda u, line=line: tvar(alpha)(ultimate_ruin(line, u))) for line in lines
+        ]
+        res = method1_generic(marginals, total)
+        consts = [ruin_constants(line) for line in lines]
+        edges = [math.log(k.a / alpha) / k.b for k in consts]
+        assert sum(edges) > total
+        assert res.reserves.sum() == pytest.approx(total, rel=1e-12)
+        assert np.all(res.reserves <= np.array(edges) * (1.0 + 1e-12))
+        # on a plateau D_k(u) = D_k(0) - u, and sum D_k(0) = 627.52...
+        assert res.objective == pytest.approx(627.5227632505972 - total, rel=1e-9)
+
     def test_pareto_marginals_take_the_bracketed_solve(self):
         # (1 + u)**-n is no exponential: the chord refits do not settle
         powers = (3.0, 4.0, 5.0)
@@ -309,8 +340,9 @@ class TestMethod1Generic:
             marginals.append(m)
             calls.append(seen)
         res = method1_generic(marginals, 5.0)
-        # bracketing ln s up from the floor 1e-14 takes 341 calls
-        assert sum(map(len, calls)) <= 150
+        # bracketing ln s up from the floor 1e-14 takes 341 calls, and
+        # evaluating bracket ends again 130
+        assert sum(map(len, calls)) <= 88
         assert res.kkt_residual <= 1e-12
         assert res.reserves.sum() == pytest.approx(5.0, rel=1e-12)
         levels = [(1.0 + u) ** -n for u, n in zip(res.reserves, powers)]

@@ -11,6 +11,7 @@ from maxdeficit import (
     DeficitFunctional,
     DomainError,
     TruncationError,
+    choquet_weights,
     convex_measure,
     identity,
     line_from_ruin_constants,
@@ -227,6 +228,61 @@ class TestEmpirical:
         closed = DeficitFunctional.closed_form_ph(LINE1)
         for u in (0.0, 5.0):
             assert d(u) == pytest.approx(closed(u), rel=0.02)
+
+    @staticmethod
+    def least_root(f, lo, hi):
+        # least float u with f(u) <= 0 for a decreasing f with f(lo) > 0
+        # >= f(hi), by bisection down to adjacent floats
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return hi
+            lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+
+    SAMPLES = {
+        "exponential": np.random.default_rng(11).exponential(3.0, 400),
+        "ties": np.round(np.random.default_rng(12).exponential(3.0, 300)),
+        "atom-at-zero": np.maximum(np.random.default_rng(14).normal(1.0, 2.0, 300), 0.0),
+        "shifted": 5.0 + np.random.default_rng(13).exponential(3.0, 200),
+        "one": np.array([2.5]),
+        "all-zero": np.zeros(5),
+    }
+
+    @pytest.mark.parametrize(
+        "spec", ["identity", "ph:0.5", "tvar:0.1", "tvar:0.05", "varstep:0.3", "varstep:0.9"]
+    )
+    @pytest.mark.parametrize("name", list(SAMPLES))
+    def test_matches_the_choquet_sum_and_its_roots(self, name, spec):
+        # the reference is the Choquet sum itself, weights dotted with
+        # the shortfalls; tvar weights are zero past rank alpha * n and
+        # varstep weights before it; "shifted" puts roots left of every
+        # sample, as a budget past D(0) does for every set
+        x = self.SAMPLES[name]
+        g = parse_distortion(spec)
+        w, ordered = choquet_weights(g, x.size), np.sort(x)[::-1]
+
+        def reference(u):
+            return float(w @ np.maximum(ordered - u, 0.0))
+
+        d = DeficitFunctional.empirical(g, x)
+        grid = np.linspace(0.0, 1.1 * x.max(), 30)
+        for u in np.concatenate(([-2.0, 0.0], x[:25], grid)):
+            assert d(u) == pytest.approx(reference(u), rel=1e-13, abs=1e-300)
+        d0, top = reference(0.0), x.max()
+        # roots near zero are held to the problem's own scale
+        scale = 1e-13 * (d0 + top) + 1e-300
+        budgets = [f * d0 for f in (1e-4, 0.05, 0.7, 1.0) if f * d0 > 0.0] + [d0 + 0.5]
+        for budget in budgets:
+            value, _, residual, _ = d.convex_root(budget)
+            want = self.least_root(lambda u: reference(u) - budget, -budget - 1.0, top)
+            assert value == pytest.approx(want, rel=1e-13, abs=scale)
+            # |D'| <= 1, so rounding the root to a float moves D by at most its spacing
+            assert residual <= 1e-12 * budget + 2.0 * np.spacing(abs(value))
+        for margin in (1e-3, 0.1, 1.0, 10.0):
+            value, _, residual, _ = d.proportional_root(margin)
+            want = self.least_root(lambda u: reference(u) - margin * u, -1.0, top)
+            assert value == pytest.approx(want, rel=1e-13, abs=scale)
+            assert residual <= 1e-12 * margin * value + 4.0 * np.spacing(value)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
