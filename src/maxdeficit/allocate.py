@@ -13,9 +13,9 @@ Two ways to split a total reserve u over K exponential lines:
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
   a closed form.  Otherwise one active-set Newton method solves the
   split from the pooled deficit, its gradient and its Hessian, which
-  inclusion-exclusion over the subsets of lines gives exactly under
-  identity or tvar on up to _EXACT_MAX_LINES lines, and one quadrature
-  pass gives in any other case.
+  inclusion-exclusion over the subsets of lines gives exactly under a
+  concave distortion with p = 1 (identity, ph:1, tvar) on up to
+  _EXACT_MAX_LINES lines, and one quadrature pass gives in any other case.
 """
 
 import functools
@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distortion import identity
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
 from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
@@ -661,10 +660,11 @@ def _subsets(k):
     return rows, sign
 
 
-def _exact_pass(a, b, alpha):
-    """F, grad F and the Hessian of F for the identity (alpha = 1) or
-    tvar(alpha) pooled deficit, as a function of the reserves u and of a
-    shift s that scales all three by exp(-s).
+def _exact_pass(a, b, s):
+    """F, grad F and the Hessian of F for the pooled deficit under
+    g(x) = min(x/s, 1), identity or ph:1 at s = 1 and tvar(s) below, as
+    a function of the reserves u and of a shift that scales all three
+    by exp(-shift).
 
     With psi_k = a_k exp(-b_k (u_k + v)), inclusion-exclusion gives the
     identity deficit F_id(u) as the sum over nonempty subsets S of
@@ -672,7 +672,7 @@ def _exact_pass(a, b, alpha):
     each formed in logs, and d T_S / d u_k = -b_k T_S for k in S, so one
     product of the membership rows, weighted by T_S and scaled by (-b, 1),
     holds the Hessian, the gradient and F.  For tvar, F = v* + F_id(u +
-    v*)/alpha, its gradient follows as in _pooled_deficit, and the
+    v*)/s, its gradient follows as in _pooled_deficit, and the
     Hessian adds p p^T / sum(p) for p = d psi~/du at u + v*."""
     rows, sign = _subsets(a.size)
     member = rows[:, :-1]
@@ -684,34 +684,35 @@ def _exact_pass(a, b, alpha):
     af, bf = a.tolist(), b.tolist()
 
     def evaluate(u, shift=0.0):
-        v = _tvar_edge(af, bf, u.tolist(), alpha) if alpha < 1.0 else 0.0
+        v = _tvar_edge(af, bf, u.tolist(), s) if s < 1.0 else 0.0
         log_psi = log_a - b * (u + v)
         terms = sign * np.exp(member @ log_psi - log_rate - shift)
         z = scaled_rows.T @ (terms[:, None] * scaled_rows)
         f, grad, hess = z[-1, -1], z[:-1, -1], z[:-1, :-1]
         if v > 0.0:
             psi = np.exp(log_psi)
-            p = -b * psi * (1.0 - alpha) / (1.0 - psi)
+            p = -b * psi * (1.0 - s) / (1.0 - psi)
             hess = hess + np.outer(p * math.exp(-shift), p) / p.sum()
-            f = f + alpha * v * math.exp(-shift)
-        return f / alpha, grad / alpha, hess / alpha
+            f = f + s * v * math.exp(-shift)
+        return f / s, grad / s, hess / s
 
     return evaluate
 
 
 def method2_exact(lines, g, total_u):
-    """Aggregate-minimum split under the identity or a tvar distortion
-    for 1 to _EXACT_MAX_LINES lines, with no quadrature: _newton_split
-    from _first_split on F, its gradient and its Hessian from
-    inclusion-exclusion (see _exact_pass), whose terms are scaled by the
-    largest log ruin level at the first split, so that deficits far
-    below the smallest float still give a split."""
-    if g.kind not in ("identity", "tvar"):
-        raise DomainError(f"exact aggregate route needs identity or tvar, got {g.kind}")
+    """Aggregate-minimum split under a concave distortion with p = 1
+    (identity, ph:1, tvar) for 1 to _EXACT_MAX_LINES lines, with no
+    quadrature: _newton_split from _first_split on F, its gradient and
+    its Hessian from inclusion-exclusion (see _exact_pass), whose terms
+    are scaled by the largest log ruin level at the first split, so that
+    deficits far below the smallest float still give a split."""
+    s, p, _ = g.primitive_pieces
+    if not (g.concave and p == 1.0):
+        raise DomainError(f"exact aggregate route cannot take {g.label()}")
     if len(lines) > _EXACT_MAX_LINES:
         raise DomainError(f"exact aggregate route takes up to {_EXACT_MAX_LINES} lines")
     a, b, u = _first_split(lines, g, total_u)
-    evaluate = _exact_pass(a, b, g.param if g.kind == "tvar" else 1.0)
+    evaluate = _exact_pass(a, b, s)
     with np.errstate(divide="ignore"):
         shift = float(np.max(np.log(a) - b * u)) if a.any() else 0.0
     res = _newton_split(lambda u, rows: evaluate(u, shift), u, b)
@@ -720,15 +721,16 @@ def method2_exact(lines, g, total_u):
 
 
 def aggregate_min(lines, g, total_u):
-    """Aggregate-minimum split: the closed two-line route for two
-    identity-distorted lines; the exact inclusion-exclusion route for
-    identity on 3 or more lines and tvar on any number, up to
-    _EXACT_MAX_LINES lines; the quadrature route for ph and for more
-    lines.  Both of the last take the same Newton steps."""
-    k = len(lines)
-    if g == identity() and k == 2:
+    """Aggregate-minimum split, routed by g's primitive pieces.  A
+    concave g with p = 1 takes the closed two-line route on two lines
+    without an edge (identity, ph:1), else the exact inclusion-exclusion
+    route up to _EXACT_MAX_LINES lines; ph below 1 and more lines take
+    the quadrature route, with the same Newton steps."""
+    _, p, edge = g.primitive_pieces
+    exact = g.concave and p == 1.0
+    if exact and len(lines) == 2 and edge == math.inf:
         return method2_two_line(lines[0], lines[1], total_u)
-    if k <= _EXACT_MAX_LINES and (g.kind == "tvar" or (g == identity() and k > 2)):
+    if exact and len(lines) <= _EXACT_MAX_LINES:
         return method2_exact(lines, g, total_u)
     return method2_generic(lines, g, total_u)
 

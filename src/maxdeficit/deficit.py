@@ -15,9 +15,10 @@ from sampled maxima.
 
 The closed form rests on the distortion's primitive G: on a ruin curve
 psi(v) = a*exp(-b*v), D(u) = G(psi(u)) / b for u >= 0.  G's power piece
-gives D(u) = level * exp(-p*b*u) right of the kink max(v_edge, 0), where
-v_edge is the reserve at which psi meets G's edge; left of the kink,
-on G's log piece or below zero, D falls with slope -1.
+gives D(u) = level * exp(-p*b*(u - kink)) right of the kink
+max(v_edge, 0), where v_edge is the reserve at which psi meets G's edge
+and level = D(kink); left of the kink, on G's log piece or below zero,
+D falls with slope -1.
 
 QuadratureCurve integrates g(psi) only where it is smooth.  tvar and
 varstep take g(psi) = 1 up to the edge reserve v_e where psi meets their
@@ -48,13 +49,14 @@ import numpy as np
 
 from .distortion import Distortion, edge_reserve
 from .errors import ConvergenceError, DomainError
-from .numerics import DEFAULT_TOL, lambert_w0, tail_integral
+from .numerics import DEFAULT_TOL, lambert_w0, lambert_w0_log, tail_integral
 from .model import ruin_constants
 from .simulate import simulate_max_loss
 
 
-# the proportional start takes W(y) with ln y below this; beyond it,
-# where exp(ln y) would overflow, the solve starts from the kink
+# the proportional rules take W(y) with ln y below this; beyond it,
+# where y may overflow, the closed form takes W from ln y and the
+# quadrature solve starts from the kink
 _LOG_W_MAX = 700.0
 
 
@@ -152,9 +154,9 @@ class DeficitFunctional:
 
 
 class ClosedCurve(DeficitFunctional):
-    """D(u) = level * exp(-p*b*max(u, kink)) + max(kink - u, 0), tagged
-    closed-tvar when G has a log piece (tvar, varstep), else closed-ph.
-    Its roots are exact and take no tolerance."""
+    """D(u) = level * exp(-p*b*(max(u, kink) - kink)) + max(kink - u, 0)
+    with level = D(kink), tagged closed-tvar when G has a log piece (tvar,
+    varstep), else closed-ph.  Its roots are exact and take no tolerance."""
 
     def __init__(self, line, g, horizon):
         k = ruin_constants(line)
@@ -165,16 +167,20 @@ class ClosedCurve(DeficitFunctional):
         self.method = "closed-form"
         self._a, self._b, self._s, self._p = k.a, k.b, s, p
         self._pb = p * k.b
-        self._level = k.a**p / (p * s * k.b)
-        ratio = k.a / edge
-        # reserve where psi falls to the edge of G, -inf without a log piece
-        self._v_edge = math.log(ratio) / k.b if ratio > 0.0 else -math.inf
+        # reserve where psi falls to the edge of G, -inf without a log piece;
+        # in logarithms, as a / edge overflows for an edge near the least float
+        log_a = math.log(k.a) if k.a > 0.0 else -math.inf
+        self._v_edge = (log_a - math.log(edge)) / k.b
         self._kink = max(self._v_edge, 0.0)
+        # D(kink) = G(psi(kink)) / b, finite for every edge, where
+        # a**p / (p*s*b) at u = 0 is not
+        self._level = min(k.a, edge) ** p / s / self._pb
         self._g_edge = g.primitive(edge) if edge < math.inf else None
 
     def _value(self, u):
         kink = self._kink
-        return self._level * math.exp(-self._pb * max(u, kink)) + max(kink - u, 0.0)
+        power = self._level * math.exp(-self._pb * (max(u, kink) - kink))
+        return power + max(kink - u, 0.0)
 
     def slope(self, u):
         raise DomainError("closed forms are inverted analytically and give no slope")
@@ -197,8 +203,8 @@ class ClosedCurve(DeficitFunctional):
             log_level = self._p * math.log(self._a) - math.log(pb)
         else:
             log_level = math.log(level)
-        value = (log_level - math.log(budget)) / pb
-        residual = abs(level * math.exp(-pb * value) - budget)
+        value = kink + (log_level - math.log(budget)) / pb
+        residual = abs(level * math.exp(-pb * (value - kink)) - budget)
         branch = "exponential" if budget <= at_kink else "continuation"
         return value, "closed-form", residual, branch
 
@@ -211,7 +217,15 @@ class ClosedCurve(DeficitFunctional):
             value = (v_edge + g_edge / b) / (1.0 + margin)
             method, branch = "closed-form", "linear"
         else:
-            value = lambert_w0(self._a**self._p / (self._s * margin)) / self._pb
+            # W(y) of y = a**p / s / margin, divided in turn, as s * margin
+            # may underflow to 0
+            a, p, s = self._a, self._p, self._s
+            log_y = p * math.log(a) - math.log(s) - math.log(margin)
+            if log_y < _LOG_W_MAX:
+                w = lambert_w0(a**p / s / margin)
+            else:
+                w = lambert_w0_log(log_y)
+            value = w / self._pb
             method, branch = "lambert-w", None if g_edge is None else "tail"
         return value, method, abs(self(value) - margin * value), branch
 

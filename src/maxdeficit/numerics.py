@@ -4,14 +4,19 @@ Three routines cover every solver need in the package:
 
 - brent_root:     bracketed root finding (bisection / secant / inverse
                   quadratic interpolation, Brent's switching logic)
-- lambert_w0:     principal branch of w*exp(w) = y via Halley iteration
+- lambert_w0:     principal branch of w*exp(w) = y via Halley iteration,
+                  and past y = 1e300 via Newton steps on w + ln w = ln y
+                  (lambert_w0_log, which also takes ln y past the
+                  largest float)
 - tail_integral:  integral over [a, inf) of one or several decaying
                   integrands sampled together on arrays, on successive
                   doubling panels with adaptive 20-point Gauss-Lobatto
                   (Legendre) quadrature per panel; the integrand is
                   called once per group of 16 panels and once per depth
                   of bisection, so it may be sampled past the point
-                  where accumulation stops
+                  where accumulation stops; a span with a NaN estimate
+                  is never bisected, and a panel that is not finite
+                  raises TruncationError once it would be added
 """
 
 import math
@@ -104,16 +109,20 @@ def lambert_w0(y, tol=DEFAULT_TOL):
 
     Halley iteration started from log1p(y), or from the branch-point
     series when y is close to -1/e.  Iterates to machine precision, so
-    the residual w*exp(w) - y is at rounding level.  y < -1/e raises
+    the residual w*exp(w) - y is at rounding level.  Past y = 1e300,
+    where w*exp(w) - y and the Halley step overflow, it is
+    lambert_w0_log(ln y).  y < -1/e and a y that is not finite raise
     DomainError.
     """
     y = float(y)
-    if y < _BRANCH_POINT:
-        raise DomainError(f"lambert_w0 needs y >= -1/e, got {y}")
+    if not _BRANCH_POINT <= y < math.inf:
+        raise DomainError(f"lambert_w0 needs a finite y >= -1/e, got {y}")
     if y == _BRANCH_POINT:
         return -1.0
     if y == 0.0:
         return 0.0
+    if y > 1e300:
+        return lambert_w0_log(math.log(y), tol)
 
     if math.e * y + 1.0 < 0.25:
         # series around the branch point in p = sqrt(2*(e*y + 1))
@@ -135,6 +144,20 @@ def lambert_w0(y, tol=DEFAULT_TOL):
         if abs(dw) <= 1e-15 * (1.0 + abs(w)):
             return w
     raise ConvergenceError(f"lambert_w0 did not converge for y={y}")
+
+
+def lambert_w0_log(log_y, tol=DEFAULT_TOL):
+    """W0(exp(log_y)) for log_y > 1, exp(log_y) past the largest float
+    included: Newton steps on w + ln w = log_y from w = log_y, whose
+    terms stay near log_y.  They rise to the root from its left after
+    the first step, as w + ln w is concave, to machine precision."""
+    w = log_y
+    for _ in range(tol.max_iter):
+        dw = (w + math.log(w) - log_y) * w / (w + 1.0)
+        w -= dw
+        if abs(dw) <= 1e-15 * (1.0 + w):
+            return w
+    raise ConvergenceError(f"lambert_w0_log did not converge for log_y={log_y}")
 
 
 # 20-point Gauss-Lobatto rule on [-1, 1] (the Legendre weight, with both
@@ -163,8 +186,9 @@ _RULE_W = np.concatenate((_RULE_HALF[::-1, 1], _RULE_HALF[:, 1]))
 # 2**-48 of its panel's width
 _MAX_DEPTH = 48
 # doubling panels sampled together in one call of the integrand; those
-# past the panel where accumulation stops are sampled but never added,
-# so a larger group adds nodes to every integral, however smooth
+# past the panel where accumulation stops are sampled, and bisected where
+# their halves disagree, but never added, so a larger group adds nodes to
+# every integral, however smooth
 _GROUP = 16
 # columns of a span's ends, midpoint and quarter points that bound its halves
 _CHILD_ENDS = np.array([0, 2, 2, 4])
@@ -206,41 +230,20 @@ def _panels(f, marks, tol):
     # for the panels and one per depth of bisection, and which panels
     # meet the stopping test.  Every span whose halves disagree with it
     # by more than its tolerance is split in the same call, across all
-    # panels, except that panels past one that has settled and stops are
-    # never split.
-    n = len(marks)
+    # panels; a span with a NaN estimate compares false and is never
+    # split, so it costs no call, and tail_integral raises if it counts.
     est, y = _estimates(f, marks[:, (0, 0, 1)], marks[:, (2, 1, 2)])
     whole, halves = est[..., 0], est[..., 1:]
     # the whole panel's last node is its right edge
     quiet_end = _row_max(y[..., 0, -1]) < tol.abs_tol
     span_tol = np.fmax(tol.abs_tol, tol.rel_tol * _row_max(whole))
     span = marks[:, ::2]
-    owner = np.arange(n)
-    # panels that may yet stop, each checked once after it settles
-    watch = quiet_end.copy()
     levels = []
     for depth in range(1, _MAX_DEPTH + 1):
-        split = ~(_row_max(halves[..., 0] + halves[..., 1] - whole) <= span_tol)
+        split = _row_max(halves[..., 0] + halves[..., 1] - whole) > span_tol
         split &= depth < _MAX_DEPTH
-        levels.append((halves, split, owner))
+        levels.append((halves, split))
         k = split.nonzero()[0]
-        # only a panel before the last one still splitting can prune
-        if k.size and watch[:owner[k[-1]]].any():
-            busy = np.zeros(n, dtype=bool)
-            busy[owner[k]] = True
-            for p in (watch > busy).nonzero()[0]:
-                watch[p] = False
-                own = []
-                for h, s, o in levels:
-                    i, j = o.searchsorted((p, p + 1))
-                    own.append((h[..., i:j, :], s[i:j]))
-                if np.max(np.abs(_collapse(own))) < tol.abs_tol:
-                    # p settled and stops, so later panels never count;
-                    # split is cleared in place, in the level just stored
-                    watch[p:] = False
-                    split &= owner <= p
-                    k = split.nonzero()[0]
-                    break
         if not k.size:
             break
         # the split spans' ends, midpoints and quarter points, in order
@@ -255,8 +258,7 @@ def _panels(f, marks, tol):
         halves = q.reshape(whole.shape + (2,))
         span = cut[:, _CHILD_ENDS].reshape(-1, 2)
         span_tol = (0.5 * span_tol[k]).repeat(2)
-        owner = owner[k].repeat(2)
-    pieces = _collapse([level[:2] for level in levels])
+    pieces = _collapse(levels)
     return pieces, (_row_max(pieces) < tol.abs_tol) & quiet_end
 
 
@@ -269,16 +271,18 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
     Panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double in width; each
     is integrated by the 20-point Gauss-Lobatto rule and accepted when
     the whole-panel estimate agrees with the sum over its two halves to
-    max(abs_tol, rel_tol * panel size) in every row, else bisected.
-    Panels are taken 16 at a time: f is called once for all of them and
-    once per depth of bisection, for every span at that depth that must
-    be split, so it may be sampled past the panel where accumulation
-    stops.  The panels are added in order, each bisected span as its
-    lower half plus its upper half, and accumulation stops once every
-    row of a panel contributes less than abs_tol in magnitude and is
-    below abs_tol in magnitude at the panel's right edge.  If max_iter
-    panels do not reach that state the sum over exactly those panels is
-    attached to a TruncationError.
+    max(abs_tol, rel_tol * panel size) in every row, else bisected; a
+    span whose estimates hold a NaN is never bisected.  Panels are taken
+    16 at a time: f is called once for all of them and once per depth
+    of bisection, for every span at that depth that must be split, so
+    it may be sampled past the panel where accumulation stops.  The
+    panels are added in order, each bisected span as its lower half plus
+    its upper half, and accumulation stops once every row of a panel
+    contributes less than abs_tol in magnitude and is below abs_tol in
+    magnitude at the panel's right edge.  A panel that is not finite in
+    every row, or max_iter panels that do not reach that state, raise
+    TruncationError with the sum over the panels before as its partial
+    value.
     """
     total = 0.0
     left = float(a)
@@ -293,9 +297,12 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
             left = right
             h *= 2.0
         pieces, stops = _panels(f, np.array(marks), tol)
+        finite = np.isfinite(pieces).reshape(-1, n).all(axis=0)
         # one integrand's panels add as plain floats, to the same sums
         columns = pieces.tolist() if pieces.ndim == 1 else pieces.T
         for j in range(n):
+            if not finite[j]:
+                raise TruncationError(f"tail panel {done + j} is not finite", total)
             total = total + columns[j]
             if stops[j]:
                 return total if np.ndim(total) else float(total)

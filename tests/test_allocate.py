@@ -1231,8 +1231,10 @@ class TestAggregateMinRoute:
         return taken
 
     def test_two_identity_lines_take_the_closed_route(self, routes):
+        # ph:1 has identity's primitive pieces, so it routes as identity
         aggregate_min([FAST, SLOW], identity(), 60.0)
-        assert routes == ["two-line"]
+        aggregate_min([FAST, SLOW], proportional_hazard(1.0), 60.0)
+        assert routes == ["two-line", "two-line"]
 
     @pytest.mark.parametrize(
         "lines,g",
@@ -1248,13 +1250,15 @@ class TestAggregateMinRoute:
         aggregate_min(lines, g, 60.0)
         assert routes == ["exact"]
 
+    def test_one_identity_line_is_exact(self, routes):
+        aggregate_min([FAST], identity(), 60.0)
+        assert routes == ["exact"]
+
     @pytest.mark.parametrize(
         "lines,g",
         [
             ([FAST, SLOW], proportional_hazard(0.5)),
-            ([FAST, SLOW], proportional_hazard(1.0)),
             (BEYOND_CAP, tvar(0.1)),
-            ([FAST], identity()),
             (BEYOND_CAP, identity()),
         ],
     )

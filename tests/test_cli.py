@@ -54,6 +54,26 @@ class TestMeasureCommand:
         assert rows[0][3] == "7.34728"
         assert rows[0][4] == "lambert-w"
 
+    def test_lambert_argument_past_1e302(self, capsys):
+        # W(a / delta) / b with a / delta = 8.3e304, where w*exp(w) - y overflows
+        code, out, _ = run(
+            capsys,
+            "measure", "proportional", *LINE1_ARGS, "--delta", "1e-305",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert csv_rows(out)[1][0][3:5] == ["4173.37", "lambert-w"]
+
+    def test_tvar_edge_near_the_smallest_float(self, capsys):
+        # 1/b + ln(a / alpha) / b, where a / alpha overflows
+        code, out, _ = run(
+            capsys,
+            "measure", "coherent", *LINE1_ARGS, "--g", "tvar:1e-320",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert csv_rows(out)[1][0][3] == "4425.87"
+
     def test_precision_flag_widens_output(self, capsys):
         _, coarse, _ = run(
             capsys,

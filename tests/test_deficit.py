@@ -123,6 +123,43 @@ class TestClosedFormTvar:
         d = DeficitFunctional.closed_form_tvar(LINE1, 0.01)
         assert d(-5.0) == pytest.approx(d(0.0) + 5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-308, 1e-310, 5e-324])
+    def test_edge_near_the_smallest_float(self, alpha):
+        # a / alpha and a / (alpha b) overflow here; the plateau ends at
+        # v_e = (ln a - ln alpha) / b, where tvar's deficit is 1/b and
+        # varstep's 0, and D falls with slope -1 up to it
+        k = ruin_constants(LINE1)
+        v_e = (math.log(k.a) - math.log(alpha)) / k.b
+        for g, at_edge in ((tvar(alpha), 1.0 / k.b), (var_step(alpha), 0.0)):
+            d = DeficitFunctional.for_line(LINE1, g)
+            assert d(0.0) == pytest.approx(v_e + at_edge, rel=1e-14)
+            value, _, residual, branch = d.convex_root(at_edge + 100.0)
+            assert (value, branch) == (pytest.approx(v_e - 100.0, rel=1e-14), "linear")
+            assert residual <= 1e-12
+            value, _, residual, branch = d.proportional_root(0.5)
+            assert value == pytest.approx((v_e + at_edge) / 1.5, rel=1e-14)
+            assert (branch, residual <= 1e-12) == ("linear", True)
+        d = DeficitFunctional.for_line(LINE1, tvar(alpha))
+        # past the edge D(u) = exp(-b (u - v_e)) / b
+        value, _, residual, branch = d.convex_root(0.5 / k.b)
+        assert value == pytest.approx(v_e + math.log(2.0) / k.b, rel=1e-14)
+        assert (branch, residual <= 1e-12) == ("exponential", True)
+        # a margin below 1/(b v_e) is met there, where ln D(u) = ln(margin u)
+        value, method, _, branch = d.proportional_root(1e-4)
+        assert (method, branch) == ("lambert-w", "tail")
+        gap = -math.log(k.b) - k.b * (value - v_e) - math.log(1e-4 * value)
+        assert abs(gap) <= 1e-12
+
+    def test_tail_margin_where_alpha_times_margin_underflows(self):
+        # alpha * margin is below the least float while W's argument
+        # a / (alpha * margin) = 1e290 is not; past v_e, D(u) = exp(v_e - u)
+        line = line_from_ruin_constants(1e-40, 1.0)
+        d = DeficitFunctional.closed_form_tvar(line, 1e-300)
+        value, method, _, branch = d.proportional_root(1e-30)
+        assert (method, branch) == ("lambert-w", "tail")
+        v_e = math.log(1e-40) - math.log(1e-300)
+        assert abs(v_e - value - math.log(1e-30 * value)) <= 1e-12
+
     def test_zero_frequency_line_is_the_no_claims_curve(self):
         # the same curve closed_form and for_line give a line without claims
         d = DeficitFunctional.closed_form_tvar(line_from_ruin_constants(0.0, 0.2), 0.05)

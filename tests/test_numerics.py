@@ -3,6 +3,7 @@ but trustworthy oracles (plain bisection, fixed-point iteration, exact
 antiderivatives)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from maxdeficit import (
     BracketingError,
     ConvergenceError,
+    DomainError,
     Tolerance,
     TruncationError,
     brent_root,
@@ -93,6 +95,20 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-0.4)
 
+    def test_large_arguments(self):
+        # w*exp(w) - y overflows from about 3.7e302; w + ln w = ln y holds
+        # up to the largest float
+        big = [3.7e302, 2.6e305, sys.float_info.max]
+        for y in [10.0**k for k in range(1, 309)] + big:
+            w = lambert_w0(y)
+            assert abs(w + math.log(w) - math.log(y)) <= 1e-15 * math.log(y)
+        assert lambert_w0(1e303) == pytest.approx(691.1449, abs=1e-4)
+
+    def test_rejects_non_finite(self):
+        for y in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                lambert_w0(y)
+
 
 class TestTailIntegral:
     @pytest.mark.parametrize("b", [0.005, 0.05, 1.0])
@@ -142,6 +158,25 @@ class TestTailIntegral:
 
         assert tail_integral(f, 0.0) == pytest.approx(1.0, rel=1e-12)
         assert max(asked) > 200.0
+
+    def test_nan_before_the_stop_raises(self):
+        # NaN on [2, 3] fills the panel [1, 3] and its upper half; a NaN
+        # span is never bisected, and the panel raises before it is added
+        calls = 0
+
+        def f(v):
+            nonlocal calls
+            calls += 1
+            # each depth of bisection doubles the NaN spans, so a kernel
+            # that splits them stops here, long before memory runs out
+            if calls > 8:
+                raise RuntimeError("bisection chases the NaN")
+            return np.where((v >= 2.0) & (v <= 3.0), np.nan, np.exp(-v))
+
+        with pytest.raises(TruncationError) as err:
+            tail_integral(f, 0.0)
+        assert calls <= 2
+        assert err.value.partial == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_truncation_carries_exactly_the_allowed_panels(self):
         # five panels end at 31, so the partial sum is log(1 + 31)
