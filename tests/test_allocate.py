@@ -1258,7 +1258,9 @@ class TestAggregateMinRoute:
         "lines,g",
         [
             ([FAST, SLOW], proportional_hazard(0.5)),
+            ([FAST], proportional_hazard(0.5)),
             (BEYOND_CAP, tvar(0.1)),
+            ([FAST, SLOW], var_step(0.1)),
             (BEYOND_CAP, identity()),
         ],
     )
