@@ -6,16 +6,20 @@ Two ways to split a total reserve u over K exponential lines:
   curves.  Optimal reserves equalise the (distorted) ruin probabilities
   g_k(psi_k(u_k)) at a common threshold on the set of lines that
   receive anything; lines whose zero-reserve level already sits below
-  the threshold get nothing.
+  the threshold get nothing.  Exponential lines water-fill exactly; any
+  other decreasing marginals take the active-set Newton method below,
+  with the marginals as the gradient and their chords as a diagonal
+  Hessian, from water filling on exponential fits.
 
 - aggregate minimum: minimise the deficit of the pooled portfolio,
   whose first-passage probability for independent lines is
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
-  a closed form.  Otherwise one active-set Newton method solves the
-  split from the pooled deficit, its gradient and its Hessian, which
-  inclusion-exclusion over the subsets of lines gives exactly under a
-  concave distortion with p = 1 (identity, ph:1, tvar) on up to
-  _EXACT_MAX_LINES lines, and one quadrature pass gives in any other case.
+  a closed form.  Otherwise one active-set Newton method (_newton_split)
+  solves the split from the pooled deficit, its gradient and its
+  Hessian, which inclusion-exclusion over the subsets of lines gives
+  exactly under a concave distortion with p = 1 (identity, ph:1, tvar)
+  on up to _EXACT_MAX_LINES lines, and one quadrature pass gives in any
+  other case.
 """
 
 import functools
@@ -26,20 +30,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
-from .numerics import DEFAULT_TOL, Tolerance, brent_root, tail_integral
+from .numerics import DEFAULT_TOL, brent_root, tail_integral
 
-_LEVEL_FLOOR = 1e-14
 _TINY = np.finfo(float).tiny
 
-# the budget responds to the threshold with slope sum(gamma_k / b_k) / s,
-# which can reach 1e4, so the level solve runs much tighter than the
-# reserve tolerance it must deliver
-_LEVEL_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-14)
-
-# chord refits of method1_generic's exponential fits before it brackets
-_FIT_ROUNDS = 4
-
-# Newton steps allowed to the tvar edge v* and to the exact aggregate split
+# Newton steps allowed to the tvar edge v* and to the active-set splits
 _NEWTON_STEPS = 100
 
 # the exact aggregate route sums 2**K - 1 inclusion-exclusion terms,
@@ -138,20 +133,35 @@ def method1_exponential(problem):
     return AllocationResult(u, active, math.exp(log_s), objective_at(u), spread)
 
 
-def _water_fill(log_tops, w, total_u):
-    """Reserves max(0, w_k log(top_k / s)) that sum to total_u > 0, and
-    log s.  Lines enter in order of decreasing log top; a line with log
-    top -inf never does."""
+def _water_fill(log_tops, w, total_u, heads=None):
+    """Reserves that sum to total_u > 0 at a threshold s, and log s.  Line
+    k holds max(0, w_k (head_k - log s)) once log s is below its log top,
+    so a head above the top (heads default to the tops) is a plateau that
+    the line enters with a jump.  Lines enter in order of decreasing log
+    top; one at -inf never does.  Where the budget runs out inside the
+    jumps at one log top, log s stays there and the lines jumping there
+    share what the others leave, in proportion to their jumps."""
+    heads = log_tops if heads is None else heads
     order = np.argsort(-log_tops, kind="stable")
     sorted_log_tops = log_tops[order]
     sorted_w = w[order]
     # log threshold with the first j + 1 lines active, for every j
     prefix_log_s = (
-        np.cumsum(sorted_w * sorted_log_tops) - total_u
+        np.cumsum(sorted_w * heads[order]) - total_u
     ) / np.cumsum(sorted_w)
     next_log_tops = np.append(sorted_log_tops[1:], -np.inf)
-    log_s = float(prefix_log_s[np.argmax(prefix_log_s >= next_log_tops)])
-    u = np.maximum(0.0, w * (log_tops - log_s))
+    j = np.argmax(prefix_log_s >= next_log_tops)
+    log_s = float(prefix_log_s[j])
+    inside = log_s >= sorted_log_tops[j]
+    if inside:
+        # the budget runs out inside the jumps at line j's top, if any
+        at = log_tops == sorted_log_tops[j]
+        jumps = w[at] * (heads[at] - log_tops[at])
+        inside = jumps.any()
+        log_s = float(sorted_log_tops[j]) if inside else log_s
+    u = np.where(log_tops > log_s, w * (heads - log_s), 0.0)
+    if inside:
+        u[at] = jumps * ((total_u - u.sum()) / jumps.sum())
     if not u.any():
         # a budget below the rounding of log s goes to the top line
         u[order[0]] = total_u
@@ -159,144 +169,62 @@ def _water_fill(log_tops, w, total_u):
     return u * (total_u / u.sum()), log_s
 
 
-def _log(x):
-    """ln x for x > 0, -inf otherwise."""
-    return math.log(x) if x > 0.0 else -math.inf
+def _grid_fit(values, grid):
+    """Log tops, heads and rates of exponential fits exp(head - rate u)
+    to marginals sampled on a uniform grid from 0, one row each.  A fit
+    runs through the first two grid points below the row's top, past any
+    plateau, which water filling enters with a jump to the head.  Where
+    the second point is not positive and below the first, the fit takes
+    the point before them, a level that underflows counts as the least
+    float, and a row flat over the whole grid jumps to the grid's end."""
+    fits = []
+    for row in values.tolist():
+        top = row[0]
+        log_top = math.log(top) if top > 0.0 else -math.inf
+        first = next((i for i, v in enumerate(row) if v < top), None)
+        if first is None:
+            fits.append((log_top, log_top + 1.0, 1.0 / grid[-1]))
+            continue
+        pair = first + 1 < len(row) and 0.0 < row[first + 1] < row[first]
+        p = first if pair else first - 1
+        log_p = math.log(row[p])
+        rate = (log_p - math.log(max(row[p + 1], math.ulp(0.0)))) / grid[1]
+        fits.append((log_top, max(log_p + rate * grid[p], log_top), rate))
+    return [np.array(column) for column in zip(*fits)]
 
 
-def _inverse_marginal(m, log_top, log_level, seed):
-    """Reserve u with ln m(u) = log_level, 0 where log_top = ln m(0) is
-    no higher; the doubling bracket starts from seed, a reserve at a
-    nearby level; the gap at 0 is log_top - log_level, with no call.
-    Where m underflows to 0 the plain level gap stands in for the log
-    gap, with the same sign."""
-    if log_level >= log_top:
-        return 0.0
-    level = math.exp(log_level)
-
-    def gap(u):
-        if u == 0.0:
-            return log_top - log_level
-        value = m(u)
-        return math.log(value) - log_level if value > 0.0 else value - level
-
-    lo, hi = 0.0, seed if seed > 0.0 else 1.0
-    for _ in range(200):
-        if gap(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ConvergenceError("marginal level not reached while expanding")
-    return brent_root(gap, lo, hi, _LEVEL_TOL)
+def _objective_tol(deficit):
+    """DEFAULT_TOL with abs_tol lowered to rel_tol * deficit where that is
+    smaller and positive, for the objective passes of a split whose
+    objective is about deficit at the start."""
+    floor = DEFAULT_TOL.rel_tol * deficit
+    if 0.0 < floor < DEFAULT_TOL.abs_tol:
+        return replace(DEFAULT_TOL, abs_tol=floor)
+    return DEFAULT_TOL
 
 
-def _fitted_split(marginals, log_tops, rates, total_u):
-    """Water filling on the exponential fits top_k * exp(-rates[k] * u) of
-    the marginals, each active line refitted to its chord in ln m from 0
-    to its reserve until every active ln m matches ln s, s the threshold,
-    to rounding, and once more to polish.  Returns the reserves and ln s
-    of the last fit (None before any), the largest gap of an active ln m
-    from ln s at the last check (inf before any), and whether the fits
-    settled; they do not where a rate is not finite and positive or
-    _FIT_ROUNDS rounds pass without agreement."""
-    u = log_s = None
-    miss, settled = math.inf, False
-    log_top_array = np.array(log_tops)
-    for _ in range(_FIT_ROUNDS):
-        if not all(0.0 < rate < math.inf for rate in rates):
-            break
-        u, log_s = _water_fill(log_top_array, 1.0 / np.array(rates), total_u)
-        if settled:
-            break
-        tol = 1e-14 * max(1.0, abs(log_s))
-        miss, settled = 0.0, True
-        for k, x in enumerate(u.tolist()):
-            if x > 0.0:
-                log_level = _log(marginals[k](x))
-                miss = max(miss, abs(log_level - log_s))
-                settled = settled and abs(log_level - log_s) <= tol
-                chord = (log_tops[k] - log_level) / x
-                # a reserve within rounding of 0 leaves its chord to rounding
-                if chord > 0.0:
-                    rates[k] = chord
-    return u, log_s, miss, settled
-
-
-def _level_bracket(gap, start, step, top):
-    """Ends lo < hi of ln s with gap(lo) > 0 >= gap(hi), found by steps
-    of step, 2 step, 4 step, ... from start toward the sign change; hi is
-    at most top, where gap < 0, and lo no lower than the level floor,
-    whose gap may still not be positive (brent_root then refuses it)."""
-    floor = math.log(_LEVEL_FLOOR)
-    lo = hi = min(max(start, floor), top)
-    if gap(lo) > 0.0:
-        while gap(hi) > 0.0:
-            lo, hi, step = hi, min(hi + step, top), 2.0 * step
-    else:
-        while lo > floor and gap(lo) <= 0.0:
-            hi, lo, step = lo, max(lo - step, floor), 2.0 * step
-    return lo, hi
-
-
-def _bracketed_split(marginals, log_tops, total_u, u, log_s, miss):
-    """ln s where the reserves that invert the marginals at s add up to
-    total_u, and those reserves, by brent_root on ln s over the bracket
-    that _level_bracket finds from the last fit's ln s in steps of its
-    miss, or from the highest top in steps of 1 where no fit was made.
-    The fit's reserves u seed each line's first doubling bracket; the
-    marginals' values are kept, so no reserve is evaluated twice."""
-    top = max(log_tops)
-    # each line's last positive reserve seeds its next doubling bracket
-    seeds = [0.0] * len(marginals) if u is None else u.tolist()
-    marginals = [functools.lru_cache(maxsize=None)(m) for m in marginals]
-
-    @functools.lru_cache(maxsize=None)
-    def reserves_at(log_level):
-        reserves = []
-        for i, (m, log_top) in enumerate(zip(marginals, log_tops)):
-            x = _inverse_marginal(m, log_top, log_level, seeds[i])
-            seeds[i] = x or seeds[i]
-            reserves.append(x)
-        return tuple(reserves)
-
-    gap = lambda log_level: sum(reserves_at(log_level)) - total_u
-    # a fit that did not settle missed by more than rounding, unless a
-    # level it checked was NaN
-    start, step = (log_s, miss) if log_s is not None and miss > 0.0 else (top, 1.0)
-    log_level = brent_root(gap, *_level_bracket(gap, start, step, top), _LEVEL_TOL)
-    return log_level, np.array(reserves_at(log_level))
-
-
-def _plateau_end(m, top, hi):
-    """The last float below hi at which m, flat at top from 0, is still
-    at top, by bisection to adjacent floats."""
-    lo = 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if m(mid) >= top else (lo, mid)
-    return lo
-
-
-def _marginal_objective(marginals, u):
+def _marginal_objective(marginals, u, tol):
     """The sum over lines of the integral of m_k from u_k: one tail
     integral over w >= 0 of the sum of m_k(u_k + w)."""
     held = list(zip(marginals, u.tolist()))
-    return tail_integral(lambda w: sum(m(x + w) for m, x in held), 0.0)
+    return tail_integral(lambda w: sum(m(x + w) for m, x in held), 0.0, tol)
 
 
 def method1_generic(marginals, total_u):
     """Marginal-sum allocation for arbitrary decreasing marginal maps.
 
     marginals are callables u -> distorted ruin probability of one line;
-    each must accept an ndarray of reserves as well as a float.  A coarse
-    grid check rejects non-monotone marginals up front, and its first
-    step h fits each marginal by the exponential of rate ln(m(0)/m(h))/h,
-    the Cramer-Lundberg shape of every ruin curve.  Water filling on the
-    fits, refitted by chords (_fitted_split), gives the split; an
-    exponential marginal settles at the first check.  Where the fits do
-    not settle, the threshold s is found by bracketed root finding on
-    ln s from the last fit (_bracketed_split), and at each trial s every
-    marginal is inverted by bracketed root finding on ln m(u) - ln s,
-    both at the level tolerance.
+    each must accept an ndarray of reserves as well as a float.  A
+    41-point grid rejects non-monotone marginals and fits each by an
+    exponential past its plateau (_grid_fit).  Water filling on the fits
+    starts _newton_split on F(u) = sum_k of the integral of m_k from u_k,
+    with gradient -m_k(u_k) and a diagonal Hessian -m_k'(u_k) from the
+    fit's slope, then from the chord of m_k between its last two
+    evaluated reserves: an exponential marginal, flat up to an edge or
+    not, is certified in one evaluation.  F, its gradient and Hessian
+    are divided by the largest fitted level, and F is integrated to
+    rel_tol of the fitted deficit, so tiny levels and deficits keep
+    their precision; levels that underflow raise DomainError.
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
@@ -306,40 +234,32 @@ def method1_generic(marginals, total_u):
     values = np.array([m(grid) for m in marginals])
     if np.any(np.diff(values, axis=1) > 1e-12):
         raise DomainError("marginal map is not nonincreasing")
-    tops, firsts = values[:, 0].tolist(), values[:, 1].tolist()
-    level_max = max(tops)
-    if level_max <= 0.0:
+    if values[:, 0].max() <= 0.0:
         raise DomainError("every marginal vanishes: nothing to allocate")
+    log_tops, heads, rates = _grid_fit(values, grid)
+    u, log_s = np.zeros(len(marginals)), log_tops.max()
+    if total_u > 0.0:
+        u, log_s = _water_fill(log_tops, 1.0 / rates, total_u, heads)
+    unit = math.exp(log_s)
+    fitted = np.exp(np.minimum(log_tops, heads - rates * u)) / rates
+    tol = _objective_tol(float(fitted.sum()))
+    seen = []
 
-    if total_u == 0.0:
-        zero = np.zeros(len(marginals))
-        objective = _marginal_objective(marginals, zero)
-        return AllocationResult(zero, [], level_max, objective, 0.0)
+    def evaluate(u, rows):
+        levels = np.array([m(x) for m, x in zip(marginals, u.tolist())]) / unit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # NaN where the reserve did not move keeps the last chord
+            slope = (seen[1] - levels) / (u - seen[0]) if seen else rates * levels
+        seen[:] = u, levels
+        return _marginal_objective(marginals, u, tol) / unit, -levels, np.diag(slope)
 
-    log_tops = [_log(top) for top in tops]
-    # a line without level never holds reserve, whatever its rate
-    rates = [
-        (log_top - _log(first)) / grid[1] if top > 0.0 else 1.0
-        for top, first, log_top in zip(tops, firsts, log_tops)
-    ]
-    u, log_s, miss, settled = _fitted_split(marginals, log_tops, rates, total_u)
-    if not settled:
-        log_s, u = _bracketed_split(marginals, log_tops, total_u, u, log_s, miss)
-        # a solve that ends on a jump, at the top of lines flat there up
-        # to an edge, misses U; any split that keeps them on their
-        # plateaus is optimal, so they share what the others leave of U
-        held = np.abs(np.array(log_tops) - log_s) <= 1e-12 * (1.0 + abs(log_s))
-        if held.any() and abs(u.sum() - total_u) > 1e-9 * total_u:
-            flat = [(m, t) for m, t, h in zip(marginals, tops, held) if h]
-            ends = np.array([_plateau_end(m, t, total_u) for m, t in flat])
-            share = (total_u - u[~held].sum()) / ends.sum()
-            u[held] = ends * min(max(share, 0.0), 1.0)
-    level = math.exp(log_s)
-    active = [k for k, x in enumerate(u.tolist()) if x > 0.0]
-    levels = [marginals[k](x) for k, x in zip(active, u[active].tolist())]
-    spread = (max(levels) - min(levels)) / level if active else 0.0
-    objective = _marginal_objective(marginals, u)
-    return AllocationResult(u, active, level, objective, float(spread))
+    if unit > 0.0:
+        # the fits' decay lengths, capped at the grid's span, set the scale
+        res = _newton_split(evaluate, u, np.maximum(rates, 1.0 / span))
+        if res.threshold > 0.0:
+            unscaled = res.threshold * unit, res.objective * unit
+            return replace(res, threshold=unscaled[0], objective=unscaled[1])
+    raise DomainError(f"every marginal level underflows at the split of {total_u}")
 
 
 def rho2_two_line(line1, line2, u1, u2):
@@ -412,15 +332,16 @@ def method2_two_line(line1, line2, total_u):
 
 
 def _certified(u, f, reductions):
-    """The aggregate result at the split u with deficit f: threshold is
-    the mean marginal reduction on lines holding reserve, kkt_residual
-    the largest reduction less their smallest, relative to that mean."""
-    active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    if not active:
-        return AllocationResult(u, [], float(np.max(reductions)), float(f), 0.0)
-    level = float(np.mean(reductions[active]))
-    resid = float(np.max(reductions) - np.min(reductions[active])) / max(level, 1e-300)
-    return AllocationResult(u, active, level, float(f), resid)
+    """The result at the split u with objective f: threshold is the mean
+    marginal reduction on lines holding reserve, kkt_residual the largest
+    reduction less their smallest, relative to that mean."""
+    held = u > 0.0
+    if not held.any():
+        return AllocationResult(u, [], float(reductions.max()), float(f), 0.0)
+    on = reductions[held]
+    level = float(on.sum() / on.size)
+    resid = float(reductions.max() - on.min()) / max(level, 1e-300)
+    return AllocationResult(u, np.flatnonzero(held).tolist(), level, float(f), resid)
 
 
 def psi_tilde(lines, reserves, v):
@@ -550,6 +471,8 @@ def _first_split(lines, g, total_u):
 def _newton_split(evaluate, u, b):
     """Minimise a convex F over the budget simplex {u >= 0, sum u = U}
     by active-set Newton steps from the split u; returns the optimum.
+    F is the pooled deficit on the aggregate routes and the sum of the
+    marginal deficits in method1_generic, whose Hessian is diagonal.
 
     evaluate(u, rows) gives F, grad F and a Hessian filled on the rows
     and columns of the lines flagged in rows: all lines at the start,
@@ -620,13 +543,13 @@ def _newton_split(evaluate, u, b):
             t *= 0.5
             blocked = False
             if t < 1e-12:
-                raise ConvergenceError("aggregate line search stalled")
+                raise ConvergenceError("split line search stalled")
         if blocked:
             free[leave] = False
         u, f, grad = cand, fc, gc
         hess = np.where(np.isnan(hc), hess, hc)
     else:
-        raise ConvergenceError(f"aggregate split not settled in {_NEWTON_STEPS} steps")
+        raise ConvergenceError(f"split not settled in {_NEWTON_STEPS} Newton steps")
     return _certified(u, f, -grad)
 
 
@@ -640,10 +563,7 @@ def method2_generic(lines, g, total_u):
     if not g.concave:
         raise DomainError("aggregate objective needs a concave distortion")
     a, b, u = _first_split(lines, g, total_u)
-    floor = DEFAULT_TOL.rel_tol * float(np.max(g.primitive(a * np.exp(-b * u)) / b))
-    tol = DEFAULT_TOL
-    if 0.0 < floor < tol.abs_tol:
-        tol = replace(tol, abs_tol=floor)
+    tol = _objective_tol(float(np.max(g.primitive(a * np.exp(-b * u)) / b)))
     evaluate = lambda u, rows: _pooled_deficit(a, b, g, u, tol, rows)
     return _newton_split(evaluate, u, b)
 

@@ -193,13 +193,18 @@ def cmd_allocate(cfg):
     if not cfg.lines:
         raise ValueError("at least one --line is required")
     total_u = _single(cfg.u_levels, "--u")
+    # each method reads one of --g and --gamma; the other is refused, not dropped
     if cfg.method == "marginal-sum":
+        if cfg.distortions:
+            raise ValueError("--g is not read by --method marginal-sum")
         gammas = cfg.gammas or [1.0] * len(cfg.lines)
         problem = AllocationProblem(
             lines=tuple(cfg.lines), total_u=total_u, gammas=tuple(gammas)
         )
         result = method1_exponential(problem)
     else:
+        if cfg.gammas is not None:
+            raise ValueError("--gamma is not read by --method aggregate-min")
         result = aggregate_min(cfg.lines, _distortion_or_identity(cfg), total_u)
     rows = [
         [i, line.lam, line.mu, line.c, float(result.reserves[i]), i in result.active]

@@ -249,8 +249,8 @@ class TestMethod1Generic:
             calls.append(seen)
 
         res = method1_generic(marginals, total)
-        # per line: the grid, the check of the fit, the level at the
-        # polished split and one objective pass
+        # per line: the grid, the level at the fitted split, which
+        # certifies it, and one objective pass
         assert sum(map(len, calls)) <= 12
         # (a exp(-b u))**p is the marginal level of penalty exponent 1/p
         p = 1.0 if g.kind == "identity" else g.param
@@ -276,10 +276,12 @@ class TestMethod1Generic:
             method1_generic(marginals, total)
             assert passes == [0.0]
 
-    @pytest.mark.parametrize("total, most", [(500.0, 170), (1000.0, 100)])
+    @pytest.mark.parametrize(
+        "total, most", [(500.0, 170), (1000.0, 100), (2e4, 12), (5e4, 60)]
+    )
     def test_tvar_plateaus_take_the_bracketed_solve(self, lines, total, most):
         # min(psi / alpha, 1) is flat at 1 up to each line's edge reserve,
-        # so the grid gives no rate; past the edges the lines water-fill
+        # which the grid fits skip; past the edges the lines water-fill
         # as a_k / alpha * exp(-b_k u), which sets the exact split
         alpha = 0.1
         calls = []
@@ -289,7 +291,10 @@ class TestMethod1Generic:
             marginals.append(m)
             calls.append(seen)
         res = method1_generic(marginals, total)
-        # bracketing ln s up from the floor 1e-14 takes 206 and 190 calls
+        # the fits past the edges are exact, so the fitted split is
+        # certified at its first levels: 9 calls up to U = 2e4; at 5e4 the
+        # second grid point underflows, the fit is a chord from the
+        # plateau, and Newton steps take 51 calls to a threshold of 5.1e-92
         assert sum(map(len, calls)) <= most
         assert res.kkt_residual <= 1e-12
         consts = [ruin_constants(line) for line in lines]
@@ -300,8 +305,7 @@ class TestMethod1Generic:
         assert res.threshold == pytest.approx(math.exp(log_s), rel=1e-10)
 
     def test_bracketed_solve_reuses_its_evaluations(self, lines):
-        # brent_root does not evaluate the doubling brackets' ends again,
-        # nor u = 0: 160 scalar calls before, 78 of them repeats
+        # each step evaluates every level once and no level twice
         calls = []
         marginals = []
         for line in lines:
@@ -318,10 +322,17 @@ class TestMethod1Generic:
         # the edges add up to 391.5 > total: no level s < 1 spends the
         # budget, and any split inside the plateaus is optimal
         alpha = 0.1
-        marginals = [
-            (lambda u, line=line: tvar(alpha)(ultimate_ruin(line, u))) for line in lines
-        ]
+        calls = []
+        marginals = []
+        for line in lines:
+            m, seen = counted(lambda u, line=line: tvar(alpha)(ultimate_ruin(line, u)))
+            marginals.append(m)
+            calls.append(seen)
         res = method1_generic(marginals, total)
+        # the fits enter the plateaus with jumps that share the budget,
+        # certified at the first levels; the objective pass takes most
+        assert sum(map(len, calls)) <= 100
+        assert res.threshold == 1.0
         consts = [ruin_constants(line) for line in lines]
         edges = [math.log(k.a / alpha) / k.b for k in consts]
         assert sum(edges) > total
@@ -331,7 +342,7 @@ class TestMethod1Generic:
         assert res.objective == pytest.approx(627.5227632505972 - total, rel=1e-9)
 
     def test_pareto_marginals_take_the_bracketed_solve(self):
-        # (1 + u)**-n is no exponential: the chord refits do not settle
+        # (1 + u)**-n is no exponential: Newton steps leave the fitted split
         powers = (3.0, 4.0, 5.0)
         calls = []
         marginals = []
@@ -340,8 +351,6 @@ class TestMethod1Generic:
             marginals.append(m)
             calls.append(seen)
         res = method1_generic(marginals, 5.0)
-        # bracketing ln s up from the floor 1e-14 takes 341 calls, and
-        # evaluating bracket ends again 130
         assert sum(map(len, calls)) <= 88
         assert res.kkt_residual <= 1e-12
         assert res.reserves.sum() == pytest.approx(5.0, rel=1e-12)
@@ -349,6 +358,26 @@ class TestMethod1Generic:
         assert levels == pytest.approx([res.threshold] * 3, rel=1e-12)
         tails = [(1.0 + u) ** (1.0 - n) / (n - 1.0) for u, n in zip(res.reserves, powers)]
         assert res.objective == pytest.approx(sum(tails), rel=1e-9)
+
+    @pytest.mark.parametrize("g", [identity(), proportional_hazard(0.5)])
+    def test_small_objectives_keep_their_precision(self, lines, g):
+        # the deficit at U = 2e4 is 1.9e-35 under identity and 1.4e-16
+        # under ph:0.5, far below an absolute quadrature tolerance of 1e-10
+        marginals = [(lambda u, line=line: g(ultimate_ruin(line, u))) for line in lines]
+        res = method1_generic(marginals, 2e4)
+        p = 1.0 if g.kind == "identity" else g.param
+        problem = AllocationProblem(lines=lines, total_u=2e4, gammas=(1.0 / p,) * 3)
+        closed = method1_exponential(problem)
+        assert res.objective == pytest.approx(closed.objective, rel=1e-12, abs=0.0)
+        assert res.reserves == pytest.approx(closed.reserves, rel=0.0, abs=1e-12 * 2e4)
+
+    def test_levels_below_the_least_float_are_a_domain_error(self, lines):
+        # identity at U = 2e5 equalises the levels at exp(-847); the
+        # message names the underflow, as any failed bracket is a
+        # DomainError too
+        marginals = [(lambda u, line=line: ultimate_ruin(line, u)) for line in lines]
+        with pytest.raises(DomainError, match="underflows"):
+            method1_generic(marginals, 2e5)
 
     def test_single_line_takes_everything(self):
         res = method1_generic([lambda u: ultimate_ruin(LINE1, u)], 7.0)

@@ -335,6 +335,21 @@ class TestAllocateCommand:
     def test_missing_budget_is_usage(self, capsys):
         assert run(capsys, "allocate", *LINE1_ARGS)[0] == 2
 
+    @pytest.mark.parametrize(
+        "method,flag,value", [("marginal-sum", "g", "ph:0.5"), ("aggregate-min", "gamma", "1,3")]
+    )
+    def test_flag_the_method_does_not_read_is_usage(self, capsys, tmp_path, method, flag, value):
+        # marginal-sum reads --gamma and aggregate-min reads --g; the other
+        # flag is refused rather than dropped, from the command line or a file
+        argv = ["allocate", "--line", "10,1,12", "--line", "1,10,15", "--u", "50",
+                "--method", method]
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        for extra in ([f"--{flag}", value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, "")
+            assert f"--{flag} is not read" in err
+
 
 class TestTableCommand:
     def test_table_two_reference_rows(self, capsys):

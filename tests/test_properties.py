@@ -4,6 +4,7 @@ checks the same examples each time."""
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,10 @@ from maxdeficit import (
     lambert_w0,
     line_from_ruin_constants,
     method1_exponential,
+    method1_generic,
     ruin_constants,
     tail_integral,
+    ultimate_ruin,
 )
 from maxdeficit.cli import main
 
@@ -89,6 +92,68 @@ class TestMethod1Exponential:
             else:
                 assert u[i] == 0.0
                 assert level <= res.threshold * (1.0 + 1e-12)
+
+
+def pareto_tail(n, sigma, alpha):
+    """The marginal (1 + u/sigma)**-n, under tvar(alpha) unless alpha is
+    None, and its integral from u, in closed form: flat at 1 up to the
+    edge where the tail falls to alpha."""
+    cap = 1.0 if alpha is None else alpha
+    edge = sigma * (cap ** (-1.0 / n) - 1.0)
+
+    def marginal(u):
+        return np.minimum((1.0 + np.asarray(u) / sigma) ** -n / cap, 1.0)
+
+    def deficit(u):
+        x = max(u, edge)
+        return x - u + sigma / ((n - 1.0) * cap) * (1.0 + x / sigma) ** (1.0 - n)
+
+    return marginal, deficit
+
+
+@st.composite
+def marginal_sums(draw):
+    """2-4 marginals with their deficits in closed form, and a budget."""
+    pairs = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["ph", "tvar", "pareto"]))
+        if kind == "pareto":
+            n, sigma = draw(st.floats(1.5, 6.0)), draw(st.floats(0.1, 20.0))
+            pairs.append(pareto_tail(n, sigma, draw(st.one_of(st.none(), st.floats(0.01, 0.9)))))
+        else:
+            a, b = draw(st.floats(0.05, 0.95)), draw(st.floats(0.005, 0.5))
+            line = line_from_ruin_constants(a, b)
+            param = draw(st.floats(0.2, 1.0) if kind == "ph" else st.floats(0.01, 0.9))
+            g = Distortion(kind, param)
+            marginal = lambda u, line=line, g=g: g(ultimate_ruin(line, u))
+            pairs.append((marginal, DeficitFunctional.for_line(line, g)))
+    return pairs, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestMethod1Generic:
+    @settings(FIXED, max_examples=150)
+    @given(marginal_sums())
+    def test_split_is_optimal(self, case):
+        pairs, total = case
+        marginals, deficits = zip(*pairs)
+        res = method1_generic(list(marginals), total)
+        u = res.reserves
+        assert u.sum() == pytest.approx(total, rel=1e-12)
+        assert res.kkt_residual <= 1e-10
+        for k, m in enumerate(marginals):
+            if k not in res.active:
+                assert m(0.0) <= res.threshold * (1.0 + 1e-10)
+        objective = lambda x: sum(d(float(xk)) for d, xk in zip(deficits, x))
+        best = objective(u)
+        assert res.objective == pytest.approx(best, rel=1e-9)
+        # no move of 5 % of the budget from one line to another helps
+        move = 0.05 * total
+        for i, j in itertools.permutations(range(u.size), 2):
+            if u[i] >= move:
+                moved = u.copy()
+                moved[i] -= move
+                moved[j] += move
+                assert objective(moved) >= best * (1.0 - 1e-9)
 
 
 class TestLambertW:
