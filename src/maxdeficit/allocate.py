@@ -15,11 +15,11 @@ Two ways to split a total reserve u over K exponential lines:
   whose first-passage probability for independent lines is
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
   a closed form.  Otherwise one active-set Newton method (_newton_split)
-  solves the split from the pooled deficit, its gradient and its
-  Hessian, which inclusion-exclusion over the subsets of lines gives
-  exactly under a concave distortion with p = 1 (identity, ph:1, tvar)
-  on up to _EXACT_MAX_LINES lines, and one quadrature pass gives in any
-  other case.
+  solves the split from evaluations that each give the pooled deficit,
+  its gradient and its whole Hessian: inclusion-exclusion over the
+  subsets of lines exactly under a concave distortion with p = 1
+  (identity, ph:1, tvar) on up to _EXACT_MAX_LINES lines, and one
+  quadrature pass in any other case.
 """
 
 import functools
@@ -215,13 +215,14 @@ def method1_generic(marginals, total_u):
 
     marginals are callables u -> distorted ruin probability of one line;
     each must accept an ndarray of reserves as well as a float.  A
-    41-point grid rejects non-monotone marginals and fits each by an
-    exponential past its plateau (_grid_fit).  Water filling on the fits
-    starts _newton_split on F(u) = sum_k of the integral of m_k from u_k,
-    with gradient -m_k(u_k) and a diagonal Hessian -m_k'(u_k) from the
-    fit's slope, then from the chord of m_k between its last two
-    evaluated reserves: an exponential marginal, flat up to an edge or
-    not, is certified in one evaluation.  F, its gradient and Hessian
+    41-point grid rejects marginals that are not finite or not monotone
+    and fits each by an exponential past its plateau (_grid_fit).  Water
+    filling on the fits starts _newton_split on F(u) = sum_k of the
+    integral of m_k from u_k, with gradient -m_k(u_k) and a diagonal
+    Hessian -m_k'(u_k) from the fit's slope, then from the chord of m_k
+    between its last two evaluated reserves, kept while u_k does not
+    move: an exponential marginal, flat up to an edge or not, is
+    certified in one evaluation.  F, its gradient and Hessian
     are divided by the largest fitted level, and F is integrated to
     rel_tol of the fitted deficit, so tiny levels and deficits keep
     their precision; levels that underflow raise DomainError.
@@ -232,6 +233,8 @@ def method1_generic(marginals, total_u):
     span = max(1.0, 2.0 * total_u)
     grid = np.linspace(0.0, span, 41)
     values = np.array([m(grid) for m in marginals])
+    if not np.isfinite(values).all():
+        raise DomainError("marginal map is not finite on the grid")
     if np.any(np.diff(values, axis=1) > 1e-12):
         raise DomainError("marginal map is not nonincreasing")
     if values[:, 0].max() <= 0.0:
@@ -245,12 +248,15 @@ def method1_generic(marginals, total_u):
     tol = _objective_tol(float(fitted.sum()))
     seen = []
 
-    def evaluate(u, rows):
+    def evaluate(u):
         levels = np.array([m(x) for m, x in zip(marginals, u.tolist())]) / unit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # NaN where the reserve did not move keeps the last chord
-            slope = (seen[1] - levels) / (u - seen[0]) if seen else rates * levels
-        seen[:] = u, levels
+        slope = rates * levels
+        if seen:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                chord = (seen[1] - levels) / (u - seen[0])
+            # a reserve that did not move keeps its last chord
+            slope = np.where(np.isnan(chord), seen[2], chord)
+        seen[:] = u, levels, slope
         return _marginal_objective(marginals, u, tol) / unit, -levels, np.diag(slope)
 
     if unit > 0.0:
@@ -365,10 +371,10 @@ def psi_tilde(lines, reserves, v):
     return tail if np.ndim(tail) else float(tail)
 
 
-def _pooled_deficit(a, b, g, u, tol, rows=()):
+def _pooled_deficit(a, b, g, u, tol):
     """The distorted pooled deficit F(u) = integral over v >= 0 of
-    g(psi~(u, v)), its gradient in u and its Hessian on the lines flagged
-    in rows (NaN elsewhere), from one vectorised quadrature.
+    g(psi~(u, v)), its gradient in u and its Hessian, from one vectorised
+    quadrature.
 
     a and b hold the lines' ruin constants.  With psi_k = a_k exp(-b_k
     (u_k + v)), S = prod_k (1 - psi_k) and q_k = b_k psi_k / (1 - psi_k),
@@ -385,8 +391,6 @@ def _pooled_deficit(a, b, g, u, tol, rows=()):
     if edge < math.inf:
         start = _tvar_edge(a.tolist(), b.tolist(), u.tolist(), edge)
     k = a.size
-    held = np.flatnonzero(rows)
-    n = held.size
     a_, b_, u_ = a[:, None], b[:, None], u[:, None]
 
     def integrand(v):
@@ -399,25 +403,21 @@ def _pooled_deficit(a, b, g, u, tol, rows=()):
         # ph's infinite slope there does not make 0 * inf, and g'' too,
         # which grows like x**(p - 2) and so needs the floor's root
         lift = g.slope(np.maximum(tail, _TINY)) * survive
-        out = np.empty((1 + k + n * n, v.size))
+        bend = g.curvature(np.maximum(tail, _TINY**0.5)) * survive**2 - lift
+        out = np.empty((1 + k + k * k, v.size))
         out[0] = g(tail)
         np.multiply(-lift, q, out=out[1:k + 1])
-        if n:
-            bend = g.curvature(np.maximum(tail, _TINY**0.5)) * survive**2 - lift
-            qh = q[held]
-            np.multiply(bend * qh[:, None], qh, out=out[k + 1:].reshape(n, n, -1))
-            # b / (1 - psi) = b + q on the diagonal
-            out[k + 1::n + 1] += lift * qh * (b_[held] + qh)
+        np.multiply(bend * q[:, None], q, out=out[k + 1:].reshape(k, k, -1))
+        # b / (1 - psi) = b + q on the diagonal
+        out[k + 1::k + 1] += lift * q * (b_ + q)
         return out
 
     out = tail_integral(integrand, start, tol)
-    hess = np.full((k, k), np.nan)
-    block = out[k + 1:].reshape(n, n)
+    hess = out[k + 1:].reshape(k, k)
     if start > 0.0:
         psi = a * np.exp(-b * (u + start))
         p = -b * psi * (1.0 - edge) / (1.0 - psi)
-        block = block + g.slope(edge) * np.outer(p[held], p[held]) / p.sum()
-    hess[held[:, None], held] = block
+        hess = hess + g.slope(edge) * np.outer(p, p) / p.sum()
     return start + float(out[0]), out[1:k + 1], hess
 
 
@@ -474,10 +474,7 @@ def _newton_split(evaluate, u, b):
     F is the pooled deficit on the aggregate routes and the sum of the
     marginal deficits in method1_generic, whose Hessian is diagonal.
 
-    evaluate(u, rows) gives F, grad F and a Hessian filled on the rows
-    and columns of the lines flagged in rows: all lines at the start,
-    then, after a step that is not short, those holding reserve or able
-    to enter; entries left NaN keep their last values.  Each step solves
+    evaluate(u) gives F, grad F and the Hessian of F.  Each step solves
     the bordered KKT system on the lines holding reserve, a ratio test
     lets one leave, and Armijo backtracking follows.  Once the step is
     small the idle line whose reduction most exceeds the multiplier
@@ -487,10 +484,9 @@ def _newton_split(evaluate, u, b):
     k = u.size
     scale = u.sum() + float(np.sum(1.0 / b))
     free = u > 0.0
-    f, grad, hess = evaluate(u, np.ones(k, dtype=bool))
-    # steps below step_tol are rounding, below reuse_tol they move the
-    # Hessian far less than their own error, below enter_tol a line may enter
-    step_tol, reuse_tol, enter_tol = 1e-14 * scale, 1e-5 * scale, 1e-2 * scale
+    f, grad, hess = evaluate(u)
+    # steps below step_tol are rounding, below enter_tol a line may enter
+    step_tol, enter_tol = 1e-14 * scale, 1e-2 * scale
     for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(free)
         n = idx.size
@@ -516,8 +512,6 @@ def _newton_split(evaluate, u, b):
             enter = int(np.argmax(excess))
             if excess[enter] > 1e-11 * level:
                 free[enter] = True
-                if np.isnan(hess[enter, enter]):
-                    f, grad, hess = evaluate(u, free)
                 continue
             if size <= step_tol:
                 break
@@ -530,12 +524,11 @@ def _newton_split(evaluate, u, b):
         t = min(1.0, float(ratios[leave]))
         blocked = t < 1.0
         slope = float(grad @ step)
-        rows = free | (excess > 0.0) if size > reuse_tol else ()
         while True:
             cand = u + t * step
             if blocked:
                 cand[leave] = 0.0
-            fc, gc, hc = evaluate(cand, rows)
+            fc, gc, hc = evaluate(cand)
             # the allowance lets steps through whose decrease is below
             # the rounding of F near the optimum
             if fc <= f + 1e-4 * t * slope + 1e-13 * abs(f):
@@ -546,8 +539,7 @@ def _newton_split(evaluate, u, b):
                 raise ConvergenceError("split line search stalled")
         if blocked:
             free[leave] = False
-        u, f, grad = cand, fc, gc
-        hess = np.where(np.isnan(hc), hess, hc)
+        u, f, grad, hess = cand, fc, gc, hc
     else:
         raise ConvergenceError(f"split not settled in {_NEWTON_STEPS} Newton steps")
     return _certified(u, f, -grad)
@@ -556,16 +548,15 @@ def _newton_split(evaluate, u, b):
 def method2_generic(lines, g, total_u):
     """Aggregate-minimum split for any number of lines and a concave
     distortion of the pooled curve: _newton_split from _first_split over
-    quadrature passes that each give F, its gradient and the Hessian rows
-    of the lines that may move (see _pooled_deficit), at a tolerance set
-    once, min(abs_tol, rel_tol * D) for the largest single-line deficit D
-    at the first split, a lower bound on F there."""
+    quadrature passes that each give F, its gradient and its Hessian (see
+    _pooled_deficit), at a tolerance set once, min(abs_tol, rel_tol * D)
+    for the largest single-line deficit D at the first split, a lower
+    bound on F there."""
     if not g.concave:
         raise DomainError("aggregate objective needs a concave distortion")
     a, b, u = _first_split(lines, g, total_u)
     tol = _objective_tol(float(np.max(g.primitive(a * np.exp(-b * u)) / b)))
-    evaluate = lambda u, rows: _pooled_deficit(a, b, g, u, tol, rows)
-    return _newton_split(evaluate, u, b)
+    return _newton_split(lambda u: _pooled_deficit(a, b, g, u, tol), u, b)
 
 
 @functools.lru_cache(maxsize=_EXACT_MAX_LINES)
@@ -580,11 +571,10 @@ def _subsets(k):
     return rows, sign
 
 
-def _exact_pass(a, b, s):
+def _exact_pass(a, b, s, shift=0.0):
     """F, grad F and the Hessian of F for the pooled deficit under
     g(x) = min(x/s, 1), identity or ph:1 at s = 1 and tvar(s) below, as
-    a function of the reserves u and of a shift that scales all three
-    by exp(-shift).
+    a function of the reserves u, all three scaled by exp(-shift).
 
     With psi_k = a_k exp(-b_k (u_k + v)), inclusion-exclusion gives the
     identity deficit F_id(u) as the sum over nonempty subsets S of
@@ -603,7 +593,7 @@ def _exact_pass(a, b, s):
     scaled_rows = rows * np.append(-b, 1.0)
     af, bf = a.tolist(), b.tolist()
 
-    def evaluate(u, shift=0.0):
+    def evaluate(u):
         v = _tvar_edge(af, bf, u.tolist(), s) if s < 1.0 else 0.0
         log_psi = log_a - b * (u + v)
         terms = sign * np.exp(member @ log_psi - log_rate - shift)
@@ -632,10 +622,9 @@ def method2_exact(lines, g, total_u):
     if len(lines) > _EXACT_MAX_LINES:
         raise DomainError(f"exact aggregate route takes up to {_EXACT_MAX_LINES} lines")
     a, b, u = _first_split(lines, g, total_u)
-    evaluate = _exact_pass(a, b, s)
     with np.errstate(divide="ignore"):
         shift = float(np.max(np.log(a) - b * u)) if a.any() else 0.0
-    res = _newton_split(lambda u, rows: evaluate(u, shift), u, b)
+    res = _newton_split(_exact_pass(a, b, s, shift), u, b)
     unit = math.exp(shift)
     return replace(res, threshold=res.threshold * unit, objective=res.objective * unit)
 

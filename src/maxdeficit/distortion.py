@@ -278,7 +278,10 @@ def choquet_empirical(g, samples):
 
 
 def choquet_se(g, samples, n_boot=50, seed=0):
-    """Bootstrap standard error of choquet_empirical on one sample set."""
+    """Bootstrap standard error of choquet_empirical on one sample set,
+    from n_boot >= 2 resamples."""
+    if not (isinstance(n_boot, numbers.Integral) and n_boot >= 2):
+        raise DomainError(f"bootstrap needs an integer n_boot >= 2, got {n_boot!r}")
     x = np.asarray(samples, dtype=float)
     rng = np.random.default_rng(seed)
     reps = np.empty(n_boot)

@@ -68,8 +68,7 @@ def path_events(line, t, seed, index):
     horizon is passed; claim sizes follow in a second block from the
     same substream.  Returns (times, sizes) as ndarrays.
     """
-    if t <= 0.0:
-        raise DomainError(f"horizon must be positive, got {t}")
+    _check_path_args(t, seed, index)
     rng = _path_rng(seed, index)
     if line.lam == 0.0:
         return np.empty(0), np.empty(0)
@@ -130,15 +129,20 @@ class PathState:
             raise DomainError("running maximum below the realized loss")
 
 
-def _check_run_args(t, n, seed):
+def _check_path_args(t, seed, index):
     if not 0.0 < t < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {t}")
+    for name, key in (("seed", seed), ("path index", index)):
+        if not (
+            isinstance(key, numbers.Integral) and 0 <= key <= np.iinfo(np.uint64).max
+        ):
+            raise DomainError(f"{name} must be a nonnegative 64-bit integer, got {key}")
+
+
+def _check_run_args(t, n, seed):
+    _check_path_args(t, seed, 0)
     if not isinstance(n, numbers.Integral) or n <= 0:
         raise DomainError(f"path count must be a positive integer, got {n!r}")
-    if not (
-        isinstance(seed, numbers.Integral) and 0 <= seed <= np.iinfo(np.uint64).max
-    ):
-        raise DomainError(f"seed must be a nonnegative 64-bit integer, got {seed}")
 
 
 def _fill_paths(line, t, seed, maxima=None, totals=None):
@@ -294,7 +298,15 @@ def supermartingale_check(line, g, t, r, n_outer=200, n_inner=2000, seed=0):
 
 def rolling_requirement(state, baseline_rho):
     """Time-s requirement for the loss over [s, s+t]: the reassessed
-    capital is the realized loss plus the fixed-horizon baseline."""
+    capital is the realized loss plus the fixed-horizon baseline.
+
+    This is the requirement for the cash-additive rules, coherent and
+    convex, whose reserve for the loss shifted by L_s is L_s plus the
+    baseline.  It is not for the proportional rule, whose margin scales
+    with the reserve: for the line (10, 1, 12) under ph:0.5 with L_s = 5,
+    the convex rule at budget 2 gives 25.40718 both ways, but at margin
+    0.05 L_s + rho is 30.7108 while the root of D(u - 5) = 0.05 u is
+    29.1885."""
     return state.realized_loss + baseline_rho
 
 

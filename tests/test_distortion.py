@@ -419,6 +419,13 @@ class TestChoquetSe:
         big = choquet_se(identity(), rng.exponential(1.0, size=20000), seed=1)
         assert big < small
 
+    def test_rejects_fewer_than_two_resamples(self, rng):
+        x = rng.exponential(1.0, size=50)
+        for bad in (1, 0, -3, 2.0, 10.5):
+            with pytest.raises(DomainError, match="n_boot"):
+                choquet_se(identity(), x, n_boot=bad)
+        assert choquet_se(identity(), x, n_boot=2) >= 0.0
+
 
 KINDS = [identity(), proportional_hazard(0.35), tvar(0.2), var_step(0.3)]
 

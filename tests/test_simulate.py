@@ -70,8 +70,16 @@ class TestPathEvents:
         assert times.size == sizes.size == 0
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(DomainError):
-            path_events(LINE1, 0.0, seed=0, index=0)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="horizon"):
+                path_events(LINE1, t, seed=0, index=0)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2**64, "3"])
+    def test_rejects_bad_seed_and_index(self, bad):
+        with pytest.raises(DomainError, match="seed"):
+            path_events(LINE1, 5.0, seed=bad, index=0)
+        with pytest.raises(DomainError, match="path index"):
+            path_events(LINE1, 5.0, seed=0, index=bad)
 
 
 class TestMaxFromEvents:
