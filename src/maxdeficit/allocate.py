@@ -399,13 +399,13 @@ def _pooled_deficit(a, b, g, u, tol):
         survive = np.exp(log_survive)
         tail = np.minimum(-np.expm1(log_survive), edge)
         q = b_ * psi / (1.0 - psi)
-        # a tail that underflows to 0 has q = 0; keep g' finite so that
-        # ph's infinite slope there does not make 0 * inf, and g'' too,
-        # which grows like x**(p - 2) and so needs the floor's root
-        lift = g.slope(np.maximum(tail, _TINY)) * survive
-        bend = g.curvature(np.maximum(tail, _TINY**0.5)) * survive**2 - lift
+        # a tail that underflows to 0 has q = 0; derivatives keeps g' and
+        # g'' finite there, so that ph's infinite slope makes no 0 * inf
+        value, slope, curvature = g.derivatives(tail)
+        lift = slope * survive
+        bend = curvature * survive**2 - lift
         out = np.empty((1 + k + k * k, v.size))
-        out[0] = g(tail)
+        out[0] = value
         np.multiply(-lift, q, out=out[1:k + 1])
         np.multiply(bend * q[:, None], q, out=out[k + 1:].reshape(k, k, -1))
         # b / (1 - psi) = b + q on the diagonal

@@ -54,6 +54,16 @@ def _parse_floats(text):
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _parse_digits(text):
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+    return digits
+
+
 def _config_tokens(path, argv):
     """The entries of a flat key=value file as --key=value tokens.
 
@@ -490,7 +500,7 @@ def build_parser():
     common.add_argument("--out", default=None)
     common.add_argument("--format", dest="fmt", choices=["table", "csv"],
                         default="table")
-    common.add_argument("--precision", type=int, default=6)
+    common.add_argument("--precision", type=_parse_digits, default=6)
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("measure", parents=[common], help="evaluate one requirement")

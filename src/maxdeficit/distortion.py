@@ -23,6 +23,8 @@ from .numerics import DEFAULT_TOL, tail_integral
 
 _KINDS = ("identity", "ph", "tvar", "varstep")
 
+_TINY = np.finfo(float).tiny
+
 
 def _unit_interval(x):
     """x as a float array, refusing any value outside [0, 1]; NaN passes."""
@@ -83,15 +85,14 @@ class Distortion:
 
     def __call__(self, x):
         """Apply g; accepts a float or an ndarray of values in [0, 1]."""
-        s, p, edge = self.primitive_pieces
         if type(x) is float:
             # plain float arithmetic for the scalar root-finding callers;
             # it agrees with the array form, NaN included
+            s, p, edge = self.primitive_pieces
             if x < 0.0 or x > 1.0:
                 raise DomainError("distortion argument outside [0, 1]")
             return 1.0 if x > edge else x**p / s
-        arr = _unit_interval(x)
-        out = np.where(arr > edge, 1.0, arr**p / s)
+        out = self._value(_unit_interval(x))
         return out if out.ndim else float(out)
 
     def slope(self, x):
@@ -101,11 +102,7 @@ class Distortion:
         takes 1/alpha up to and including its kink at alpha and 0 beyond.
         varstep has no derivative to integrate and raises DomainError.
         """
-        arr = _unit_interval(x)
-        if not self.concave:
-            raise DomainError("varstep distortion has no slope")
-        s, p, edge = self.primitive_pieces
-        out = np.where(arr > edge, 0.0, p * arr ** (p - 1.0) / s)
+        out = self._slope(_unit_interval(x))
         return out if out.ndim else float(out)
 
     def curvature(self, x):
@@ -113,13 +110,40 @@ class Distortion:
         in [0, 1].  ph gives p * (p - 1) * x**(p - 2), -inf at 0 when p < 1;
         the linear pieces of identity and tvar give 0; varstep raises
         DomainError, as for slope."""
+        out = self._curvature(_unit_interval(x))
+        return out if out.ndim else float(out)
+
+    def derivatives(self, x):
+        """g, g' and g'' on an ndarray of values in [0, 1], from one range
+        check.  ph's g' and g'' are infinite at 0 when p < 1, so g' is
+        taken at max(x, tiny) and g'' at max(x, sqrt(tiny)), tiny the
+        least normal float, where both are finite for every p in (0, 1].
+        varstep raises DomainError, as for slope."""
         arr = _unit_interval(x)
+        return (
+            self._value(arr),
+            self._slope(np.maximum(arr, _TINY)),
+            self._curvature(np.maximum(arr, _TINY**0.5)),
+        )
+
+    # the array forms, on arguments already checked to lie in [0, 1]
+
+    def _value(self, arr):
+        s, p, edge = self.primitive_pieces
+        return np.where(arr > edge, 1.0, arr**p / s)
+
+    def _slope(self, arr):
+        if not self.concave:
+            raise DomainError("varstep distortion has no slope")
+        s, p, edge = self.primitive_pieces
+        return np.where(arr > edge, 0.0, p * arr ** (p - 1.0) / s)
+
+    def _curvature(self, arr):
         if not self.concave:
             raise DomainError("varstep distortion has no curvature")
         s, p, _ = self.primitive_pieces
         # only p = 1 comes with an edge, and x**(p - 2) is infinite at 0
-        out = p * (p - 1.0) * arr ** (p - 2.0) / s if p < 1.0 else 0.0 * arr
-        return out if out.ndim else float(out)
+        return p * (p - 1.0) * arr ** (p - 2.0) / s if p < 1.0 else 0.0 * arr
 
     def primitive(self, y):
         """G(y) = integral of g(x)/x over (0, y]; accepts a float or an

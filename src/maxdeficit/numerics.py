@@ -12,11 +12,13 @@ Three routines cover every solver need in the package:
                   integrands sampled together on arrays, on successive
                   doubling panels with adaptive 20-point Gauss-Lobatto
                   (Legendre) quadrature per panel; the integrand is
-                  called once per group of 16 panels and once per depth
-                  of bisection, so it may be sampled past the point
-                  where accumulation stops; a span with a NaN estimate
-                  is never bisected, and a panel that is not finite
-                  raises TruncationError once it would be added
+                  called once per group of 16 panels, whose nodes and
+                  half-widths are a layout built once at import and
+                  scaled to the group, and once per depth of bisection,
+                  so it may be sampled past the point where accumulation
+                  stops; a span with a NaN estimate is never bisected,
+                  and a panel that is not finite raises TruncationError
+                  once it would be added
 """
 
 import math
@@ -194,72 +196,102 @@ _GROUP = 16
 _CHILD_ENDS = np.array([0, 2, 2, 4])
 
 
+def _nodes(lo, hi):
+    # the rule's nodes on the spans [lo, hi], arrays of one shape, with
+    # the spans' half-widths
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[..., None] + half[..., None] * _RULE_X, half
+
+
 def _estimates(f, lo, hi):
     # rule estimates over the spans [lo, hi], arrays of one shape, from
-    # one call of f, and f at every node; f's trailing axis runs over the
-    # points, so with m rows the estimates have shape (m,) + lo.shape,
-    # and with one value per point the row axis is absent
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * _RULE_X
+    # one call of f; f's trailing axis runs over the points, so with m
+    # rows the estimates have shape (m,) + lo.shape, and with one value
+    # per point the row axis is absent
+    nodes, half = _nodes(lo, hi)
     y = np.asarray(f(nodes.ravel()), dtype=float)
-    y = y.reshape(y.shape[:-1] + nodes.shape)
-    return (y @ _RULE_W) * half, y
+    return (y.reshape(y.shape[:-1] + nodes.shape) @ _RULE_W) * half
+
+
+# The unit group, built once: the first _GROUP panels from 0 with first
+# width 1, [2**j - 1, 2**(j + 1) - 1], each as its left edge, midpoint and
+# right edge.  A group from left with first width h has its panels' edges
+# at left + h * _UNIT_SPAN, its nodes at left + h * _UNIT_NODES, by panel,
+# then whole panel and its two halves, then node, and its spans' half-widths
+# h * _UNIT_HALF, exact multiples of the unit's as h is a power of 2; the
+# group after it starts at left + h * _UNIT_EDGES[-1] with first width
+# h * 2**_GROUP.  The first group from 0 is the unit group itself, so its
+# nodes are those of the panels laid out one by one; from another edge a
+# node may round an ulp away from theirs.
+_UNIT_EDGES = np.exp2(np.arange(_GROUP + 1.0)) - 1.0
+_UNIT_MARKS = np.column_stack(
+    (_UNIT_EDGES[:-1], 0.5 * (_UNIT_EDGES[:-1] + _UNIT_EDGES[1:]), _UNIT_EDGES[1:])
+)
+_UNIT_SPAN = _UNIT_MARKS[:, ::2]
+_UNIT_NODES, _UNIT_HALF = _nodes(_UNIT_MARKS[:, (0, 0, 1)], _UNIT_MARKS[:, (2, 1, 2)])
+# flat, as arithmetic on one axis is the faster
+_PANEL_NODES = _UNIT_NODES[0].size
+_UNIT_NODES = _UNIT_NODES.ravel()
 
 
 def _row_max(x):
     # largest magnitude over every row, one value per entry of the last axis
-    return np.abs(x).reshape(-1, x.shape[-1]).max(axis=0)
+    x = np.abs(x)
+    return x if x.ndim == 1 else x.reshape(-1, x.shape[-1]).max(axis=0)
 
 
-def _collapse(levels):
-    # each span's value is the sum of its halves when they were accepted,
-    # else its lower child's value plus its upper child's, which sit side
-    # by side one depth further down: the order of a depth-first recursion
-    value = None
-    for halves, split in reversed(levels):
-        out = halves[..., 0] + halves[..., 1]
-        if value is not None:
-            out[..., split] = value[..., 0::2] + value[..., 1::2]
-        value = out
-    return value
-
-
-def _panels(f, marks, tol):
-    # integrals over consecutive panels, row i of marks holding the left
-    # edge, the midpoint and the right edge of one, from one call of f
-    # for the panels and one per depth of bisection, and which panels
-    # meet the stopping test.  Every span whose halves disagree with it
-    # by more than its tolerance is split in the same call, across all
-    # panels; a span with a NaN estimate compares false and is never
-    # split, so it costs no call, and tail_integral raises if it counts.
-    est, y = _estimates(f, marks[:, (0, 0, 1)], marks[:, (2, 1, 2)])
+def _panels(f, y, left, h, tol):
+    # integrals over the group's panels from f's values y at its nodes,
+    # shape rows + (n, 3, nodes per span), and one call of f per depth of
+    # bisection.  Every span whose halves disagree with it by more than
+    # its tolerance is split in the same call, across all panels; a span
+    # with a NaN estimate compares false and is never split, so it costs
+    # no call, and tail_integral raises if it counts.
+    n = y.shape[-3]
+    est = (y @ _RULE_W) * (h * _UNIT_HALF[:n])
     whole, halves = est[..., 0], est[..., 1:]
-    # the whole panel's last node is its right edge
-    quiet_end = _row_max(y[..., 0, -1]) < tol.abs_tol
     span_tol = np.fmax(tol.abs_tol, tol.rel_tol * _row_max(whole))
-    span = marks[:, ::2]
+    # each depth's sums of halves, and the spans there that were split
     levels = []
     for depth in range(1, _MAX_DEPTH + 1):
-        split = _row_max(halves[..., 0] + halves[..., 1] - whole) > span_tol
-        split &= depth < _MAX_DEPTH
-        levels.append((halves, split))
-        k = split.nonzero()[0]
+        sums = halves[..., 0] + halves[..., 1]
+        if depth == _MAX_DEPTH:
+            break
+        k = (_row_max(sums - whole) > span_tol).nonzero()[0]
         if not k.size:
             break
+        levels.append((sums, k))
+        if depth == 1:
+            # the group's panels are placed only once one must be split
+            span = left + h * _UNIT_SPAN[:n]
         # the split spans' ends, midpoints and quarter points, in order
         cut = np.empty((k.size, 5))
         cut[:, ::4] = span[k]
         cut[:, 2] = 0.5 * (cut[:, 0] + cut[:, 4])
         cut[:, 1::2] = 0.5 * (cut[:, 0:3:2] + cut[:, 2::2])
-        q, _ = _estimates(f, cut[:, :4], cut[:, 1:])
+        q = _estimates(f, cut[:, :4], cut[:, 1:])
         # children (a, m) and (m, b) of each split span, side by side;
         # each inherits its parent's half as its whole-span estimate
         whole = halves[..., k, :].reshape(q.shape[:-2] + (-1,))
         halves = q.reshape(whole.shape + (2,))
         span = cut[:, _CHILD_ENDS].reshape(-1, 2)
         span_tol = (0.5 * span_tol[k]).repeat(2)
-    pieces = _collapse(levels)
-    return pieces, (_row_max(pieces) < tol.abs_tol) & quiet_end
+    # a split span's value is its lower child's plus its upper child's,
+    # which sit side by side one depth further down: the order of a
+    # depth-first recursion
+    for parent, k in reversed(levels):
+        parent[..., k] = sums[..., 0::2] + sums[..., 1::2]
+        sums = parent
+    return sums
+
+
+def _add(total, pieces):
+    # total plus the panels' values in order, each row as one running sum
+    run = np.empty(pieces.shape[:-1] + (pieces.shape[-1] + 1,))
+    run[..., 0] = total
+    run[..., 1:] = pieces
+    total = np.add.accumulate(run, axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
 def tail_integral(f, a, tol=DEFAULT_TOL):
@@ -273,11 +305,12 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
     the whole-panel estimate agrees with the sum over its two halves to
     max(abs_tol, rel_tol * panel size) in every row, else bisected; a
     span whose estimates hold a NaN is never bisected.  Panels are taken
-    16 at a time: f is called once for all of them and once per depth
-    of bisection, for every span at that depth that must be split, so
-    it may be sampled past the panel where accumulation stops.  The
-    panels are added in order, each bisected span as its lower half plus
-    its upper half, and accumulation stops once every row of a panel
+    16 at a time, as a layout built once at import scaled to the group's
+    left edge and first width: f is called once for all of them and once
+    per depth of bisection, for every span at that depth that must be
+    split, so it may be sampled past the panel where accumulation stops.
+    The panels are added in order, each bisected span as its lower half
+    plus its upper half, and accumulation stops once every row of a panel
     contributes less than abs_tol in magnitude and is below abs_tol in
     magnitude at the panel's right edge.  A panel that is not finite in
     every row, or max_iter panels that do not reach that state, raise
@@ -290,23 +323,24 @@ def tail_integral(f, a, tol=DEFAULT_TOL):
     done = 0
     while done < tol.max_iter:
         n = min(_GROUP, tol.max_iter - done)
-        marks = []
-        for _ in range(n):
-            right = left + h
-            marks.append((left, left + 0.5 * h, right))
-            left = right
-            h *= 2.0
-        pieces, stops = _panels(f, np.array(marks), tol)
-        finite = np.isfinite(pieces).reshape(-1, n).all(axis=0)
-        # one integrand's panels add as plain floats, to the same sums
-        columns = pieces.tolist() if pieces.ndim == 1 else pieces.T
-        for j in range(n):
-            if not finite[j]:
-                raise TruncationError(f"tail panel {done + j} is not finite", total)
-            total = total + columns[j]
-            if stops[j]:
-                return total if np.ndim(total) else float(total)
+        y = np.asarray(f(left + h * _UNIT_NODES[:n * _PANEL_NODES]), dtype=float)
+        y = y.reshape(y.shape[:-1] + (n, 3, _RULE_X.size))
+        pieces = _panels(f, y, left, h, tol)
+        # a panel with a NaN or an infinite row has a peak that is not finite
+        peak = _row_max(pieces)
+        # the whole panel's last node is its right edge
+        stops = np.maximum(peak, _row_max(y[..., 0, -1])) < tol.abs_tol
+        ends = np.flatnonzero(stops | ~np.isfinite(peak))
+        if ends.size:
+            j = ends[0]
+            if not math.isfinite(peak[j]):
+                partial = _add(total, pieces[..., :j])
+                raise TruncationError(f"tail panel {done + j} is not finite", partial)
+            return _add(total, pieces[..., :j + 1])
+        total = _add(total, pieces)
         done += n
+        left += h * _UNIT_EDGES[-1]
+        h *= 2.0**_GROUP
     raise TruncationError(
         f"tail integral still active after {tol.max_iter} panels", total
     )

@@ -176,6 +176,17 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
 
+    @pytest.mark.parametrize("value", ["-3", "x"])
+    def test_bad_precision_is_usage(self, capsys, tmp_path, value):
+        # refused while parsing, from the command line or a file, with the
+        # flag named; a negative count of digits used to reach the formatter
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"precision={value}\n")
+        for extra in (["--precision", value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "measure", "coherent", *LINE1_ARGS, *extra)
+            assert (code, out) == (2, "")
+            assert f"argument --precision: expects an integer >= 0, got '{value}'" in err
+
     def test_runtime_domain_error_is_three(self, capsys):
         code, _, err = run(capsys, "measure", "ear", *LINE1_ARGS, "--A", "-1")
         assert code == 3
@@ -455,6 +466,25 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "seed" in err
+
+
+class TestSuccessiveCalls:
+    def test_appended_flags_start_empty(self, capsys):
+        # --line and --g append to a default list; a second call in the
+        # same process sees only its own values
+        code, out, _ = run(
+            capsys, "measure", "coherent", "--line", "10,1,12", "--line", "1,10,15",
+            "--g", "ph:0.5", "--format", "csv",
+        )
+        assert code == 0
+        assert len(csv_rows(out)[1]) == 2
+        code, out, _ = run(
+            capsys, "measure", "coherent", "--line", "0.1,100,20", "--format", "csv"
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        # identity's D(0) = a / b = 0.5 / 0.005 on the one line given
+        assert [r[:4] for r in rows] == [["0.1", "100", "20", "100"]]
 
 
 class TestConfigFile:

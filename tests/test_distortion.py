@@ -155,6 +155,33 @@ class TestCurvature:
             identity().curvature(1.5)
 
 
+class TestDerivatives:
+    @pytest.mark.parametrize(
+        "g", [identity(), proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.2)]
+    )
+    def test_matches_the_three_methods(self, g):
+        # g where asked, g' and g'' at the floors that keep ph finite at 0
+        tiny = np.finfo(float).tiny
+        x = np.array([0.0, 1e-310, tiny, 1e-200, 1e-154, 0.01, 0.2, 0.55, 1.0])
+        value, slope, curvature = g.derivatives(x)
+        assert np.array_equal(value, g(x))
+        assert np.array_equal(slope, g.slope(np.maximum(x, tiny)))
+        assert np.array_equal(curvature, g.curvature(np.maximum(x, tiny**0.5)))
+
+    @pytest.mark.parametrize("p", [1e-3, 0.3, 0.999])
+    def test_finite_at_zero(self, p):
+        value, slope, curvature = proportional_hazard(p).derivatives(np.array([0.0]))
+        assert value[0] == 0.0
+        assert np.isfinite(slope[0]) and slope[0] > 0.0
+        assert np.isfinite(curvature[0]) and curvature[0] < 0.0
+
+    def test_checks_range_and_kind(self):
+        with pytest.raises(DomainError):
+            identity().derivatives(np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            var_step(0.4).derivatives(np.array([0.1, 0.5]))
+
+
 class TestScalarPath:
     # a float argument to g takes plain float arithmetic; it must agree
     # with the array form, including at the endpoints, the kink and NaN

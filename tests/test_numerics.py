@@ -12,11 +12,13 @@ from maxdeficit import (
     BracketingError,
     ConvergenceError,
     DomainError,
+    ExponentialLine,
     Tolerance,
     TruncationError,
     brent_root,
     lambert_w0,
     tail_integral,
+    ultimate_ruin,
 )
 
 # root of exp(-x) = x, solved here by bisection once and frozen
@@ -202,6 +204,40 @@ class TestTailIntegral:
 
         assert tail_integral(f, 0.0) == pytest.approx(200.0, rel=1e-12)
         assert calls == 1
+
+    def test_second_group_takes_one_more_call(self):
+        # rate 1/30000 stops past 2**16 - 1, the end of the first 16
+        # panels, so the next 16, [2**16 - 1, 2**32 - 1], come in one call
+        asked = []
+
+        def f(v):
+            asked.append((v.min(), v.max()))
+            return np.exp(-v / 30000.0)
+
+        assert tail_integral(f, 0.0) == pytest.approx(30000.0, rel=1e-12)
+        assert asked == [(0.0, 2.0**16 - 1.0), (2.0**16 - 1.0, 2.0**32 - 1.0)]
+
+    def test_partial_last_group(self):
+        # 20 panels are 16 and then 4, which end at 2**20 - 1
+        asked = []
+
+        def f(v):
+            asked.append(v.max())
+            return 1.0 / (1.0 + v)
+
+        with pytest.raises(TruncationError) as err:
+            tail_integral(f, 0.0, Tolerance(max_iter=20))
+        assert err.value.partial == pytest.approx(math.log(2.0**20), rel=1e-10)
+        assert max(asked) == 2.0**20 - 1.0
+
+    def test_pinned_value_from_zero(self):
+        # sqrt(psi) on line (10, 1, 12), psi(v) = (5/6) exp(-v/6); the
+        # exact value is 12 sqrt(5/6), and this float is the kernel's
+        # result, bit for bit, from the nodes of the doubling panels at 0
+        line = ExponentialLine(10.0, 1.0, 12.0)
+        got = tail_integral(lambda v: np.sqrt(ultimate_ruin(line, v)), 0.0)
+        assert got == 10.954451150103326
+        assert got == pytest.approx(12.0 * math.sqrt(5.0 / 6.0), rel=1e-15)
 
     def test_start_offset_consistency(self):
         f = lambda v: 0.5 * np.exp(-0.2 * v)
