@@ -64,13 +64,24 @@ def _parse_digits(text):
     return digits
 
 
+def _flag_named(token):
+    """The flag a --name[=value] token names, found as argparse finds it:
+    the exact name, else the one flag that the name abbreviates."""
+    name = token.split("=", 1)[0]
+    if name in _OPTIONS:
+        return name
+    found = [flag for flag in _OPTIONS if flag.startswith(name)]
+    return found[0] if len(found) == 1 else None
+
+
 def _config_tokens(path, argv):
     """The entries of a flat key=value file as --key=value tokens.
 
-    An entry whose flag also appears in argv is dropped, so a flag
-    replaces its key from the file, repeated line and g keys included.
+    An entry whose flag also appears in argv, in full or abbreviated, is
+    dropped, so a flag replaces its key from the file, repeated line and
+    g keys included.
     """
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    given = {_flag_named(tok) for tok in argv if tok.startswith("--")}
     tokens = []
     with open(path) as fh:
         for raw in fh:
@@ -89,9 +100,7 @@ def _config_tokens(path, argv):
 def _parse(parser, argv):
     args = parser.parse_args(argv)
     if args.config:
-        # file entries go right after the subcommand: a flag that
-        # _config_tokens cannot match, such as an abbreviated one, is
-        # then parsed after them and still wins
+        # file entries go right after the subcommand, whose parser reads them
         at = argv.index(args.command) + 1
         args = parser.parse_args(
             argv[:at] + _config_tokens(args.config, argv) + argv[at:]
@@ -469,62 +478,81 @@ def cmd_check(cfg):
     return 0 if failures == 0 else 1
 
 
-def build_parser():
+# the flags every command takes, by long name; a config file's keys are
+# these names without the dashes.  The appended flags default to None, not
+# to a list, so no call can see a list that another call appended to
+_OPTIONS = {
+    "--config": dict(help="flat key=value file; keys are long flag names, "
+                     "and a flag replaces its key"),
+    "--line": dict(dest="lines", action="append", type=_parse_line, default=None,
+                   metavar="LAM,MU,C"),
+    "--g": dict(dest="distortions", action="append", type=parse_distortion,
+                default=None, metavar="SPEC",
+                help="identity | ph:<p> | tvar:<alpha> | varstep:<alpha>"),
+    "--A": dict(dest="budgets", type=_parse_floats, default=None),
+    "--delta": dict(dest="margins", type=_parse_floats, default=None),
+    "--alpha": dict(type=float, default=None),
+    "--gamma": dict(dest="gammas", type=_parse_floats, default=None),
+    "--method": dict(choices=["marginal-sum", "aggregate-min"],
+                     default="marginal-sum"),
+    "--u": dict(dest="u_levels", type=_parse_floats, default=None),
+    "--t": dict(type=float, default=None),
+    "--n": dict(type=int, default=None),
+    "--seed": dict(type=int, default=None),
+    "--r-grid": dict(dest="r_grid", default=None, metavar="START:STOP:COUNT"),
+    "--mu": dict(type=float, default=1.0),
+    "--c": dict(type=float, default=1.0),
+    "--out": dict(default=None),
+    "--format": dict(dest="fmt", choices=["table", "csv"], default="table"),
+    "--precision": dict(type=_parse_digits, default=6),
+}
+
+# name: (help, handler, choices of the target positional or None)
+_COMMANDS = {
+    "measure": ("evaluate one requirement", cmd_measure,
+                ["coherent", "convex", "proportional", "ear", "premium-bound"]),
+    "allocate": ("split a reserve budget", cmd_allocate, None),
+    "table": ("regenerate a standard table", cmd_table, _TABLES),
+    "figure": ("requirement curves over a decay-rate grid (CSV)", cmd_figure, None),
+    "simulate": ("sample running maxima", cmd_simulate, None),
+    "check": ("run the invariant suite", cmd_check, None),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with only `command`'s subparser when it names
+    one and with all of them otherwise (help, a missing or unknown command).
+
+    Building a subparser is most of a closed-form request's time, so a
+    call builds only the one it runs.  The parser is built per call, not
+    kept: a cached parser runs more requests per second, and the benchmark
+    keeps one float per request, so its peak RSS grows past the 5 % bound
+    until that store changes (ROADMAP item 1).  The pinned usage and the
+    subparsers' prog keep every usage line as the full parser prints it.
+    """
     parser = argparse.ArgumentParser(
         prog="maxdeficit",
+        usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="Risk measures and reserve allocation for compound "
         "Poisson maximum-deficit models",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value file; keys are long "
-                        "flag names, and a flag replaces its key")
-    common.add_argument("--line", dest="lines", action="append", type=_parse_line,
-                        default=[], metavar="LAM,MU,C")
-    common.add_argument("--g", dest="distortions", action="append",
-                        type=parse_distortion, default=[], metavar="SPEC",
-                        help="identity | ph:<p> | tvar:<alpha> | varstep:<alpha>")
-    common.add_argument("--A", dest="budgets", type=_parse_floats, default=None)
-    common.add_argument("--delta", dest="margins", type=_parse_floats, default=None)
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--gamma", dest="gammas", type=_parse_floats, default=None)
-    common.add_argument("--method", choices=["marginal-sum", "aggregate-min"],
-                        default="marginal-sum")
-    common.add_argument("--u", dest="u_levels", type=_parse_floats, default=None)
-    common.add_argument("--t", type=float, default=None)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--r-grid", dest="r_grid", default=None,
-                        metavar="START:STOP:COUNT")
-    common.add_argument("--mu", type=float, default=1.0)
-    common.add_argument("--c", type=float, default=1.0)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", dest="fmt", choices=["table", "csv"],
-                        default="table")
-    common.add_argument("--precision", type=_parse_digits, default=6)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("measure", parents=[common], help="evaluate one requirement")
-    p.add_argument("target", choices=["coherent", "convex", "proportional",
-                                      "ear", "premium-bound"])
-    p.set_defaults(func=cmd_measure)
-    p = sub.add_parser("allocate", parents=[common], help="split a reserve budget")
-    p.set_defaults(func=cmd_allocate)
-    p = sub.add_parser("table", parents=[common], help="regenerate a standard table")
-    p.add_argument("target", choices=_TABLES)
-    p.set_defaults(func=cmd_table)
-    p = sub.add_parser("figure", parents=[common],
-                       help="requirement curves over a decay-rate grid (CSV)")
-    p.set_defaults(func=cmd_figure)
-    p = sub.add_parser("simulate", parents=[common], help="sample running maxima")
-    p.set_defaults(func=cmd_simulate)
-    p = sub.add_parser("check", parents=[common], help="run the invariant suite")
-    p.set_defaults(func=cmd_check)
+    for flag, spec in _OPTIONS.items():
+        common.add_argument(flag, **spec)
+    sub = parser.add_subparsers(dest="command", required=True, prog="maxdeficit")
+    for name, (text, func, targets) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, parents=[common], help=text)
+        if targets is not None:
+            p.add_argument("target", choices=targets)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = _parse(parser, argv)
         return args.func(args)

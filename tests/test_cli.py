@@ -1,11 +1,15 @@
 """End-to-end command-line behaviour: exit codes, formats, config."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from maxdeficit import ConvergenceError, load_batch
+import maxdeficit
+from maxdeficit import ConvergenceError, cli, load_batch
 from maxdeficit.cli import main
 
 LINE1_ARGS = ["--line", "10,1,12"]
@@ -486,6 +490,73 @@ class TestSuccessiveCalls:
         # identity's D(0) = a / b = 0.5 / 0.005 on the one line given
         assert [r[:4] for r in rows] == [["0.1", "100", "20", "100"]]
 
+    def test_mixed_commands_match_lone_runs(self, capsys, monkeypatch):
+        # each call builds the parser for its own command; in one process,
+        # every output is the one that argv prints in a fresh interpreter
+        monkeypatch.delenv("MAXDEFICIT_SEED", raising=False)
+        argvs = [
+            ["measure", "coherent", "--line", "10,1,12", "--line", "1,10,15",
+             "--g", "ph:0.5"],
+            ["allocate", "--line", "10,1,12", "--line", "1,10,15", "--u", "30"],
+            ["table", "2"],
+            ["figure", "--r-grid", "0.1:0.5:2"],
+            ["measure", "convex", "--line", "0.1,100,20", "--A", "5"],
+        ]
+        together = [run(capsys, *argv) for argv in argvs]
+        src = os.path.dirname(os.path.dirname(maxdeficit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, (code, out, err) in zip(argvs, together):
+            alone = subprocess.run(
+                [sys.executable, "-m", "maxdeficit.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+class TestCommandParser:
+    """main builds only the named command's subparser; what it prints
+    matches the parser with all six."""
+
+    def test_builds_only_the_named_command(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser("table").parse_args(["measure", "coherent"])
+        assert "invalid choice: 'measure'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["measure", "--help"], "usage: maxdeficit measure [-h] "),
+        (["table", "9"], "usage: maxdeficit table [-h] "),
+        (["measure", "coherent", "--bogus"],
+         "usage: maxdeficit [-h] {measure,allocate,table,figure,simulate,check} ...\n"),
+    ])
+    def test_usage_lines_name_every_command(self, capsys, argv, usage):
+        # the subparsers' usage and the top-level one, as the full parser
+        # prints them without a pinned usage
+        _, out, err = run(capsys, *argv)
+        assert (out + err).startswith(usage)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], [], ["nonsense"], ["meas"],
+        ["measure", "--help"], ["table", "-h"], ["allocate", "--help"],
+        ["figure", "--help"], ["simulate", "--help"], ["check", "--help"],
+        ["table", "9"], ["measure"],
+        ["measure", "--line", "10,1,12", "coherent"],
+        ["measure", "coherent", "--line", "10,1,12", "--prec", "17"],
+        ["measure", "coherent", "--config", "CONFIG", "--lin", "1,10,15"],
+        ["measure", "coherent", *LINE1_ARGS, "--precision", "-3"],
+        ["figure"],
+        ["simulate", *LINE1_ARGS],
+        ["allocate", *LINE1_ARGS, "--u", "10", "--g", "ph:0.5"],
+        ["measure", "coherent", "--bogus"],
+    ])
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("line=10,1,12\nline=0.1,100,20\nformat=csv\n")
+        argv = [str(cfg) if tok == "CONFIG" else tok for tok in argv]
+        got = run(capsys, *argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == run(capsys, *argv)
+
 
 class TestConfigFile:
     def test_preseeds_flags(self, capsys, tmp_path):
@@ -539,6 +610,16 @@ class TestConfigFile:
             capsys, "measure", "coherent", "--config", str(cfg),
             "--line", "0.1,100,20",
         )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [r[:3] for r in rows] == [["0.1", "100", "20"]]
+
+    @pytest.mark.parametrize("flag", [["--lin", "0.1,100,20"], ["--li=0.1,100,20"]])
+    def test_abbreviated_flag_replaces_its_key(self, capsys, tmp_path, flag):
+        # argparse takes a unique prefix for the flag, and so does the file
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("line=10,1,12\nline=1,10,15\nformat=csv\n")
+        code, out, _ = run(capsys, "measure", "coherent", "--config", str(cfg), *flag)
         assert code == 0
         _, rows = csv_rows(out)
         assert [r[:3] for r in rows] == [["0.1", "100", "20"]]
