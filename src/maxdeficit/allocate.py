@@ -203,11 +203,12 @@ def _objective_tol(deficit):
     return DEFAULT_TOL
 
 
-def _marginal_objective(marginals, u, tol):
+def _marginal_objective(marginals, u, tol, scale):
     """The sum over lines of the integral of m_k from u_k: one tail
-    integral over w >= 0 of the sum of m_k(u_k + w)."""
+    integral over w >= 0 of the sum of m_k(u_k + w), whose slowest
+    decay length is about scale."""
     held = list(zip(marginals, u.tolist()))
-    return tail_integral(lambda w: sum(m(x + w) for m, x in held), 0.0, tol)
+    return tail_integral(lambda w: sum(m(x + w) for m, x in held), 0.0, tol, scale)
 
 
 def method1_generic(marginals, total_u):
@@ -225,7 +226,9 @@ def method1_generic(marginals, total_u):
     certified in one evaluation.  F, its gradient and Hessian
     are divided by the largest fitted level, and F is integrated to
     rel_tol of the fitted deficit, so tiny levels and deficits keep
-    their precision; levels that underflow raise DomainError.
+    their precision; levels that underflow raise DomainError.  F's tail
+    integral takes the slowest fit's decay length, 1/min(rate), as the
+    scale of its one-call stage.
     """
     if not marginals:
         raise DomainError("allocation needs at least one line")
@@ -246,6 +249,7 @@ def method1_generic(marginals, total_u):
     unit = math.exp(log_s)
     fitted = np.exp(np.minimum(log_tops, heads - rates * u)) / rates
     tol = _objective_tol(float(fitted.sum()))
+    decay = 1.0 / float(rates.min())
     seen = []
 
     def evaluate(u):
@@ -257,7 +261,7 @@ def method1_generic(marginals, total_u):
             # a reserve that did not move keeps its last chord
             slope = np.where(np.isnan(chord), seen[2], chord)
         seen[:] = u, levels, slope
-        return _marginal_objective(marginals, u, tol) / unit, -levels, np.diag(slope)
+        return _marginal_objective(marginals, u, tol, decay) / unit, -levels, slope
 
     if unit > 0.0:
         # the fits' decay lengths, capped at the grid's span, set the scale
@@ -341,13 +345,14 @@ def _certified(u, f, reductions):
     """The result at the split u with objective f: threshold is the mean
     marginal reduction on lines holding reserve, kkt_residual the largest
     reduction less their smallest, relative to that mean."""
-    held = u > 0.0
-    if not held.any():
-        return AllocationResult(u, [], float(reductions.max()), float(f), 0.0)
-    on = reductions[held]
-    level = float(on.sum() / on.size)
-    resid = float(reductions.max() - on.min()) / max(level, 1e-300)
-    return AllocationResult(u, np.flatnonzero(held).tolist(), level, float(f), resid)
+    active = (u > 0.0).nonzero()[0]
+    top = float(reductions.max())
+    if not active.size:
+        return AllocationResult(u, [], top, float(f), 0.0)
+    on = reductions[active]
+    level = float(on.sum()) / active.size
+    resid = (top - float(on.min())) / max(level, 1e-300)
+    return AllocationResult(u, active.tolist(), level, float(f), resid)
 
 
 def psi_tilde(lines, reserves, v):
@@ -412,7 +417,8 @@ def _pooled_deficit(a, b, g, u, tol):
         out[k + 1::k + 1] += lift * q * (b_ + q)
         return out
 
-    out = tail_integral(integrand, start, tol)
+    # the slowest line's decay length sets the exp-sinh layout's scale
+    out = tail_integral(integrand, start, tol, 1.0 / float(b.min()))
     hess = out[k + 1:].reshape(k, k)
     if start > 0.0:
         psi = a * np.exp(-b * (u + start))
@@ -474,60 +480,63 @@ def _newton_split(evaluate, u, b):
     F is the pooled deficit on the aggregate routes and the sum of the
     marginal deficits in method1_generic, whose Hessian is diagonal.
 
-    evaluate(u) gives F, grad F and the Hessian of F.  Each step solves
-    the bordered KKT system on the lines holding reserve, a ratio test
-    lets one leave, and Armijo backtracking follows.  Once the step is
-    small the idle line whose reduction most exceeds the multiplier
-    enters; below 1e-14 of U plus the decay lengths 1/b with none to
-    enter, the split is optimal, so a certified vertex takes one
-    evaluation and no solve."""
+    evaluate(u) gives F, grad F and the Hessian of F, or its diagonal as
+    a 1-d array.  Each step solves the bordered KKT system on the lines
+    holding reserve (_kkt_step), a ratio test lets one leave, and Armijo
+    backtracking follows.  Once the step is small the idle line whose
+    reduction most exceeds the multiplier enters; below 1e-14 of U plus
+    the decay lengths 1/b with none to enter, the split is optimal, so a
+    certified vertex takes one evaluation and no solve, and a certified
+    start with a diagonal Hessian one evaluation and no np.linalg.solve.
+    The per-line bookkeeping runs on lists, as K is small and numpy's
+    cost per call would exceed the work."""
     k = u.size
-    scale = u.sum() + float(np.sum(1.0 / b))
-    free = u > 0.0
+    scale = float(u.sum() + (1.0 / b).sum())
+    free = (u > 0.0).tolist()
     f, grad, hess = evaluate(u)
     # steps below step_tol are rounding, below enter_tol a line may enter
     step_tol, enter_tol = 1e-14 * scale, 1e-2 * scale
     for _ in range(_NEWTON_STEPS):
-        idx = np.flatnonzero(free)
-        n = idx.size
-        if n == 0:
+        on = [i for i, held in enumerate(free) if held]
+        if not on:
             break
-        step = np.zeros(k)
-        level = -grad[idx[0]]
-        if n > 1:
-            kkt = np.ones((n + 1, n + 1))
-            kkt[:n, :n] = hess[idx][:, idx]
-            kkt[n, n] = 0.0
-            # where F is linear in a line (far past the tvar edge) the ridge
-            # bounds the step to about 1e9 scales, for the ratio test to cut
-            ridge = max(1e-9 * np.abs(grad[idx]).max() / scale, _TINY)
-            kkt.flat[: n * (n + 2) : n + 2] += ridge
-            sol = np.linalg.solve(kkt, np.append(-grad[idx], 0.0))
-            # the solve keeps the budget only up to its conditioning
-            step[idx] = sol[:n] - sol[:n].sum() / n
-            level = sol[n]
-        excess = np.where(free, -np.inf, -grad - level)
-        size = np.abs(step).max()
+        g = grad.tolist()
+        step = [0.0] * k
+        # the ratio test: the first line that a full step would empty
+        leave, reach = 0, math.inf
+        if len(on) > 1:
+            d, level = _kkt_step(g, hess, on, scale)
+            u_ = u.tolist()
+            for i, di in zip(on, d):
+                step[i] = di
+                if di < 0.0 and u_[i] / -di < reach:
+                    leave, reach = i, u_[i] / -di
+            size = max(map(abs, d))
+        else:
+            level, size = -g[on[0]], 0.0
         if size <= enter_tol:
-            enter = int(np.argmax(excess))
-            if excess[enter] > 1e-11 * level:
+            # the first idle line whose reduction most exceeds the level
+            enter, most = -1, 1e-11 * level
+            for i, (gi, held) in enumerate(zip(g, free)):
+                if not held and -gi - level > most:
+                    enter, most = i, -gi - level
+            if enter >= 0:
                 free[enter] = True
                 continue
             if size <= step_tol:
                 break
-        ratios = np.divide(u, -step, out=np.full(k, np.inf), where=step < 0.0)
-        leave = int(np.argmin(ratios))
-        if ratios[leave] == 0.0:
+        if reach == 0.0:
             # an early entrant shrinks at once: it leaves, and entry waits
             free[leave], enter_tol = False, step_tol
             continue
-        t = min(1.0, float(ratios[leave]))
+        t = min(1.0, reach)
         blocked = t < 1.0
-        slope = float(grad @ step)
+        slope = sum(gi * si for gi, si in zip(g, step))
         while True:
-            cand = u + t * step
+            cand = [ui + t * si for ui, si in zip(u_, step)]
             if blocked:
                 cand[leave] = 0.0
+            cand = np.array(cand)
             fc, gc, hc = evaluate(cand)
             # the allowance lets steps through whose decrease is below
             # the rounding of F near the optimum
@@ -543,6 +552,35 @@ def _newton_split(evaluate, u, b):
     else:
         raise ConvergenceError(f"split not settled in {_NEWTON_STEPS} Newton steps")
     return _certified(u, f, -grad)
+
+
+def _kkt_step(g, hess, on, scale):
+    """The Newton step on the lines on, a list that sums to 0, and the
+    multiplier level, from the bordered system H d + level = -g, sum d =
+    0, for the gradient list g and H the Hessian hess on those lines, or
+    diag(hess) there for a 1-d hess.  A ridge adds 1e-9 of the largest
+    |g| per scale to H's diagonal: where F is linear in a line (far past
+    the tvar edge) it bounds the step to about 1e9 scales, for the ratio
+    test to cut.  A diagonal H gives d_k = -(g_k + level) / h_k with
+    level set by sum d = 0, in closed form."""
+    n = len(on)
+    g = [g[i] for i in on]
+    ridge = max(1e-9 * max(map(abs, g)) / scale, _TINY)
+    h = hess.tolist()
+    if hess.ndim == 1:
+        inv = [1.0 / (h[i] + ridge) for i in on]
+        level = -sum(gi * w for gi, w in zip(g, inv)) / sum(inv)
+        d = [-(gi + level) * w for gi, w in zip(g, inv)]
+    else:
+        # rows of H on the lines with the ridge, bordered by ones and a zero
+        kkt = [[h[i][j] for j in on] + [1.0] for i in on]
+        for j in range(n):
+            kkt[j][j] += ridge
+        kkt.append([1.0] * n + [0.0])
+        *d, level = np.linalg.solve(kkt, [-gi for gi in g] + [0.0]).tolist()
+    # the solve keeps the budget only up to its conditioning
+    drift = sum(d) / n
+    return [x - drift for x in d], level
 
 
 def method2_generic(lines, g, total_u):

@@ -99,7 +99,8 @@ class DeficitFunctional:
     The constructors build the source classes below.  Their
     convex_root(budget, tol) and proportional_root(margin, tol) give
     (value, method, residual, branch) of the least u with D(u) <= budget
-    and of the u with D(u) = margin * u.
+    and of the u with D(u) = margin * u.  D(nan) raises DomainError on
+    every source.
     """
 
     def __init__(self, kind, horizon):
@@ -150,7 +151,10 @@ class DeficitFunctional:
 
     def __call__(self, u):
         # one entry point, so wrapping it traces every source; each gives _value
-        return self._value(float(u))
+        u = float(u)
+        if math.isnan(u):
+            raise DomainError("reserve must not be NaN")
+        return self._value(u)
 
 
 class ClosedCurve(DeficitFunctional):

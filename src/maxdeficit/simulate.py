@@ -117,13 +117,17 @@ class SimBatch:
 
 @dataclass(frozen=True)
 class PathState:
-    """Snapshot of one path: net loss and running maximum at a time."""
+    """Snapshot of one path: net loss and running maximum at a time, all
+    finite."""
 
     time: float
     realized_loss: float
     running_max: float
 
     def __post_init__(self):
+        values = (self.time, self.realized_loss, self.running_max)
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"path state must be finite, got {self}")
         floor = max(0.0, self.realized_loss)
         if self.running_max < floor - 1e-9:
             raise DomainError("running maximum below the realized loss")

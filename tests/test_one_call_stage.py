@@ -1,0 +1,240 @@
+"""The one-call exp-sinh stage of tail_integral and the Newton loop
+around it: agreement with the doubling panels on the pooled pass, the
+cases where the stage must defer to them, and exact call counts."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxdeficit import (
+    Distortion,
+    DomainError,
+    TruncationError,
+    line_from_ruin_constants,
+    method1_generic,
+    method2_generic,
+    proportional_hazard,
+    tail_integral,
+    ultimate_ruin,
+)
+from maxdeficit import allocate
+from tests.conftest import LINE1, LINE2, LINE3
+
+FIXED = settings(derandomize=True, deadline=None, database=None)
+
+SCALES = st.floats(0.05, 500.0)
+
+
+def panels_only(f, a, tol, scale=None):
+    # the panel route: tail_integral as it runs without a decay length
+    return tail_integral(f, a, tol)
+
+
+@st.composite
+def pooled_cases(draw):
+    """2-4 lines, a concave distortion with p in [0.5, 1] or tvar, and a
+    split of a budget up to 300 by random shares."""
+    k = draw(st.integers(2, 4))
+    a = np.array([draw(st.floats(0.05, 0.99)) for _ in range(k)])
+    b = np.array([draw(st.floats(0.005, 1.0)) for _ in range(k)])
+    g = draw(
+        st.one_of(
+            st.just(Distortion("identity")),
+            st.builds(Distortion, st.just("ph"), st.floats(0.5, 1.0)),
+            st.builds(Distortion, st.just("tvar"), st.floats(0.01, 0.9)),
+        )
+    )
+    shares = np.array([draw(st.floats(0.0, 1.0)) for _ in range(k)]) + 1e-3
+    u = shares / shares.sum() * draw(st.floats(0.0, 300.0))
+    return a, b, g, u
+
+
+class TestPooledPassAgainstPanels:
+    @settings(FIXED, max_examples=120)
+    @given(pooled_cases())
+    def test_matches_the_panel_route(self, case):
+        # F, the gradient and the Hessian agree with the panels within the
+        # pass tolerance, abs_tol + rel_tol * |value| in every entry
+        a, b, g, u = case
+        deficit = float(np.max(g.primitive(a * np.exp(-b * u)) / b))
+        tol = allocate._objective_tol(deficit)
+        got = allocate._pooled_deficit(a, b, g, u, tol)
+        with mock.patch.object(allocate, "tail_integral", panels_only):
+            want = allocate._pooled_deficit(a, b, g, u, tol)
+        for x, y in zip(got, want):
+            bound = tol.abs_tol + tol.rel_tol * np.abs(y)
+            assert np.all(np.abs(np.asarray(x) - y) <= bound)
+
+
+class TestDeferredCases:
+    """With a scale, the integrands the stage cannot take behave exactly
+    as without one."""
+
+    @settings(FIXED, max_examples=60)
+    @given(SCALES, st.floats(0.0, 30.0))
+    def test_nan_row_raises_the_panels_error(self, scale, q):
+        f = lambda v: np.vstack((np.exp(-v), np.where(v >= q, np.nan, np.exp(-v))))
+        with pytest.raises(TruncationError) as panels:
+            tail_integral(f, 0.0)
+        with pytest.raises(TruncationError) as staged:
+            tail_integral(f, 0.0, scale=scale)
+        assert str(staged.value) == str(panels.value)
+        np.testing.assert_array_equal(staged.value.partial, panels.value.partial)
+
+    @settings(FIXED, max_examples=40)
+    @given(SCALES)
+    def test_slow_algebraic_row_raises(self, scale):
+        f = lambda v: np.vstack((np.exp(-v), 1.0 / (1.0 + v)))
+        with pytest.raises(TruncationError) as staged:
+            tail_integral(f, 0.0, scale=scale)
+        with pytest.raises(TruncationError) as panels:
+            tail_integral(f, 0.0)
+        np.testing.assert_array_equal(staged.value.partial, panels.value.partial)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 20.0])
+    def test_tail_left_at_the_last_node_defers(self, scale):
+        # 1000 / (1 + v)**2 still holds about 5e-9 / scale past the last
+        # node: its weighted end term is above abs_tol, although both
+        # levels agree to 3e-12 relative, within rel_tol
+        f = lambda v: 1000.0 / (1.0 + v) ** 2
+        assert tail_integral(f, 0.0, scale=scale) == tail_integral(f, 0.0)
+
+    def test_infinite_value_on_the_fine_level_only_defers(self):
+        # the second node of every call is infinite: on the exp-sinh layout
+        # it is an odd node, which only the fine sum holds, and the panels
+        # take the halves of the span that holds it
+        f = lambda v: np.where(v == v[1], np.inf, np.exp(-v))
+        with np.errstate(invalid="ignore"):
+            assert tail_integral(f, 0.0, scale=1.0) == tail_integral(f, 0.0)
+
+    def test_sum_that_overflows_defers(self):
+        # finite values whose fine sum overflows, while the coarse sum,
+        # which weighs the odd nodes by 0, is 0
+        f = lambda v: np.where(np.arange(v.size) % 2 == 1, 1e308, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TruncationError) as panels:
+                tail_integral(f, 0.0)
+            with pytest.raises(TruncationError) as staged:
+                tail_integral(f, 0.0, scale=1.0)
+        assert str(staged.value) == str(panels.value)
+
+    @settings(FIXED, max_examples=60)
+    @given(SCALES, st.floats(0.01, 60.0))
+    def test_step_gives_the_panels_value(self, scale, q):
+        f = lambda v: np.where(v < q, 1.0, 0.0)
+        staged = tail_integral(f, 0.0, scale=scale)
+        assert staged == pytest.approx(tail_integral(f, 0.0), abs=1e-10)
+        assert staged == pytest.approx(q, abs=1e-10)
+
+    def test_smooth_tail_is_one_call_on_241_nodes(self):
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return 0.8 * np.exp(-v / 30.0)
+
+        assert tail_integral(f, 2.0, scale=30.0) == pytest.approx(
+            24.0 * math.exp(-2.0 / 30.0), rel=1e-14
+        )
+        assert sizes == [241]
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_scale(self, scale):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return np.exp(-v)
+
+        with pytest.raises(DomainError):
+            tail_integral(f, 0.0, scale=scale)
+        assert calls == []
+
+
+class TestExactCounts:
+    def test_aggregate_ph_takes_five_one_call_passes(self, monkeypatch):
+        # ph:0.8 on the three standard lines at U = 100: five passes, each
+        # one integrand call on the 241 exp-sinh nodes
+        passes = []
+        inner = allocate.tail_integral
+
+        def counted(f, start, *args):
+            sizes = []
+
+            def sampled(v):
+                sizes.append(v.size)
+                return f(v)
+
+            out = inner(sampled, start, *args)
+            passes.append(sizes)
+            return out
+
+        monkeypatch.setattr(allocate, "tail_integral", counted)
+        res = method2_generic([LINE1, LINE2, LINE3], proportional_hazard(0.8), 100.0)
+        assert res.kkt_residual <= 1e-12
+        assert passes == [[241]] * 5
+
+    def test_certified_marginal_split_makes_no_solve(self, monkeypatch):
+        # ph:0.5 at U = 40: the water-filling start on exact fits is
+        # certified by its first evaluation, with no linear solve
+        evals, solves = [], []
+        objective = allocate._marginal_objective
+        solve = np.linalg.solve
+
+        def counted_objective(*args):
+            evals.append(args[1])
+            return objective(*args)
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(allocate, "_marginal_objective", counted_objective)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        g = proportional_hazard(0.5)
+        marginals = [
+            (lambda u, line=line: g(ultimate_ruin(line, u)))
+            for line in (LINE1, LINE2, LINE3)
+        ]
+        res = method1_generic(marginals, 40.0)
+        assert len(evals) == 1
+        assert solves == []
+        assert res.kkt_residual <= 1e-14
+
+    def test_diagonal_step_matches_the_bordered_solve(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            grad = (-rng.uniform(0.01, 1.0, k) * 10.0 ** rng.uniform(-3, 3)).tolist()
+            h = rng.uniform(0.01, 10.0, k) * 10.0 ** rng.uniform(-3, 3)
+            size = int(rng.integers(2, k + 1))
+            on = sorted(rng.choice(k, size=size, replace=False).tolist())
+            scale = float(rng.uniform(1.0, 1e3))
+            closed, level = allocate._kkt_step(grad, h, on, scale)
+            # the bordered system with the documented ridge on the diagonal
+            n = len(on)
+            tiny = np.finfo(float).tiny
+            ridge = max(1e-9 * max(abs(grad[i]) for i in on) / scale, tiny)
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = np.diag(h[on] + ridge)
+            kkt[n, n] = 0.0
+            sol = np.linalg.solve(kkt, np.append(-np.array(grad)[on], 0.0))
+            largest = float(np.max(np.abs(sol[:n])))
+            assert closed == pytest.approx(sol[:n], rel=1e-12, abs=1e-12 * largest)
+            assert level == pytest.approx(sol[n], rel=1e-12)
+            assert abs(sum(closed)) <= 1e-12 * largest
+
+    def test_split_matches_the_panel_route(self):
+        # lines far apart in rate, whose passes the stage takes
+        lines = [
+            line_from_ruin_constants(0.9, 0.005),
+            line_from_ruin_constants(0.5, 0.9),
+        ]
+        res = method2_generic(lines, proportional_hazard(0.7), 250.0)
+        with mock.patch.object(allocate, "tail_integral", panels_only):
+            want = method2_generic(lines, proportional_hazard(0.7), 250.0)
+        assert res.reserves == pytest.approx(want.reserves, rel=1e-9, abs=1e-9)
+        assert res.objective == pytest.approx(want.objective, rel=1e-9)
