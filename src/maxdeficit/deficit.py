@@ -27,6 +27,12 @@ quadrature could only bisect, level by level, on every call.  So v_e is
 located once, to adjacent floats, when the curve is built; D(u) is
 D(v_e) + (v_e - u) up to it, from one kept integral, and one integral
 from u beyond it, the same max(u, kink) shape as the closed form.
+Each integral passes tail_integral the decay length 1/(p r) of g(psi)
+past v_e, with r = ln(psi(v_e)/psi(v_e + 1)) from one call of psi when
+the curve is built and p the power of G, so that a smooth tail is one
+call on the exp-sinh stage; it comes from psi's values, never from the
+closed form's constants, and where r is not finite and positive no
+scale is passed and the panels run.
 
 QuadratureCurve solves its rules from its kink k = v_e, left of which
 D has slope -1: a budget or margin met at or left of k is met there
@@ -47,7 +53,7 @@ import math
 
 import numpy as np
 
-from .distortion import Distortion, edge_reserve
+from .distortion import Distortion, decay_length, edge_reserve
 from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_TOL, lambert_w0, lambert_w0_log, tail_integral
 from .model import ruin_constants
@@ -237,17 +243,20 @@ class ClosedCurve(DeficitFunctional):
 class QuadratureCurve(DeficitFunctional):
     """D(u) = D(v_e) + (v_e - u) for u <= v_e = edge_reserve(g, psi),
     below zero included, with D(v_e) integrated on first use and kept;
-    beyond v_e, tail_integral of the smooth g(psi(v)) from u.  v_e is
-    found when the curve is built, 0 for identity and ph; its rules take
-    Newton steps."""
+    beyond v_e, tail_integral of the smooth g(psi(v)) from u, with the
+    decay length that psi gives at v_e (decay_length).  v_e and that
+    length are found when the curve is built, v_e = 0 for identity and
+    ph; its rules take Newton steps."""
 
     def __init__(self, g, psi, horizon, tol):
         super().__init__("quadrature", horizon)
         self._g, self._psi, self._tol = g, psi, tol
         self._kink = edge_reserve(g, psi, tol)
+        self._scale = decay_length(g, psi, self._kink)
 
     def _integral(self, u):
-        return tail_integral(lambda v: self._g(self._psi(v)), u, self._tol)
+        g, psi = self._g, self._psi
+        return tail_integral(lambda v: g(psi(v)), u, self._tol, self._scale)
 
     @functools.cached_property
     def _at_kink(self):

@@ -9,11 +9,16 @@ G(y) = integral of g(x)/x over (0, y], a power piece up to an edge and a
 log piece beyond it, from which the deficit module builds the closed
 form of every distortion on an exponential line, and g leaves 1 at
 that edge, so a tail integral of g need only cover the tail beyond it
-(edge_reserve).  This module is the only one that tells the kinds apart.
+(edge_reserve), where g(tail) decays as tail**p and the tail's own
+log-decrement gives the integral its decay length (decay_length).  This
+module is the only one that tells the kinds apart.
 """
 
+import bisect
+import functools
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +135,9 @@ class Distortion:
 
     def _value(self, arr):
         s, p, edge = self.primitive_pieces
+        if edge == math.inf:
+            # no argument lies beyond an infinite edge
+            return arr**p / s
         return np.where(arr > edge, 1.0, arr**p / s)
 
     def _slope(self, arr):
@@ -196,6 +204,7 @@ def parse_distortion(spec):
 
 # parts into which each call of the tail cuts edge_reserve's bracket
 _EDGE_CUTS = 33
+_EDGE_STEPS = np.arange(_EDGE_CUTS + 1)
 # offsets in floats from the log-linear root that edge_reserve probes: the
 # nearest 8 on either side, then steps of _EDGE_CUTS out to 272, so that a
 # crossing within 272 floats of the root is one cut from adjacent ends, then
@@ -205,7 +214,19 @@ _EDGE_REACH = [
     *range(8 + _EDGE_CUTS, 273, _EDGE_CUTS),
     *(272 << k for k in range(1, 41)),
 ]
-_EDGE_PROBE = np.array([-k for k in reversed(_EDGE_REACH)] + [0] + _EDGE_REACH)
+_EDGE_PROBE = [-k for k in reversed(_EDGE_REACH)] + [0] + _EDGE_REACH
+_EDGE_OFFSETS = np.array(_EDGE_PROBE)
+# a nonnegative float's bit pattern, which orders as the float does
+_AS_FLOAT, _AS_INT = struct.Struct("<d"), struct.Struct("<q")
+
+
+@functools.lru_cache(maxsize=8)
+def _panel_ends(n):
+    """The ends 0, 1, 3, ..., 2**n - 1 of tail_integral's first n panels:
+    a read-only array, and its values as floats and as bit patterns."""
+    ends = np.exp2(np.arange(n + 1.0)) - 1.0
+    ends.flags.writeable = False
+    return ends, ends.tolist(), ends.view(np.int64).tolist()
 
 
 def _log_ratio(x, y):
@@ -223,7 +244,8 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
 
     tail is nonincreasing and maps an ndarray of v to one value per
     point.  One call brackets v among the ends 0, 1, 3, ..., 2**k - 1 of
-    tail_integral's first max_iter panels.  The second probes the root of
+    tail_integral's first max_iter panels, an array built once per
+    max_iter and passed read-only.  The second probes the root of
     the line through ln tail at the bracket's ends, where an exponential
     tail meets the edge, and the floats next to it; on an exponential
     tail they hold the crossing, and the search ends there.  Otherwise
@@ -239,44 +261,61 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
     edge = g.primitive_pieces[2]
     if edge == math.inf:
         return 0.0
-    ends = np.exp2(np.arange(tol.max_iter + 1.0)) - 1.0
+    ends, end_values, end_bits = _panel_ends(tol.max_iter)
     values = np.asarray(tail(ends))
-    below = values <= edge
-    if below[0]:
-        return 0.0
-    if not below.any():
+    j = int((values <= edge).argmax())
+    if j == 0:
+        # the first end at or below the edge, or none is
+        if values[0] <= edge:
+            return 0.0
         raise TruncationError(
-            f"tail stays above the distortion's edge {edge} up to {ends[-1]:g}",
-            float(ends[-1]),
+            f"tail stays above the distortion's edge {edge} up to {end_values[-1]:g}",
+            end_values[-1],
         )
-    j = int(below.argmax())
-    v_lo, v_hi = ends[j - 1:j + 1].tolist()
+    v_lo, v_hi = end_values[j - 1], end_values[j]
     t_lo, t_hi = values[j - 1:j + 1].tolist()
     root = v_lo + _log_ratio(edge, t_lo) / _log_ratio(t_hi, t_lo) * (v_hi - v_lo)
     if not v_lo <= root <= v_hi:
         # NaN, or a tail that is not monotone
         root = v_lo
-    # nonnegative floats order as their bit patterns read as integers
-    lo, hi = ends[j - 1:j + 1].view(np.int64)
-    probe = np.minimum(np.maximum(np.float64(root).view(np.int64) + _EDGE_PROBE, lo), hi)
-    cuts = np.concatenate(([lo], probe, [hi]))
-    steps = np.arange(_EDGE_CUTS + 1)
+    # the probe's offsets inside the bracket, between its ends
+    lo, hi = end_bits[j - 1], end_bits[j]
+    mid = _AS_INT.unpack(_AS_FLOAT.pack(root))[0]
+    first = bisect.bisect_right(_EDGE_PROBE, lo - mid)
+    last = bisect.bisect_left(_EDGE_PROBE, hi - mid)
+    cuts = np.empty(last - first + 2, dtype=np.int64)
+    cuts[0], cuts[-1] = lo, hi
+    np.add(_EDGE_OFFSETS[first:last], mid, out=cuts[1:-1])
     while True:
-        below = np.asarray(tail(cuts.view(np.float64))) <= edge
-        j = int(below.argmax())
-        lo, hi = cuts[j - 1], cuts[j]
+        points = cuts.view(np.float64)
+        j = int((np.asarray(tail(points)) <= edge).argmax())
+        lo, hi = cuts.item(j - 1), cuts.item(j)
         if hi - lo <= 1:
-            return float(hi.view(np.float64))
+            return points.item(j)
         # a step rounded up puts the last cut on hi or beyond, capped to hi
-        cuts = np.minimum(lo - (lo - hi) // _EDGE_CUTS * steps, hi)
+        cuts = np.minimum(lo - (lo - hi) // _EDGE_CUTS * _EDGE_STEPS, hi)
+
+
+def decay_length(g, tail, v):
+    """A decay length of g(tail) past v for tail_integral's one-call
+    stage: 1/(p r), with r = ln(tail(v)/tail(v + 1)) from one call of
+    tail and p the power of g's primitive, as g(tail) decays as tail**p
+    past the edge; None where r is not finite and positive, a tail that
+    is flat or underflows there, so that the integral runs on panels."""
+    at, after = np.asarray(tail(np.array([v, v + 1.0]))).tolist()
+    rate = g.primitive_pieces[1] * math.log(at / after) if 0.0 < after < at else 0.0
+    length = 1.0 / rate if rate > 0.0 else math.inf
+    return length if 0.0 < length < math.inf else None
 
 
 def choquet_tail(g, tail, tol=DEFAULT_TOL):
     """Distorted expectation of a nonnegative variable from its survival
     function: integral of g(tail(x)) over [0, inf), which is v plus the
-    integral from v = edge_reserve(g, tail)."""
+    integral from v = edge_reserve(g, tail).  That integral passes
+    tail_integral the decay length that tail's own values give at v
+    (decay_length)."""
     v = edge_reserve(g, tail, tol)
-    return v + tail_integral(lambda x: g(tail(x)), v, tol)
+    return v + tail_integral(lambda x: g(tail(x)), v, tol, decay_length(g, tail, v))
 
 
 def choquet_weights(g, n):

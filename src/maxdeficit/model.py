@@ -75,13 +75,25 @@ def ruin_constants(line):
 def ultimate_ruin(line, u):
     """P(running maximum ever exceeds u); equals 1 for u < 0.
 
-    Accepts a float, which gives a float, or an ndarray of reserves.
+    Accepts a float, which gives a float, or an ndarray of reserves.  A
+    NaN reserve raises DomainError.
     """
     a, b = _level_and_decay(line)
     if type(u) is float:
-        return 1.0 if u < 0.0 else a * math.exp(-b * u)
+        if u >= 0.0:
+            return a * math.exp(-b * u)
+        if u < 0.0:
+            return 1.0
+        raise DomainError("reserve must not be NaN")
     u = np.asarray(u, dtype=float)
-    ruin = np.where(u < 0.0, 1.0, a * np.exp(-b * np.maximum(u, 0.0)))
+    if u.size and u.min() >= 0.0:
+        # every quadrature node lies here, where no reserve needs a mask
+        ruin = a * np.exp(-b * u)
+    else:
+        # NaN fails the test above, so it is looked for only here
+        if np.isnan(u).any():
+            raise DomainError("reserve must not be NaN")
+        ruin = np.where(u < 0.0, 1.0, a * np.exp(-b * np.maximum(u, 0.0)))
     return ruin if ruin.ndim else float(ruin)
 
 

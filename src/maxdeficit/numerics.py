@@ -15,16 +15,22 @@ Three routines cover every solver need in the package:
                   layout built at import (Takahasi & Mori 1974); its
                   sums with steps 1/32 and 1/16 in t are returned where
                   they agree, every value is finite and both weighted
-                  end terms are below abs_tol.  Otherwise, and always
-                  without s, doubling panels with adaptive 20-point
-                  Gauss-Lobatto (Legendre) quadrature per panel run:
-                  the integrand is called once per group of 16 panels,
-                  whose nodes and half-widths are a layout built once at
-                  import and scaled to the group, and once per depth of
-                  bisection, so it may be sampled past the point where
-                  accumulation stops; a span with a NaN estimate is
-                  never bisected, and a panel that is not finite raises
-                  TruncationError once it would be added
+                  end terms are below abs_tol.  Every caller in the
+                  package passes one: QuadratureCurve and choquet_tail
+                  take 1/(p r) from the tail's own log-decrement r over
+                  [k, k + 1] at their kink k (p the power of g's
+                  primitive), the pooled pass 1/min(b) and
+                  method1_generic 1/min(rate) of its grid fits.
+                  Otherwise, and always without s, doubling panels with
+                  adaptive 20-point Gauss-Lobatto (Legendre) quadrature
+                  per panel run: the integrand is called once per group
+                  of 16 panels, whose nodes and half-widths are a layout
+                  built once at import and scaled to the group, and once
+                  per depth of bisection, so it may be sampled past the
+                  point where accumulation stops; a span with a NaN
+                  estimate is never bisected, and a panel that is not
+                  finite raises TruncationError once it would be added,
+                  as does a call that would sample more than 2**20 nodes
 """
 
 import math
@@ -215,6 +221,10 @@ _MAX_DEPTH = 48
 _GROUP = 16
 # columns of a span's ends, midpoint and quarter points that bound its halves
 _CHILD_ENDS = np.array([0, 2, 2, 4])
+# integrand nodes that one call of tail_integral may sample, stage and
+# panels together; past them it raises TruncationError, so that no
+# tolerance can make bisection allocate without limit
+_NODE_BUDGET = 2**20
 
 
 def _nodes(lo, hi):
@@ -261,35 +271,53 @@ _UNIT_NODES = _UNIT_NODES.ravel()
 # converges geometrically for an integrand analytic near (a, inf) that
 # decays past a few decay lengths s.  t runs from -4, where x - a is
 # 2.4e-19 s, to 3.5, where it is 1.9e11 s, in steps of 1/32; the even
-# nodes form the embedded rule with step 1/16.  Both sums come from one
-# matmul with the two weight columns, built once here for s = 1.
+# nodes form the embedded rule with step 1/16, whose weights are twice
+# theirs.  One matmul with two weight columns, built once here for s = 1,
+# gives the fine sum and its gap to the embedded one: that gap is the
+# odd nodes' weighted sum less the even nodes', so the second column
+# weighs every node by +w or -w.  No weight is 0, so an infinite value
+# makes both sums infinite or NaN and never multiplies a 0.
 _DE_T = np.linspace(-4.0, 3.5, 241)
 _DE_X = np.exp(0.5 * math.pi * np.sinh(_DE_T))
 _DE_W = (0.5 * math.pi / 32.0) * np.cosh(_DE_T) * _DE_X
 _DE_RULES = np.column_stack(
-    (_DE_W, np.where(np.arange(_DE_T.size) % 2, 0.0, 2.0 * _DE_W))
+    (_DE_W, np.where(np.arange(_DE_T.size) % 2, _DE_W, -_DE_W))
 )
 _DE_ENDS = _DE_W[::_DE_T.size - 1]
+_DE_END_FIRST, _DE_END_LAST = _DE_ENDS.tolist()
 
 
 def _one_call(f, a, scale, tol):
     # the step-1/32 sums over [a, inf) from one call of f, or None unless
     # they are finite and agree with the step-1/16 sums to max(abs_tol,
     # rel_tol * |sum|) in every row, and both weighted end terms are below
-    # abs_tol; a value that is not finite leaves NaN in its row's gap, as
-    # the coarse column weighs the odd nodes by 0 and inf - inf is NaN,
-    # and the finite check catches a fine sum that overflows
+    # abs_tol; a value that is not finite leaves its row's fine sum
+    # infinite or NaN, as does a fine sum that overflows, and the finite
+    # check catches both
     y = np.asarray(f(a + scale * _DE_X), dtype=float)
-    sums = (y @ _DE_RULES) * scale
+    sums = y @ _DE_RULES
+    if y.ndim == 1:
+        # one row: the same tests on Python floats, with no further numpy calls
+        fine, gap = sums.tolist()
+        fine *= scale
+        if (
+            math.isfinite(fine)
+            and abs(gap * scale) <= max(tol.abs_tol, tol.rel_tol * abs(fine))
+            and abs(y.item(0)) * (scale * _DE_END_FIRST) < tol.abs_tol
+            and abs(y.item(-1)) * (scale * _DE_END_LAST) < tol.abs_tol
+        ):
+            return fine
+        return None
+    sums *= scale
     fine = sums[..., 0]
-    gap = np.abs(fine - sums[..., 1])
+    gap = np.abs(sums[..., 1])
     ends = np.abs(y[..., ::_DE_T.size - 1]) * (scale * _DE_ENDS)
     if (
         np.isfinite(fine).all()
         and (gap <= np.fmax(tol.abs_tol, tol.rel_tol * np.abs(fine))).all()
         and (ends < tol.abs_tol).all()
     ):
-        return fine if fine.ndim else float(fine)
+        return fine
     return None
 
 
@@ -299,13 +327,15 @@ def _row_max(x):
     return x if x.ndim == 1 else x.reshape(-1, x.shape[-1]).max(axis=0)
 
 
-def _panels(f, y, left, h, tol):
+def _panels(f, y, left, h, tol, budget):
     # integrals over the group's panels from f's values y at its nodes,
     # shape rows + (n, 3, nodes per span), and one call of f per depth of
-    # bisection.  Every span whose halves disagree with it by more than
-    # its tolerance is split in the same call, across all panels; a span
-    # with a NaN estimate compares false and is never split, so it costs
-    # no call, and tail_integral raises if it counts.
+    # bisection, with the nodes of budget left after them, or None in
+    # their place once a depth would need more nodes than are left.
+    # Every span whose halves disagree with it by more than its tolerance
+    # is split in the same call, across all panels; a span with a NaN
+    # estimate compares false and is never split, so it costs no call,
+    # and tail_integral raises if it counts.
     n = y.shape[-3]
     est = (y @ _RULE_W) * (h * _UNIT_HALF[:n])
     whole, halves = est[..., 0], est[..., 1:]
@@ -319,6 +349,9 @@ def _panels(f, y, left, h, tol):
         k = (_row_max(sums - whole) > span_tol).nonzero()[0]
         if not k.size:
             break
+        budget -= 4 * _RULE_X.size * k.size
+        if budget < 0:
+            return None, budget
         levels.append((sums, k))
         if depth == 1:
             # the group's panels are placed only once one must be split
@@ -341,7 +374,7 @@ def _panels(f, y, left, h, tol):
     for parent, k in reversed(levels):
         parent[..., k] = sums[..., 0::2] + sums[..., 1::2]
         sums = parent
-    return sums
+    return sums, budget
 
 
 def _add(total, pieces):
@@ -386,23 +419,33 @@ def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     abs_tol in magnitude at the panel's right edge.  A panel that is not
     finite in every row, or max_iter panels that do not reach that state,
     raise TruncationError with the sum over the panels before as its
-    partial value.
+    partial value.  So does a call of f that would take the nodes sampled
+    in this call, stage included, past 2**20: its partial value is the
+    sum over the groups of panels before the one that ran out.
     """
+    budget = _NODE_BUDGET
     if scale is not None:
         if not 0.0 < scale < math.inf:
             raise DomainError(f"scale must be positive and finite, got {scale}")
         value = _one_call(f, float(a), scale, tol)
         if value is not None:
             return value
+        budget -= _DE_T.size
     total = 0.0
     left = float(a)
     h = 1.0
     done = 0
     while done < tol.max_iter:
         n = min(_GROUP, tol.max_iter - done)
-        y = np.asarray(f(left + h * _UNIT_NODES[:n * _PANEL_NODES]), dtype=float)
-        y = y.reshape(y.shape[:-1] + (n, 3, _RULE_X.size))
-        pieces = _panels(f, y, left, h, tol)
+        budget -= n * _PANEL_NODES
+        if budget >= 0:
+            y = np.asarray(f(left + h * _UNIT_NODES[:n * _PANEL_NODES]), dtype=float)
+            y = y.reshape(y.shape[:-1] + (n, 3, _RULE_X.size))
+            pieces, budget = _panels(f, y, left, h, tol, budget)
+        if budget < 0:
+            raise TruncationError(
+                f"tail integral needs more than {_NODE_BUDGET} integrand nodes", total
+            )
         # a panel with a NaN or an infinite row has a peak that is not finite
         peak = _row_max(pieces)
         # the whole panel's last node is its right edge

@@ -1,5 +1,5 @@
 """Input rules at construction: tolerances, NaN reserves on every deficit
-source, and path states that are not finite."""
+source and on the ruin curves, and path states that are not finite."""
 
 import math
 
@@ -12,11 +12,12 @@ from maxdeficit import (
     PathState,
     Tolerance,
     proportional_hazard,
+    psi_tilde,
     simulate_max_loss,
     tvar,
     ultimate_ruin,
 )
-from tests.conftest import LINE1
+from tests.conftest import LINE1, LINE2, LINE3
 
 
 class TestTolerance:
@@ -82,6 +83,23 @@ class TestNanReserve:
         curve = DeficitFunctional.empirical(proportional_hazard(0.5), samples)
         with pytest.raises(DomainError):
             curve(np.float64(math.nan))
+
+    def test_ultimate_ruin_float(self):
+        with pytest.raises(DomainError):
+            ultimate_ruin(LINE1, math.nan)
+
+    @pytest.mark.parametrize("u", [[math.nan], [0.0, 5.0, math.nan], [-1.0, math.nan, 2.0]])
+    def test_ultimate_ruin_array_entry(self, u):
+        # one NaN among reserves of either sign, and a 0-d array
+        with pytest.raises(DomainError):
+            ultimate_ruin(LINE1, np.array(u))
+        with pytest.raises(DomainError):
+            ultimate_ruin(LINE1, np.float64(math.nan))
+
+    @pytest.mark.parametrize("v", [math.nan, np.array([0.0, math.nan])])
+    def test_psi_tilde(self, v):
+        with pytest.raises(DomainError):
+            psi_tilde((LINE1, LINE2, LINE3), [1.0, 2.0, 3.0], v)
 
 
 class TestPathState:

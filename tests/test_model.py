@@ -75,7 +75,8 @@ class TestUltimateRuin:
 
     def test_float_path_matches_array_form(self, rng):
         for line in (LINE1, LINE2, LINE3):
-            u = [0.0, -0.0, -3.0, -1e-300, -math.inf, math.inf, math.nan]
+            # NaN raises on both paths (tests/test_input_rules.py)
+            u = [0.0, -0.0, -3.0, -1e-300, -math.inf, math.inf]
             u += list(rng.uniform(-5.0, 200.0, size=50))
             scalar = [ultimate_ruin(line, x) for x in u]
             assert all(type(v) is float for v in scalar)

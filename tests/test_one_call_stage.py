@@ -1,8 +1,11 @@
 """The one-call exp-sinh stage of tail_integral and the Newton loop
 around it: agreement with the doubling panels on the pooled pass, the
-cases where the stage must defer to them, and exact call counts."""
+cases where the stage must defer to them, exact call counts, the node
+budget, and the single-curve route of QuadratureCurve and choquet_tail,
+which take their decay length from the tail's own values."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,17 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
+    DeficitFunctional,
     Distortion,
     DomainError,
+    Tolerance,
     TruncationError,
+    choquet_tail,
+    identity,
     line_from_ruin_constants,
     method1_generic,
     method2_generic,
     proportional_hazard,
     tail_integral,
+    tvar,
     ultimate_ruin,
 )
-from maxdeficit import allocate
+from maxdeficit import allocate, deficit, distortion
+from maxdeficit.distortion import edge_reserve
 from tests.conftest import LINE1, LINE2, LINE3
 
 FIXED = settings(derandomize=True, deadline=None, database=None)
@@ -105,10 +114,13 @@ class TestDeferredCases:
 
     def test_infinite_value_on_the_fine_level_only_defers(self):
         # the second node of every call is infinite: on the exp-sinh layout
-        # it is an odd node, which only the fine sum holds, and the panels
-        # take the halves of the span that holds it
+        # it is an odd node, outside the embedded rule, and the panels take
+        # the halves of the span that holds it.  No weight of the stage is
+        # 0, so its sums turn infinite without a 0 * inf, and neither route
+        # warns
         f = lambda v: np.where(v == v[1], np.inf, np.exp(-v))
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert tail_integral(f, 0.0, scale=1.0) == tail_integral(f, 0.0)
 
     def test_sum_that_overflows_defers(self):
@@ -238,3 +250,165 @@ class TestExactCounts:
             want = method2_generic(lines, proportional_hazard(0.7), 250.0)
         assert res.reserves == pytest.approx(want.reserves, rel=1e-9, abs=1e-9)
         assert res.objective == pytest.approx(want.objective, rel=1e-9)
+
+
+class TestNodeBudget:
+    """No tolerance makes one call sample more than 2**20 nodes."""
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_bisection_stops_at_the_budget(self, scale):
+        # rel_tol 1e-300 splits every span whose halves differ by rounding,
+        # so the spans double at each depth; a broken budget fails here at
+        # 2**21 nodes rather than exhausting memory
+        seen = [0]
+
+        def f(v):
+            seen[0] += v.size
+            if seen[0] > 2**21:
+                raise RuntimeError(f"{seen[0]} nodes: the budget did not hold")
+            return np.exp(-v)
+
+        with pytest.raises(TruncationError) as err:
+            tail_integral(f, 0.0, Tolerance(1e-300, 1e-300, 400), scale)
+        assert "more than 1048576 integrand nodes" in str(err.value)
+        assert 2**19 < seen[0] <= 2**20
+        # the sum over the groups before the one that ran out: none here
+        assert err.value.partial == 0.0
+
+    def test_partial_sums_the_groups_before(self):
+        # smooth over the first group, [0, 65535], whose sum is kept, and
+        # above abs_tol, so that it does not stop there; a rapid wobble in
+        # the second group bisects past the budget
+        def f(v):
+            return np.where(v < 65535.0, np.exp(-v) + 1e-6, 1e-3 * np.sin(v * v))
+
+        with pytest.raises(TruncationError) as err:
+            tail_integral(f, 0.0, Tolerance(1e-13, 1e-300, 400))
+        assert err.value.partial == pytest.approx(1.0 + 65535e-6, rel=1e-12)
+
+
+STANDARD = (LINE1, LINE2, LINE3)
+CURVE_GS = (identity(), proportional_hazard(0.5), tvar(0.01))
+
+
+def pareto(n):
+    # P(X > v) = (1 + v)**-n for v >= 0, 1 below
+    return lambda v: np.where(v < 0.0, 1.0, (1.0 + np.maximum(v, 0.0)) ** -n)
+
+
+def scale_spy(monkeypatch):
+    # the scale of every tail_integral call made by the curves and choquet_tail
+    scales = []
+    inner = tail_integral
+
+    def spy(f, a, tol, scale=None):
+        scales.append(scale)
+        return inner(f, a, tol, scale)
+
+    monkeypatch.setattr(deficit, "tail_integral", spy)
+    monkeypatch.setattr(distortion, "tail_integral", spy)
+    return scales
+
+
+class TestSingleCurveRoute:
+    """QuadratureCurve and choquet_tail pass 1/(p r), with r the tail's
+    log-decrement over [k, k + 1] at the kink k, so a smooth D(u) past the
+    kink is one integrand call."""
+
+    @pytest.mark.parametrize("g", CURVE_GS, ids=str)
+    @pytest.mark.parametrize("line", STANDARD)
+    def test_one_call_past_the_kink(self, line, g):
+        sizes = []
+
+        def psi(v):
+            sizes.append(np.size(v))
+            return ultimate_ruin(line, v)
+
+        curve = DeficitFunctional.quadrature(g, psi)
+        closed = DeficitFunctional.closed_form(line, g)
+        kink = edge_reserve(g, lambda v: ultimate_ruin(line, v))
+        for u in (kink, kink + 2.0, kink + 17.3, kink + 60.0, kink + 300.0):
+            sizes.clear()
+            got = curve(u)
+            assert sizes == [241]
+            assert got == pytest.approx(closed(u), rel=1e-12)
+
+    @pytest.mark.parametrize("g", CURVE_GS, ids=str)
+    @pytest.mark.parametrize("line", STANDARD)
+    def test_scale_is_the_decay_length_of_g_of_psi(self, monkeypatch, line, g):
+        scales = scale_spy(monkeypatch)
+        DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))(1e4)
+        choquet_tail(g, lambda v: ultimate_ruin(line, v))
+        b = (1.0 - line.lam * line.mu / line.c) / line.mu
+        want = 1.0 / (g.primitive_pieces[1] * b)
+        assert scales == [pytest.approx(want, rel=1e-9)] * 2
+
+    def test_far_tail_is_exact(self):
+        # D(300) = psi(300)/b = 5 exp(-50) on (10, 1, 12) under identity,
+        # where the panels gave 1.48e-22
+        curve = DeficitFunctional.quadrature(identity(), lambda v: ultimate_ruin(LINE1, v))
+        assert curve(300.0) == pytest.approx(5.0 * math.exp(-50.0), rel=1e-12)
+        assert abs(curve(300.0) - 9.6437492398195e-22) <= 1e-12 * 9.6437492398195e-22
+
+    @settings(FIXED, max_examples=200)
+    @given(
+        st.floats(math.log(1e-3), math.log(1e4)),
+        st.floats(math.log(0.1), math.log(1000.0)),
+        st.floats(0.0, 3.0),
+    )
+    def test_rough_scale_certifies_an_exponential(self, log_length, log_ratio, start):
+        length = math.exp(log_length)
+        scale = length * math.exp(log_ratio)
+        a = start * length
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return np.exp(-v / length)
+
+        got = tail_integral(f, a, scale=scale)
+        assert sizes == [241]
+        assert got == pytest.approx(length * math.exp(-a / length), rel=1e-14)
+
+    @pytest.mark.parametrize("g", [identity(), tvar(0.3)], ids=str)
+    def test_slow_pareto_tail_defers_to_the_panels(self, g):
+        # (1 + v)**-1.5 still holds about 1e-6 past the stage's last node,
+        # so every call defers, and the panels run as without a scale
+        tail = pareto(1.5)
+        sizes = []
+
+        def psi(v):
+            sizes.append(np.size(v))
+            return tail(v)
+
+        curve = DeficitFunctional.quadrature(g, psi)
+        kink = edge_reserve(g, tail)
+        for u in (kink, kink + 2.0, kink + 17.3):
+            sizes.clear()
+            assert curve(u) == tail_integral(lambda v: g(tail(v)), u)
+            assert sizes[0] == 241 and len(sizes) > 1
+        want = kink + tail_integral(lambda v: g(tail(v)), kink)
+        assert choquet_tail(g, tail) == want
+
+    def test_faster_pareto_tail_is_one_call(self):
+        # (1 + v)**-3 has decayed to 1e-34 by the last node
+        tail = pareto(3.0)
+        curve = DeficitFunctional.quadrature(identity(), tail)
+        assert curve(0.0) == pytest.approx(0.5, rel=1e-12)
+        assert choquet_tail(identity(), tail) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tail, value",
+        [
+            # 0 at k + 1: the rate is infinite
+            (lambda v: np.where(v < 0.0, 1.0, np.where(v < 0.5, 0.4, 0.0)), 0.2),
+            # flat over [k, k + 1]: the rate is 0
+            (lambda v: np.where(v < 0.0, 1.0, 0.4 * np.exp(-np.maximum(v - 2.0, 0.0))), 1.2),
+        ],
+    )
+    def test_no_finite_positive_rate_passes_no_scale(self, monkeypatch, tail, value):
+        scales = scale_spy(monkeypatch)
+        curve = DeficitFunctional.quadrature(identity(), tail)
+        assert curve(0.0) == pytest.approx(value, rel=1e-9)
+        assert choquet_tail(identity(), tail) == pytest.approx(value, rel=1e-9)
+        assert scales == [None, None]
