@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .distortion import Distortion, decay_length, edge_reserve
+from .distortion import Distortion, decay_length, edge_reserve, sample_array
 from .errors import ConvergenceError, DomainError
 from .numerics import DEFAULT_TOL, lambert_w0, lambert_w0_log, tail_integral
 from .model import ruin_constants
@@ -66,7 +66,7 @@ from .simulate import simulate_max_loss
 _LOG_W_MAX = 700.0
 
 
-def _newton_root(f, slope, start, restart, tol):
+def _newton_root(f, slope, start, restart, tol=DEFAULT_TOL):
     """Root of a convex decreasing f by Newton steps from start, or from
     restart, a pair (u, f(u)) left of the root, where start is not
     finite; returns the root and f there.
@@ -103,17 +103,11 @@ class DeficitFunctional:
     """Callable deficit curve D(u) with a tagged construction source.
 
     The constructors build the source classes below.  Their
-    convex_root(budget, tol) and proportional_root(margin, tol) give
-    (value, method, residual, branch) of the least u with D(u) <= budget
-    and of the u with D(u) = margin * u.  D(nan) raises DomainError on
-    every source.
+    convex_root(budget) and proportional_root(margin) give (value,
+    method, residual, branch) of the least u with D(u) <= budget and of
+    the u with D(u) = margin * u, to the curve's own precision.  D(nan)
+    raises DomainError on every source.
     """
-
-    def __init__(self, kind, horizon):
-        if not horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {horizon}")
-        self.kind = self.method = kind
-        self.horizon = horizon
 
     @classmethod
     def for_line(cls, line, g, horizon=None, n=10000, seed=0):
@@ -123,37 +117,37 @@ class DeficitFunctional:
         if horizon is None:
             return cls.closed_form(line, g)
         batch = simulate_max_loss(line, horizon, n, seed)
-        return cls.empirical(g, batch.samples, horizon=horizon)
+        return cls.empirical(g, batch.samples)
 
     @classmethod
-    def closed_form(cls, line, g, horizon=math.inf):
+    def closed_form(cls, line, g):
         """D(u) = G(psi(u)) / b of an exponential line's ruin curve
         psi(v) = a*exp(-b*v), from the primitive G of any distortion g."""
-        return ClosedCurve(line, g, horizon)
+        return ClosedCurve(line, g)
 
     @classmethod
-    def closed_form_ph(cls, line, p=1.0, horizon=math.inf):
+    def closed_form_ph(cls, line, p=1.0):
         """Proportional-hazard distortion of an exponential line's ruin
         curve; p = 1 gives the undistorted expected overshoot."""
-        return cls.closed_form(line, Distortion("ph", p), horizon)
+        return cls.closed_form(line, Distortion("ph", p))
 
     @classmethod
-    def closed_form_tvar(cls, line, alpha, horizon=math.inf):
+    def closed_form_tvar(cls, line, alpha):
         """Tail-value-at-risk distortion min(x/alpha, 1) of an exponential
         line's ruin curve."""
-        return cls.closed_form(line, Distortion("tvar", alpha), horizon)
+        return cls.closed_form(line, Distortion("tvar", alpha))
 
     @classmethod
-    def quadrature(cls, g, psi, horizon=math.inf, tol=DEFAULT_TOL):
+    def quadrature(cls, g, psi):
         """Numerical curve for any distortion g and tail function psi;
         psi maps an ndarray of v to P(M > v), including 1 for v < 0."""
-        return QuadratureCurve(g, psi, horizon, tol)
+        return QuadratureCurve(g, psi)
 
     @classmethod
-    def empirical(cls, g, samples, horizon=math.inf):
+    def empirical(cls, g, samples):
         """Curve estimated from sampled maxima via the empirical Choquet
         sum, kept as its values at the sorted samples."""
-        return EmpiricalCurve(g, samples, horizon)
+        return EmpiricalCurve(g, samples)
 
     def __call__(self, u):
         # one entry point, so wrapping it traces every source; each gives _value
@@ -166,14 +160,12 @@ class DeficitFunctional:
 class ClosedCurve(DeficitFunctional):
     """D(u) = level * exp(-p*b*(max(u, kink) - kink)) + max(kink - u, 0)
     with level = D(kink), tagged closed-tvar when G has a log piece (tvar,
-    varstep), else closed-ph.  Its roots are exact and take no tolerance."""
+    varstep), else closed-ph.  Its roots are exact."""
 
-    def __init__(self, line, g, horizon):
+    def __init__(self, line, g):
         k = ruin_constants(line)
         s, p, edge = g.primitive_pieces
-        if not math.isinf(horizon):
-            raise DomainError("closed-form curves exist only for the unlimited horizon")
-        super().__init__("closed-ph" if math.isinf(edge) else "closed-tvar", horizon)
+        self.kind = "closed-ph" if math.isinf(edge) else "closed-tvar"
         self.method = "closed-form"
         self._a, self._b, self._s, self._p = k.a, k.b, s, p
         self._pb = p * k.b
@@ -195,7 +187,7 @@ class ClosedCurve(DeficitFunctional):
     def slope(self, u):
         raise DomainError("closed forms are inverted analytically and give no slope")
 
-    def convex_root(self, budget, tol=DEFAULT_TOL):
+    def convex_root(self, budget):
         """Past the level at the kink a curve with a plateau follows its
         slope -1 line (branch "linear"); a curve without one continues
         its power piece to negative reserves (branch "continuation")."""
@@ -218,7 +210,7 @@ class ClosedCurve(DeficitFunctional):
         branch = "exponential" if budget <= at_kink else "continuation"
         return value, "closed-form", residual, branch
 
-    def proportional_root(self, margin, tol=DEFAULT_TOL):
+    def proportional_root(self, margin):
         """Lambert W step on the power piece, or linear solve on the plateau."""
         if self(0.0) <= 0.0:
             return 0.0, "closed-form", 0.0, "degenerate"
@@ -246,17 +238,18 @@ class QuadratureCurve(DeficitFunctional):
     beyond v_e, tail_integral of the smooth g(psi(v)) from u, with the
     decay length that psi gives at v_e (decay_length).  v_e and that
     length are found when the curve is built, v_e = 0 for identity and
-    ph; its rules take Newton steps."""
+    ph; its rules take Newton steps.  Integrals and steps stop at
+    DEFAULT_TOL."""
 
-    def __init__(self, g, psi, horizon, tol):
-        super().__init__("quadrature", horizon)
-        self._g, self._psi, self._tol = g, psi, tol
-        self._kink = edge_reserve(g, psi, tol)
+    def __init__(self, g, psi):
+        self.kind = self.method = "quadrature"
+        self._g, self._psi = g, psi
+        self._kink = edge_reserve(g, psi)
         self._scale = decay_length(g, psi, self._kink)
 
     def _integral(self, u):
         g, psi = self._g, self._psi
-        return tail_integral(lambda v: g(psi(v)), u, self._tol, self._scale)
+        return tail_integral(lambda v: g(psi(v)), u, DEFAULT_TOL, self._scale)
 
     @functools.cached_property
     def _at_kink(self):
@@ -276,7 +269,7 @@ class QuadratureCurve(DeficitFunctional):
             return -1.0
         return -float(self._g(self._psi(np.array([u])))[0])
 
-    def convex_root(self, budget, tol=DEFAULT_TOL):
+    def convex_root(self, budget):
         """A budget of at least D(k) at the kink k meets the slope -1 part
         at k + D(k) - budget; a smaller one takes Newton steps on
         D(u) - budget from k + ln(D(k)/budget)/beta, where the curve's
@@ -289,11 +282,11 @@ class QuadratureCurve(DeficitFunctional):
         rate = -self.slope(kink) / d_k
         start = kink + (math.log(d_k) - math.log(budget)) / rate
         root, f_root = _newton_root(
-            lambda u: self(u) - budget, self.slope, start, (kink, d_k - budget), tol
+            lambda u: self(u) - budget, self.slope, start, (kink, d_k - budget)
         )
         return root, "root-bracketed", abs(f_root), None
 
-    def proportional_root(self, margin, tol=DEFAULT_TOL):
+    def proportional_root(self, margin):
         """A margin met at or left of the kink k, D(k) <= margin * k, is
         met on the slope -1 part at (k + D(k))/(1 + margin); otherwise
         Newton steps on D(u) - margin * u, of slope D'(u) - margin, start
@@ -316,7 +309,6 @@ class QuadratureCurve(DeficitFunctional):
             lambda u: self.slope(u) - margin,
             start,
             (kink, d_k - margin * kink),
-            tol,
         )
         return root, "root-bracketed", abs(f_root), None
 
@@ -326,22 +318,18 @@ class EmpiricalCurve(DeficitFunctional):
     maxima x_0 >= ... >= x_(n-1), linear with slope -c_j = -g((j + 1)/n)
     on (x_(j+1), x_j) and -1 below x_(n-1); so it is kept as its knots
     D(x_0) = 0, D(x_(j+1)) = D(x_j) + c_j * (x_j - x_(j+1)).  Both rules
-    invert the interpolation exactly and, as the closed form, take no
-    tolerance (method "root-bracketed")."""
+    invert the interpolation exactly, with no iteration (method
+    "root-bracketed")."""
 
-    def __init__(self, g, samples, horizon):
-        x = np.asarray(samples, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise DomainError("samples must be a nonempty 1-d collection")
-        if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-            raise DomainError("samples must be finite and nonnegative")
-        super().__init__("empirical", horizon)
+    def __init__(self, g, samples):
+        self.kind = self.method = "empirical"
         # ascending, as np.interp takes them, with D summed from the top
-        x = np.sort(x)
+        x = np.sort(sample_array(samples))
         drops = g(np.arange(x.size - 1, 0, -1) / x.size) * np.diff(x)
         self._g, self._x = g, x
         self._d = np.append(np.cumsum(drops[::-1])[::-1], 0.0)
-        self._low, self._d_low = float(x[0]), float(self._d[0])
+        self._low, self._high = x[[0, -1]].tolist()
+        self._d_low = float(self._d[0])
 
     def _value(self, u):
         return float(np.interp(u, self._x, self._d)) + max(self._low - u, 0.0)
@@ -351,20 +339,23 @@ class EmpiricalCurve(DeficitFunctional):
         above = self._x.size - int(np.searchsorted(self._x, float(u), side="right"))
         return -self._g(above / self._x.size)
 
-    def convex_root(self, budget, tol=DEFAULT_TOL):
+    def convex_root(self, budget):
         """The least u with D(u) <= budget, between the knots that hold
         budget or on the slope -1 part below x_(n-1)."""
         value = float(np.interp(-budget, -self._d, self._x))
         value -= max(budget - self._d_low, 0.0)
         return value, "root-bracketed", abs(self(value) - budget), None
 
-    def proportional_root(self, margin, tol=DEFAULT_TOL):
+    def proportional_root(self, margin):
         """The u with D(u) = margin * u: on the slope -1 part below
         x_(n-1) if it is there, else between the knots where margin * x_j
-        - D(x_j) turns from negative to not."""
+        - D(x_j) turns from negative to not, or where x_j - D(x_j) / margin
+        does if margin * x_j would overflow."""
         low, d_low = self._low, self._d_low
         value = (low + d_low) / (1.0 + margin)
         if value > low:
-            value = float(np.interp(0.0, margin * self._x - self._d, self._x))
+            x, d = self._x, self._d
+            h = margin * x - d if margin * self._high < math.inf else x - d / margin
+            value = float(np.interp(0.0, h, x))
         branch = None if low + d_low > 0.0 else "degenerate"
         return value, "root-bracketed", abs(self(value) - margin * value), branch

@@ -15,7 +15,6 @@ module is the only one that tells the kinds apart.
 """
 
 import bisect
-import functools
 import math
 import numbers
 import struct
@@ -220,13 +219,13 @@ _EDGE_OFFSETS = np.array(_EDGE_PROBE)
 _AS_FLOAT, _AS_INT = struct.Struct("<d"), struct.Struct("<q")
 
 
-@functools.lru_cache(maxsize=8)
-def _panel_ends(n):
-    """The ends 0, 1, 3, ..., 2**n - 1 of tail_integral's first n panels:
-    a read-only array, and its values as floats and as bit patterns."""
-    ends = np.exp2(np.arange(n + 1.0)) - 1.0
-    ends.flags.writeable = False
-    return ends, ends.tolist(), ends.view(np.int64).tolist()
+# the ends 0, 1, 3, ..., 2**n - 1 of tail_integral's first n = max_iter
+# panels under DEFAULT_TOL: a read-only array, and its values as floats
+# and as bit patterns
+_PANEL_ENDS = np.exp2(np.arange(DEFAULT_TOL.max_iter + 1.0)) - 1.0
+_PANEL_ENDS.flags.writeable = False
+_END_VALUES = _PANEL_ENDS.tolist()
+_END_BITS = _PANEL_ENDS.view(np.int64).tolist()
 
 
 def _log_ratio(x, y):
@@ -235,7 +234,7 @@ def _log_ratio(x, y):
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
-def edge_reserve(g, tail, tol=DEFAULT_TOL):
+def edge_reserve(g, tail):
     """The least v >= 0 with tail(v) <= edge, the edge of g's primitive:
     alpha for tvar and varstep, where g(tail) leaves 1 with a kink or a
     jump.  Without an edge (identity, ph) it is 0, and tail is not called.
@@ -244,8 +243,8 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
 
     tail is nonincreasing and maps an ndarray of v to one value per
     point.  One call brackets v among the ends 0, 1, 3, ..., 2**k - 1 of
-    tail_integral's first max_iter panels, an array built once per
-    max_iter and passed read-only.  The second probes the root of
+    tail_integral's first DEFAULT_TOL.max_iter panels, an array built
+    once at import and passed read-only.  The second probes the root of
     the line through ln tail at the bracket's ends, where an exponential
     tail meets the edge, and the floats next to it; on an exponential
     tail they hold the crossing, and the search ends there.  Otherwise
@@ -261,25 +260,24 @@ def edge_reserve(g, tail, tol=DEFAULT_TOL):
     edge = g.primitive_pieces[2]
     if edge == math.inf:
         return 0.0
-    ends, end_values, end_bits = _panel_ends(tol.max_iter)
-    values = np.asarray(tail(ends))
+    values = np.asarray(tail(_PANEL_ENDS))
     j = int((values <= edge).argmax())
     if j == 0:
         # the first end at or below the edge, or none is
         if values[0] <= edge:
             return 0.0
         raise TruncationError(
-            f"tail stays above the distortion's edge {edge} up to {end_values[-1]:g}",
-            end_values[-1],
+            f"tail stays above the distortion's edge {edge} up to {_END_VALUES[-1]:g}",
+            _END_VALUES[-1],
         )
-    v_lo, v_hi = end_values[j - 1], end_values[j]
+    v_lo, v_hi = _END_VALUES[j - 1], _END_VALUES[j]
     t_lo, t_hi = values[j - 1:j + 1].tolist()
     root = v_lo + _log_ratio(edge, t_lo) / _log_ratio(t_hi, t_lo) * (v_hi - v_lo)
     if not v_lo <= root <= v_hi:
         # NaN, or a tail that is not monotone
         root = v_lo
     # the probe's offsets inside the bracket, between its ends
-    lo, hi = end_bits[j - 1], end_bits[j]
+    lo, hi = _END_BITS[j - 1], _END_BITS[j]
     mid = _AS_INT.unpack(_AS_FLOAT.pack(root))[0]
     first = bisect.bisect_right(_EDGE_PROBE, lo - mid)
     last = bisect.bisect_left(_EDGE_PROBE, hi - mid)
@@ -308,20 +306,32 @@ def decay_length(g, tail, v):
     return length if 0.0 < length < math.inf else None
 
 
-def choquet_tail(g, tail, tol=DEFAULT_TOL):
+def choquet_tail(g, tail):
     """Distorted expectation of a nonnegative variable from its survival
     function: integral of g(tail(x)) over [0, inf), which is v plus the
     integral from v = edge_reserve(g, tail).  That integral passes
     tail_integral the decay length that tail's own values give at v
     (decay_length)."""
-    v = edge_reserve(g, tail, tol)
-    return v + tail_integral(lambda x: g(tail(x)), v, tol, decay_length(g, tail, v))
+    v = edge_reserve(g, tail)
+    scale = decay_length(g, tail, v)
+    return v + tail_integral(lambda x: g(tail(x)), v, DEFAULT_TOL, scale)
 
 
 def choquet_weights(g, n):
     """Rank weights g(i/n) - g((i-1)/n) for descending order statistics."""
     grid = g(np.arange(n + 1) / n)
     return np.diff(grid)
+
+
+def sample_array(samples):
+    """samples as a float array, refusing one that is empty, not 1-d,
+    or holds a negative or non-finite value."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError("samples must be a nonempty 1-d collection")
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise DomainError("samples must be finite and nonnegative")
+    return x
 
 
 def choquet_empirical(g, samples):
@@ -331,11 +341,7 @@ def choquet_empirical(g, samples):
     on the uniform grid; with the identity distortion this reduces to
     the sample mean exactly.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("samples must be a nonempty 1-d collection")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("samples must be finite and nonnegative")
+    x = sample_array(samples)
     ordered = np.sort(x)[::-1]
     return float(choquet_weights(g, x.size) @ ordered)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .distortion import choquet_empirical, choquet_se
 from .errors import DomainError
 from .model import ruin_constants
-from .numerics import DEFAULT_TOL
 from .simulate import derive_seed, simulate_aggregate_claims
 
 
@@ -51,21 +50,21 @@ def coherent_measure(d):
     return MeasureResult(value=d(0.0), method=d.method, residual=0.0)
 
 
-def convex_measure(d, budget, tol=DEFAULT_TOL):
+def convex_measure(d, budget):
     """Least reserve whose residual shortfall stays within budget,
     solved by the curve itself (DeficitFunctional.convex_root)."""
     if not 0.0 < budget < math.inf:
         raise DomainError(f"budget must be positive and finite, got {budget}")
-    return MeasureResult(*d.convex_root(budget, tol))
+    return MeasureResult(*d.convex_root(budget))
 
 
-def proportional_measure(d, margin, tol=DEFAULT_TOL):
+def proportional_measure(d, margin):
     """Reserve with residual shortfall equal to margin times itself,
     solved by the curve itself (DeficitFunctional.proportional_root);
     it is unique because D decreases while the margin line rises."""
     if not 0.0 < margin < math.inf:
         raise DomainError(f"margin must be positive and finite, got {margin}")
-    return MeasureResult(*d.proportional_root(margin, tol))
+    return MeasureResult(*d.proportional_root(margin))
 
 
 def critical_threshold(d):

@@ -15,12 +15,13 @@ Three routines cover every solver need in the package:
                   layout built at import (Takahasi & Mori 1974); its
                   sums with steps 1/32 and 1/16 in t are returned where
                   they agree, every value is finite and both weighted
-                  end terms are below abs_tol.  Every caller in the
-                  package passes one: QuadratureCurve and choquet_tail
-                  take 1/(p r) from the tail's own log-decrement r over
-                  [k, k + 1] at their kink k (p the power of g's
-                  primitive), the pooled pass 1/min(b) and
-                  method1_generic 1/min(rate) of its grid fits.
+                  end terms are below abs_tol.  QuadratureCurve and
+                  choquet_tail pass 1/(p r) from the tail's own
+                  log-decrement r over [k, k + 1] at their kink k (p the
+                  power of g's primitive), or none where r is not
+                  finite and positive; the pooled pass passes 1/min(b)
+                  and method1_generic 1/min(rate) of its grid fits; the
+                  CLI's check command passes none.
                   Otherwise, and always without s, doubling panels with
                   adaptive 20-point Gauss-Lobatto (Legendre) quadrature
                   per panel run: the integrand is called once per group
@@ -133,12 +134,13 @@ def brent_root(f, lo, hi, tol=DEFAULT_TOL):
 _BRANCH_POINT = -math.exp(-1.0)
 
 
-def lambert_w0(y, tol=DEFAULT_TOL):
+def lambert_w0(y):
     """Principal branch W0(y): the solution w >= -1 of w*exp(w) = y.
 
     Halley iteration started from log1p(y), or from the branch-point
     series when y is close to -1/e.  Iterates to machine precision, so
-    the residual w*exp(w) - y is at rounding level.  Past y = 1e300,
+    the residual w*exp(w) - y is at rounding level, within
+    DEFAULT_TOL.max_iter steps or ConvergenceError.  Past y = 1e300,
     where w*exp(w) - y and the Halley step overflow, it is
     lambert_w0_log(ln y).  y < -1/e and a y that is not finite raise
     DomainError.
@@ -151,7 +153,7 @@ def lambert_w0(y, tol=DEFAULT_TOL):
     if y == 0.0:
         return 0.0
     if y > 1e300:
-        return lambert_w0_log(math.log(y), tol)
+        return lambert_w0_log(math.log(y))
 
     if math.e * y + 1.0 < 0.25:
         # series around the branch point in p = sqrt(2*(e*y + 1))
@@ -160,7 +162,7 @@ def lambert_w0(y, tol=DEFAULT_TOL):
     else:
         w = math.log1p(y)
 
-    for _ in range(tol.max_iter):
+    for _ in range(DEFAULT_TOL.max_iter):
         ew = math.exp(w)
         r = w * ew - y
         wp1 = w + 1.0
@@ -175,13 +177,13 @@ def lambert_w0(y, tol=DEFAULT_TOL):
     raise ConvergenceError(f"lambert_w0 did not converge for y={y}")
 
 
-def lambert_w0_log(log_y, tol=DEFAULT_TOL):
+def lambert_w0_log(log_y):
     """W0(exp(log_y)) for log_y > 1, exp(log_y) past the largest float
     included: Newton steps on w + ln w = log_y from w = log_y, whose
     terms stay near log_y.  They rise to the root from its left after
     the first step, as w + ln w is concave, to machine precision."""
     w = log_y
-    for _ in range(tol.max_iter):
+    for _ in range(DEFAULT_TOL.max_iter):
         dw = (w + math.log(w) - log_y) * w / (w + 1.0)
         w -= dw
         if abs(dw) <= 1e-15 * (1.0 + w):

@@ -1,6 +1,7 @@
 """Deficit curves: closed forms, quadrature, and empirical agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,10 +64,6 @@ class TestClosedFormPh:
         for p in (0.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 DeficitFunctional.closed_form_ph(LINE1, p=p)
-
-    def test_rejects_finite_horizon(self):
-        with pytest.raises(DomainError):
-            DeficitFunctional.closed_form_ph(LINE1, horizon=50.0)
 
     def test_introspection(self):
         d = DeficitFunctional.closed_form_ph(LINE1, p=0.5)
@@ -191,14 +188,6 @@ class TestQuadrature:
         quad = DeficitFunctional.quadrature(identity(), psi1)
         assert quad(-3.0) == pytest.approx(quad(0.0) + 3.0, rel=1e-9)
 
-    def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(DomainError):
-            DeficitFunctional.quadrature(identity(), psi1, horizon=0.0)
-
-    def test_rejects_nan_horizon(self):
-        with pytest.raises(DomainError):
-            DeficitFunctional.quadrature(identity(), psi1, horizon=math.nan)
-
 
 class TestQuadratureEdge:
     # the curve finds the edge reserve v_e of tvar and varstep once, keeps
@@ -320,6 +309,25 @@ class TestEmpirical:
             want = self.least_root(lambda u: reference(u) - margin * u, -1.0, top)
             assert value == pytest.approx(want, rel=1e-13, abs=scale)
             assert residual <= 1e-12 * margin * value + 4.0 * np.spacing(value)
+
+    @pytest.mark.parametrize("margin", [1e307, 1e308])
+    def test_margin_near_the_largest_float(self, margin):
+        # margin * x overflows at the far samples, so the rule solves the
+        # same sign change in x - D(x) / margin, and warns nothing
+        d = DeficitFunctional.for_line(LINE1, identity(), 5.0, 200, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _, residual, _ = d.proportional_root(margin)
+        assert 0.0 < value < 1e-300
+        assert d(value) == pytest.approx(margin * value, rel=1e-15)
+        assert residual <= 1e-15 * d(value)
+
+    def test_overflow_at_the_knot_past_the_root(self):
+        # D(u) = 10 - u / 2 on [0, 20]; margin * 20 overflows, and the
+        # interpolation on it would put the root at 0
+        d = DeficitFunctional.empirical(identity(), [0.0, 20.0])
+        value = d.proportional_root(1e307)[0]
+        assert value == pytest.approx(1e-306, rel=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -523,7 +531,7 @@ class TestOneClosedForm:
 
     def test_finite_horizon_gives_empirical_curve(self):
         d = DeficitFunctional.for_line(LINE1, identity(), 20.0, 500, 3)
-        assert (d.kind, d.horizon) == ("empirical", 20.0)
+        assert d.kind == "empirical"
         again = DeficitFunctional.for_line(LINE1, identity(), 20.0, 500, 3)
         assert d(1.0) == again(1.0)
         with pytest.raises(DomainError):

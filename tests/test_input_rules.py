@@ -1,21 +1,31 @@
 """Input rules at construction: tolerances, NaN reserves on every deficit
-source and on the ruin curves, and path states that are not finite."""
+source and on the ruin curves, extreme reserves, budgets and margins on
+every deficit source, and path states that are not finite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdeficit import (
+    ConvergenceError,
     DeficitFunctional,
     DomainError,
+    ExponentialLine,
     PathState,
     Tolerance,
+    convex_measure,
+    identity,
     proportional_hazard,
+    proportional_measure,
     psi_tilde,
     simulate_max_loss,
     tvar,
     ultimate_ruin,
+    var_step,
 )
 from tests.conftest import LINE1, LINE2, LINE3
 
@@ -100,6 +110,55 @@ class TestNanReserve:
     def test_psi_tilde(self, v):
         with pytest.raises(DomainError):
             psi_tilde((LINE1, LINE2, LINE3), [1.0, 2.0, 3.0], v)
+
+
+def _curve(source, line, g):
+    if source == "closed":
+        return DeficitFunctional.for_line(line, g)
+    if source == "quadrature":
+        return DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))
+    return DeficitFunctional.for_line(line, g, 5.0, 200, 1)
+
+
+# NaN, both infinities, a negative, zero, the least subnormal, a tiny
+# normal and a value near the largest float
+EXTREMES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-300, 1e308)
+# LINE1, a line of rare large claims, and the no-claims line
+EXTREME_LINES = (LINE1, ExponentialLine(0.1, 100.0, 20.0), ExponentialLine(0.0, 1.0, 1.0))
+EXTREME_GS = (identity(), proportional_hazard(0.5), tvar(0.1), var_step(0.1))
+
+
+class TestExtremeInputs:
+    """D(u), the convex rule at budget u and the proportional rule at
+    margin u give a finite value or raise DomainError or ConvergenceError,
+    with no warning, on every source; D(-inf) = +inf, as the slope -1
+    continuation below zero implies."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        source=st.sampled_from(["closed", "quadrature", "empirical"]),
+        line=st.sampled_from(EXTREME_LINES),
+        g=st.sampled_from(EXTREME_GS),
+    )
+    def test_finite_or_documented_error(self, source, line, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = _curve(source, line, g)
+            calls = (
+                ("D", d),
+                ("convex", lambda x: convex_measure(d, x).value),
+                ("proportional", lambda x: proportional_measure(d, x).value),
+            )
+            for x in EXTREMES:
+                for name, call in calls:
+                    try:
+                        value = call(x)
+                    except (DomainError, ConvergenceError):
+                        continue
+                    if name == "D" and x == -math.inf:
+                        assert value == math.inf
+                    else:
+                        assert math.isfinite(value), (name, x, value)
 
 
 class TestPathState:

@@ -17,6 +17,7 @@ from maxdeficit import (
     critical_threshold,
     ear_convex_measure,
     identity,
+    lambert_w0,
     line_from_ruin_constants,
     parse_distortion,
     premium_lower_bound,
@@ -27,6 +28,7 @@ from maxdeficit import (
     ultimate_ruin,
     var_step,
 )
+from maxdeficit.deficit import _newton_root
 from tests.conftest import LINE1, LINE2, LINE3
 
 
@@ -290,12 +292,28 @@ class TestNewtonRoute:
 
     def test_step_limit_raises(self):
         # the exponential fit at zero misses a Pareto tail's roots by far
-        # more than two Newton steps mend
+        # more than two Newton steps mend: from the rules' own starts, the
+        # solve stops at its step limit, and the integrals do not truncate
         quad = DeficitFunctional.quadrature(identity(), pareto_tail)
-        with pytest.raises(ConvergenceError):
-            convex_measure(quad, 0.01, Tolerance(max_iter=2))
-        with pytest.raises(ConvergenceError):
-            proportional_measure(quad, 0.01, Tolerance(max_iter=2))
+        d0, w0 = quad(0.0), -quad.slope(0.0)
+        rate, param = w0 / d0, 0.01
+        solves = (
+            (
+                lambda u: quad(u) - param,
+                quad.slope,
+                math.log(d0 / param) / rate,
+                (0.0, d0 - param),
+            ),
+            (
+                lambda u: quad(u) - param * u,
+                lambda u: quad.slope(u) - param,
+                lambert_w0(w0 / param) / rate,
+                (0.0, d0),
+            ),
+        )
+        for f, slope, start, restart in solves:
+            with pytest.raises(ConvergenceError, match="not settled in 2 Newton steps"):
+                _newton_root(f, slope, start, restart, Tolerance(max_iter=2))
 
 
 def pareto_tail(v):
