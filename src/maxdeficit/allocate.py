@@ -1,25 +1,22 @@
-"""Reserve allocation across independent lines of business.
-
-Two ways to split a total reserve u over K exponential lines:
+"""Reserve allocation across independent lines of business.  Every
+route checks its input in _entry and builds its result in _certified.
 
 - marginal sum ("water filling"): minimise the sum of per-line deficit
   curves.  Optimal reserves equalise the (distorted) ruin probabilities
-  g_k(psi_k(u_k)) at a common threshold on the set of lines that
-  receive anything; lines whose zero-reserve level already sits below
-  the threshold get nothing.  Exponential lines water-fill exactly; any
-  other decreasing marginals take the active-set Newton method below,
-  with the marginals as the gradient and their chords as a diagonal
-  Hessian, from water filling on exponential fits.
+  g_k(psi_k(u_k)) at a common threshold on the lines that receive
+  anything.  Exponential lines water-fill exactly; other decreasing
+  marginals take the active-set Newton method below, with the marginals
+  as the gradient and their chords as a diagonal Hessian, from water
+  filling on exponential fits.
 
 - aggregate minimum: minimise the deficit of the pooled portfolio,
   whose first-passage probability for independent lines is
   1 - prod_k (1 - psi_k(u_k + v)).  Two identity-distorted lines admit
-  a closed form.  Otherwise one active-set Newton method (_newton_split)
-  solves the split from evaluations that each give the pooled deficit,
-  its gradient and its whole Hessian: inclusion-exclusion over the
-  subsets of lines exactly under a concave distortion with p = 1
-  (identity, ph:1, tvar) on up to _EXACT_MAX_LINES lines, and one
-  quadrature pass in any other case.
+  a closed form.  Otherwise _newton_split solves the split from
+  evaluations of the pooled deficit, its gradient and its Hessian: by
+  inclusion-exclusion under a concave distortion with p = 1 (identity,
+  ph:1, tvar) on up to _EXACT_MAX_LINES lines, else by one quadrature
+  pass.
 """
 
 import functools
@@ -30,9 +27,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import ruin_constants, ultimate_ruin
-from .numerics import DEFAULT_TOL, brent_root, tail_integral
+from .numerics import DEFAULT_TOL, _is_real, brent_root, tail_integral
 
-_TINY = np.finfo(float).tiny
+_TINY, _HUGE = np.finfo(float).tiny, float(np.finfo(float).max)
+# the grid's largest span: a power of two, whose reciprocal, a flat
+# row's fitted rate, inverts exactly
+_SPAN_MAX = 2.0**1023
 
 # Newton steps allowed to the tvar edge v* and to the active-set splits
 _NEWTON_STEPS = 100
@@ -42,9 +42,18 @@ _NEWTON_STEPS = 100
 _EXACT_MAX_LINES = 12
 
 
-def _check_budget(total_u):
-    if not 0.0 <= total_u < math.inf:
-        raise DomainError(f"total reserve must be finite and >= 0, got {total_u}")
+def _entry(items, total_u, gammas=()):
+    """The budget as a float, or DomainError unless every allocation
+    route's entry rules hold: at least one line or marginal in items, and
+    a budget and penalty exponents that are real numbers (not bools) from
+    0 and 1 up to the largest float, so that float() of either is finite."""
+    if not items:
+        raise DomainError("allocation needs at least one line")
+    if not all(_is_real(g) and 1.0 <= g <= _HUGE for g in gammas):
+        raise DomainError(f"penalty exponents must be reals in [1, inf): {gammas!r}")
+    if not (_is_real(total_u) and 0.0 <= total_u <= _HUGE):
+        raise DomainError(f"total reserve must be a finite real >= 0, got {total_u!r}")
+    return float(total_u)
 
 
 @dataclass(frozen=True)
@@ -62,37 +71,38 @@ class AllocationProblem:
 
     def __post_init__(self):
         lines = tuple(self.lines)
-        object.__setattr__(self, "lines", lines)
-        if not lines:
-            raise DomainError("allocation needs at least one line")
-        gammas = self.gammas
-        if gammas is None:
-            gammas = (1.0,) * len(lines)
-        gammas = tuple(float(g) for g in gammas)
-        object.__setattr__(self, "gammas", gammas)
+        gammas = (1.0,) * len(lines) if self.gammas is None else tuple(self.gammas)
+        total_u = _entry(lines, self.total_u, gammas)
         if len(gammas) != len(lines):
             raise DomainError("one penalty exponent per line is required")
-        if not all(1.0 <= g < math.inf for g in gammas):
-            raise DomainError(f"penalty exponents must be in [1, inf), got {gammas}")
-        _check_budget(self.total_u)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "total_u", total_u)
+        object.__setattr__(self, "gammas", tuple(map(float, gammas)))
 
 
 @dataclass
 class AllocationResult:
-    """Optimal reserves with the optimality evidence.
+    """Optimal reserves with the optimality evidence, by one rule on
+    every route (_certified builds each result).
 
-    threshold is the equalised level on the active set (the distorted
-    ruin probability for the marginal-sum method, the marginal risk
-    reduction for the aggregate method); kkt_residual is the relative
-    spread of that level across active lines where it is recomputed
-    numerically.
+    A line's reduction is the objective's fall per unit of reserve added
+    to it: its distorted ruin probability for the marginal sum, its
+    marginal risk reduction for the aggregate minimum.  threshold is
+    their mean on the active lines, those holding reserve (the largest
+    reduction where none is), as a float that may round to 0; objective
+    is the minimised sum or pooled deficit, unscaled; kkt_residual is
+    the largest reduction less the smallest active one, relative to that
+    mean and taken in a route's scaled units, so it stays finite where
+    threshold rounds to 0, and inf only where the float resolution of
+    water filling's reserves exceeds a decay length.  Bad input raises
+    DomainError.
     """
 
     reserves: np.ndarray
     active: list
     threshold: float
     objective: float
-    kkt_residual: float = None
+    kkt_residual: float
 
 
 def method1_exponential(problem):
@@ -104,7 +114,8 @@ def method1_exponential(problem):
     m_k(0).  Lines enter in order of decreasing top; on an active
     prefix the budget is linear in log s, so log s = (sum w_k log top_k
     - U) / sum w_k, and the prefix stops growing once log s reaches the
-    next line's log top.  Lines with a_k = 0 never become active.
+    next line's log top.  Lines with a_k = 0 never become active.  The
+    levels are certified in the unit s, formed in logs.
     """
     consts = [ruin_constants(line) for line in problem.lines]
     a = np.array([k.a for k in consts])
@@ -114,23 +125,16 @@ def method1_exponential(problem):
         raise DomainError("every line is degenerate: nothing to allocate")
     tops = a ** (1.0 / gam)
     w = gam / b
-
-    def objective_at(u):
-        return float((w * tops * np.exp(-b * u / gam)).sum())
-
-    if problem.total_u == 0.0:
-        zero = np.zeros(len(consts))
-        return AllocationResult(zero, [], float(tops.max()), objective_at(zero), 0.0)
-
     with np.errstate(divide="ignore"):
         log_tops = np.log(tops)
-    u, log_s = _water_fill(log_tops, w, problem.total_u)
-    active = [int(i) for i in np.flatnonzero(u > 0.0)]
-    # levels relative to the threshold, kept in logs so a threshold
-    # that underflows still gives a finite certificate
-    relative = np.exp(log_tops[active] - b[active] * u[active] / gam[active] - log_s)
-    spread = float(np.ptp(relative)) if active else 0.0
-    return AllocationResult(u, active, math.exp(log_s), objective_at(u), spread)
+    u, log_s = np.zeros(len(consts)), float(log_tops.max())
+    if problem.total_u > 0.0:
+        u, log_s = _water_fill(log_tops, w, problem.total_u)
+    objective = float((w * tops * np.exp(-b * u / gam)).sum())
+    # past the float resolution of u the relative levels overflow
+    with np.errstate(over="ignore"):
+        relative = np.exp(log_tops - b * u / gam - log_s)
+        return _certified(u, objective, relative, math.exp(log_s))
 
 
 def _water_fill(log_tops, w, total_u, heads=None):
@@ -223,17 +227,14 @@ def method1_generic(marginals, total_u):
     Hessian -m_k'(u_k) from the fit's slope, then from the chord of m_k
     between its last two evaluated reserves, kept while u_k does not
     move: an exponential marginal, flat up to an edge or not, is
-    certified in one evaluation.  F, its gradient and Hessian
-    are divided by the largest fitted level, and F is integrated to
-    rel_tol of the fitted deficit, so tiny levels and deficits keep
-    their precision; levels that underflow raise DomainError.  F's tail
-    integral takes the slowest fit's decay length, 1/min(rate), as the
-    scale of its one-call stage.
+    certified in one evaluation.  The unit is the fitted threshold, and F
+    is integrated to rel_tol of the fitted deficit, so tiny levels and
+    deficits keep their precision; a threshold that underflows raises
+    DomainError.  F's tail integral takes the slowest fit's decay length,
+    1/min(rate), as the scale of its one-call stage.
     """
-    if not marginals:
-        raise DomainError("allocation needs at least one line")
-    _check_budget(total_u)
-    span = max(1.0, 2.0 * total_u)
+    total_u = _entry(marginals, total_u)
+    span = min(max(1.0, 2.0 * total_u), _SPAN_MAX)
     grid = np.linspace(0.0, span, 41)
     values = np.array([m(grid) for m in marginals])
     if not np.isfinite(values).all():
@@ -265,10 +266,9 @@ def method1_generic(marginals, total_u):
 
     if unit > 0.0:
         # the fits' decay lengths, capped at the grid's span, set the scale
-        res = _newton_split(evaluate, u, np.maximum(rates, 1.0 / span))
+        res = _newton_split(evaluate, u, np.maximum(rates, 1.0 / span), unit)
         if res.threshold > 0.0:
-            unscaled = res.threshold * unit, res.objective * unit
-            return replace(res, threshold=unscaled[0], objective=unscaled[1])
+            return res
     raise DomainError(f"every marginal level underflows at the split of {total_u}")
 
 
@@ -276,8 +276,8 @@ def rho2_two_line(line1, line2, u1, u2):
     """Identity-distorted deficit of two pooled independent lines at
     reserves (u1, u2): the sum of the single-line curves minus the
     joint-survival correction."""
-    if not (u1 >= 0.0 and u2 >= 0.0):
-        raise DomainError("reserves must be nonnegative")
+    if not all(_is_real(u) and u >= 0.0 for u in (u1, u2)):
+        raise DomainError(f"reserves must be real numbers >= 0, got {u1!r}, {u2!r}")
     k1 = ruin_constants(line1)
     k2 = ruin_constants(line2)
     single = k1.a / k1.b * math.exp(-k1.b * u1) + k2.a / k2.b * math.exp(-k2.b * u2)
@@ -317,7 +317,7 @@ def method2_two_line(line1, line2, total_u):
     one line.  Inside, the root is taken on the gap of log reductions,
     which does not shrink with the reductions as the budget grows.
     """
-    _check_budget(total_u)
+    total_u = _entry((line1, line2), total_u)
     k1 = ruin_constants(line1)
     k2 = ruin_constants(line2)
 
@@ -325,14 +325,12 @@ def method2_two_line(line1, line2, total_u):
         r1, r2 = _reductions(k1, k2, u1, total_u - u1)
         return r1 - r2
 
-    g0 = gap(0.0)
-    g1 = gap(total_u)
-    if g0 <= 0.0:
+    if gap(0.0) <= 0.0:
         u = np.array([0.0, total_u])
-    elif g1 >= 0.0:
+    elif gap(total_u) >= 0.0:
         u = np.array([total_u, 0.0])
     else:
-        # g0 > 0 and g1 < 0 need a1 > 0 and a2 > 0, so both logs exist
+        # gap(0) > 0 > gap(U) needs a1 > 0 and a2 > 0, so both logs exist
         u1 = brent_root(
             lambda x: _log_reduction_gap(k1, k2, x, total_u - x), 0.0, total_u
         )
@@ -341,18 +339,20 @@ def method2_two_line(line1, line2, total_u):
     return _certified(u, rho2_two_line(line1, line2, u[0], u[1]), red)
 
 
-def _certified(u, f, reductions):
-    """The result at the split u with objective f: threshold is the mean
-    marginal reduction on lines holding reserve, kkt_residual the largest
-    reduction less their smallest, relative to that mean."""
+def _certified(u, f, reductions, unit=1.0):
+    """The result at the split u with objective f, by AllocationResult's
+    rule, from the lines' reductions in multiples of unit: threshold is
+    unit times their mean on the active lines.  Reductions that overflow
+    give threshold 0, as unit then has underflowed, and kkt_residual
+    inf."""
     active = (u > 0.0).nonzero()[0]
     top = float(reductions.max())
-    if not active.size:
-        return AllocationResult(u, [], top, float(f), 0.0)
-    on = reductions[active]
-    level = float(on.sum()) / active.size
+    on = reductions[active] if active.size else np.array([top])
+    level = float(on.sum()) / on.size
     resid = (top - float(on.min())) / max(level, 1e-300)
-    return AllocationResult(u, active.tolist(), level, float(f), resid)
+    if level == math.inf:
+        level, resid = 0.0, math.inf
+    return AllocationResult(u, active.tolist(), level * unit, float(f), resid)
 
 
 def psi_tilde(lines, reserves, v):
@@ -363,8 +363,8 @@ def psi_tilde(lines, reserves, v):
     """
     if len(reserves) != len(lines):
         raise DomainError("one reserve per line is required")
-    if not all(u >= 0.0 for u in reserves):
-        raise DomainError("reserves must be nonnegative")
+    if not all(_is_real(u) and u >= 0.0 for u in reserves):
+        raise DomainError(f"reserves must be real numbers >= 0, got {reserves!r}")
     # summing log survivals keeps the tail accurate far below 1e-16,
     # where one minus a product of survivals rounds to zero; a line
     # below its barrier survives with log 0 = -inf, so the tail is 1
@@ -457,9 +457,7 @@ def _first_split(lines, g, total_u):
     / b_k and their sum, so water filling wins where its sum is below the
     vertex's largest: the optimum then lies far inside, and Newton steps
     from the vertex would near it one decay length at a time."""
-    _check_budget(total_u)
-    if not lines:
-        raise DomainError("allocation needs at least one line")
+    total_u = _entry(lines, total_u)
     consts = [ruin_constants(line) for line in lines]
     a = np.array([c.a for c in consts])
     b = np.array([c.b for c in consts])
@@ -474,24 +472,24 @@ def _first_split(lines, g, total_u):
     return a, b, (water if single(water).sum() < single(vertex).max() else vertex)
 
 
-def _newton_split(evaluate, u, b):
+def _newton_split(evaluate, u, b, unit=1.0):
     """Minimise a convex F over the budget simplex {u >= 0, sum u = U}
     by active-set Newton steps from the split u; returns the optimum.
     F is the pooled deficit on the aggregate routes and the sum of the
     marginal deficits in method1_generic, whose Hessian is diagonal.
 
     evaluate(u) gives F, grad F and the Hessian of F, or its diagonal as
-    a 1-d array.  Each step solves the bordered KKT system on the lines
-    holding reserve (_kkt_step), a ratio test lets one leave, and Armijo
-    backtracking follows.  Once the step is small the idle line whose
-    reduction most exceeds the multiplier enters; below 1e-14 of U plus
-    the decay lengths 1/b with none to enter, the split is optimal, so a
-    certified vertex takes one evaluation and no solve, and a certified
-    start with a diagonal Hessian one evaluation and no np.linalg.solve.
-    The per-line bookkeeping runs on lists, as K is small and numpy's
-    cost per call would exceed the work."""
-    k = u.size
-    scale = float(u.sum() + (1.0 / b).sum())
+    a 1-d array, all divided by unit.  Each step solves the bordered KKT
+    system on the lines holding reserve (_kkt_step), a ratio test lets
+    one leave, and Armijo backtracking follows.  Once the step is small
+    the idle line whose reduction most exceeds the multiplier enters;
+    below 1e-14 of U plus the decay lengths 1/b with none to enter, the
+    split is optimal, so a certified vertex takes one evaluation and no
+    solve, and a certified start with a diagonal Hessian one evaluation
+    and no np.linalg.solve.  The per-line bookkeeping runs on lists, as
+    K is small and numpy's cost per call would exceed the work."""
+    k, total = u.size, float(u.sum())
+    scale = total + float((1.0 / b).sum())
     free = (u > 0.0).tolist()
     f, grad, hess = evaluate(u)
     # steps below step_tol are rounding, below enter_tol a line may enter
@@ -551,7 +549,11 @@ def _newton_split(evaluate, u, b):
         u, f, grad, hess = cand, fc, gc, hc
     else:
         raise ConvergenceError(f"split not settled in {_NEWTON_STEPS} Newton steps")
-    return _certified(u, f, -grad)
+    if abs(float(u.sum()) - total) > 1e-12 * total:
+        # steps keep U to the rounding of t * step, near the least float U itself
+        u = u * (total / u.sum())
+        u[u.argmax()] += total - u.sum()
+    return _certified(u, f * unit, -grad, unit)
 
 
 def _kkt_step(g, hess, on, scale):
@@ -625,8 +627,9 @@ def _exact_pass(a, b, s, shift=0.0):
     rows, sign = _subsets(a.size)
     member = rows[:, :-1]
     with np.errstate(divide="ignore"):
-        # a line without claims gives terms of exactly 0, not 0 * -inf
-        log_a = np.maximum(np.log(a), -1e300)
+        # a line without claims gives terms of exactly 0, not 0 * -inf,
+        # however far the shift lies below 0
+        log_a = np.maximum(np.log(a), shift - 1e300)
     log_rate = np.log(member @ b)
     scaled_rows = rows * np.append(-b, 1.0)
     af, bf = a.tolist(), b.tolist()
@@ -662,9 +665,7 @@ def method2_exact(lines, g, total_u):
     a, b, u = _first_split(lines, g, total_u)
     with np.errstate(divide="ignore"):
         shift = float(np.max(np.log(a) - b * u)) if a.any() else 0.0
-    res = _newton_split(_exact_pass(a, b, s, shift), u, b)
-    unit = math.exp(shift)
-    return replace(res, threshold=res.threshold * unit, objective=res.objective * unit)
+    return _newton_split(_exact_pass(a, b, s, shift), u, b, math.exp(shift))
 
 
 def aggregate_min(lines, g, total_u):
@@ -688,8 +689,6 @@ def invariance_check(lines, g, total_u, tol=1e-6):
 
     The threshold moves through g but the equalised reserves do not.
     """
-    if not lines:
-        raise DomainError("allocation needs at least one line")
     if not g.concave:
         raise DomainError("invariance needs a strictly increasing distortion")
     base = method1_exponential(AllocationProblem(lines=tuple(lines), total_u=total_u))

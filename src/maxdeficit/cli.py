@@ -216,10 +216,7 @@ def cmd_allocate(cfg):
     if cfg.method == "marginal-sum":
         if cfg.distortions:
             raise ValueError("--g is not read by --method marginal-sum")
-        gammas = cfg.gammas or [1.0] * len(cfg.lines)
-        problem = AllocationProblem(
-            lines=tuple(cfg.lines), total_u=total_u, gammas=tuple(gammas)
-        )
+        problem = AllocationProblem(lines=cfg.lines, total_u=total_u, gammas=cfg.gammas)
         result = method1_exponential(problem)
     else:
         if cfg.gammas is not None:
@@ -409,9 +406,11 @@ def _run_checks(seed):
             b = rng.uniform(1e-3, 1.0)
             u = rng.uniform(0.0, 50.0)
             exact = a / b * math.exp(-b * u)
-            got = tail_integral(lambda v: a * np.exp(-b * v), u)
-            if abs(got - exact) > 1e-6 * max(1.0, exact):
-                return False
+            # the doubling panels, and the exp-sinh stage that curves take
+            for scale in (None, 1.0 / b):
+                got = tail_integral(lambda v: a * np.exp(-b * v), u, scale=scale)
+                if abs(got - exact) > 1e-6 * max(1.0, exact):
+                    return False
         return True
 
     def check_deficit_routes():

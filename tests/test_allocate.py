@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,14 +115,21 @@ class TestProblemValidation:
     def test_rejects_bad_instances(self, lines):
         with pytest.raises(DomainError):
             AllocationProblem(lines=(), total_u=1.0)
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
+        # a str or None budget once gave a bare TypeError, True split 1.0,
+        # and a gamma "2" was read as 2.0
+        for bad in (-1.0, math.nan, math.inf, True, "5", None):
+            with pytest.raises(DomainError, match="total reserve"):
                 AllocationProblem(lines=lines, total_u=bad)
-        for bad in (0.5, math.nan, math.inf):
-            with pytest.raises(DomainError):
+        for bad in (0.5, math.nan, math.inf, True, "2", None):
+            with pytest.raises(DomainError, match="penalty exponents"):
                 AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, bad, 1.0))
         with pytest.raises(DomainError):
             AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 1.0))
+
+    def test_budget_is_stored_as_a_float(self, lines):
+        p = AllocationProblem(lines=list(lines), total_u=np.int64(40))
+        assert type(p.total_u) is float and p.total_u == 40.0
+        assert p.lines == lines
 
     def test_defaults(self, lines):
         p = AllocationProblem(lines=lines, total_u=10.0)
@@ -371,6 +379,15 @@ class TestMethod1Generic:
         assert res.objective == pytest.approx(closed.objective, rel=1e-12, abs=0.0)
         assert res.reserves == pytest.approx(closed.reserves, rel=0.0, abs=1e-12 * 2e4)
 
+    @pytest.mark.parametrize("total", [9e307, 1e308])
+    def test_budget_past_half_the_largest_float(self, lines, total):
+        # twice the budget, the grid's span, once overflowed to inf and
+        # gave a NaN grid, reported as a NaN reserve; the grid now ends at
+        # the largest float, and the levels there underflow
+        marginals = [(lambda u, line=line: ultimate_ruin(line, u)) for line in lines]
+        with pytest.raises(DomainError, match=re.escape(f"split of {total}")):
+            method1_generic(marginals, total)
+
     def test_levels_below_the_least_float_are_a_domain_error(self, lines):
         # identity at U = 2e5 equalises the levels at exp(-847); the
         # message names the underflow, as any failed bracket is a
@@ -470,6 +487,18 @@ class TestMethod2TwoLine:
         assert res.objective == pytest.approx(
             rho2_two_line(FAST, SLOW, *res.reserves), rel=1e-12
         )
+
+    def test_corner_with_the_whole_budget_on_line_one(self):
+        # the slow line's reduction still exceeds the other's with all of
+        # U on it, so the gap keeps its sign up to u1 = U
+        dull = line_from_ruin_constants(0.1, 1.0)
+        res = method2_two_line(SLOW, dull, 5.0)
+        assert res.reserves.tolist() == [5.0, 0.0]
+        assert res.active == [0]
+        assert res.kkt_residual == 0.0
+        grid = np.linspace(0.0, 5.0, 1001)
+        values = [rho2_two_line(SLOW, dull, x, 5.0 - x) for x in grid]
+        assert res.objective == min(values)
 
     def test_corner_keeps_dominated_line_empty(self):
         res = method2_two_line(FAST, SLOW, 30.0)
@@ -1196,6 +1225,38 @@ class TestNewtonSplit:
         assert res.kkt_residual <= 1e-12
         assert res.reserves.sum() == pytest.approx(total, rel=1e-14)
         assert_no_better_neighbour(lines, g, total, res.reserves)
+
+    @pytest.mark.parametrize("route", [method2_exact, method2_generic])
+    def test_budget_of_the_least_float_is_kept(self, route):
+        # the blocked step's t * d rounds to twice U, once returned as the
+        # split (0, 1e-323); it is put back on the budget
+        res = route([LINE1, LINE2], identity(), 5e-324)
+        assert res.reserves.sum() == 5e-324
+        assert res.reserves.min() >= 0.0
+
+    def test_entrant_that_the_next_step_shrinks_leaves_at_once(self):
+        # on F = u'Hu/2 + c'u the step from (3, 0, 0) is within the entry
+        # tolerance (1 % of U + 300), so line 2, whose reduction 5 exceeds
+        # the multiplier 27/35, enters before the pair settles; the
+        # coupled Newton step then shrinks it from 0, so it leaves without
+        # an evaluation and enters again only at rounding level
+        h = np.array([[9.0, -8.0, -2.0], [-8.0, 10.0, 3.0], [-2.0, 3.0, 3.0]])
+        c = np.array([-3.0, -3.0, 1.0])
+        seen = []
+
+        def evaluate(u):
+            seen.append(u.tolist())
+            return float(u @ h @ u / 2.0 + c @ u), h @ u + c, h
+
+        res = allocate._newton_split(evaluate, np.array([3.0, 0.0, 0.0]), np.full(3, 0.01))
+        # on the face u2 = 0, 17 u0 = 18 u1; line 2's reduction is below
+        # the level there
+        assert res.reserves == pytest.approx([54 / 35, 51 / 35, 0.0], rel=1e-12)
+        assert res.active == [0, 1]
+        assert res.threshold == pytest.approx(27 / 35, rel=1e-12)
+        assert res.kkt_residual <= 1e-12
+        assert len(seen) == 3
+        assert all(u[2] == 0.0 for u in seen)
 
     def test_line_that_enters_early_and_shrinks_leaves(self):
         # line 0 has a larger reduction than the multiplier while the

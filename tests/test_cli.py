@@ -383,6 +383,15 @@ class TestTableCommand:
         assert rows[0][0] == "30"
         assert rows[0][3:] == ["0", "30"]
 
+    def test_table_three_penalized_rows(self, capsys):
+        code, out, _ = run(capsys, "table", "3")
+        assert code == 0
+        assert out == (
+            "gamma1  gamma2  gamma3  u1       u2       u3\n"
+            "1       1       1       5.30999  19.8556  74.8344\n"
+            "1       1       2       2.37241  5.16774  92.4598\n"
+        )
+
     def test_unknown_table_is_usage(self, capsys):
         assert run(capsys, "table", "9")[0] == 2
 

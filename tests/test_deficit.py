@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
+    ConvergenceError,
     DeficitFunctional,
     DomainError,
+    Tolerance,
     TruncationError,
     choquet_weights,
     convex_measure,
@@ -24,7 +26,8 @@ from maxdeficit import (
     ultimate_ruin,
     var_step,
 )
-from tests.conftest import LINE1, LINE2, LINE3
+from maxdeficit.deficit import _newton_root
+from tests.conftest import LINE1, LINE2, LINE3, counted
 
 
 def psi1(v):
@@ -340,6 +343,26 @@ class TestEmpirical:
 
 def quad_curve(line, g):
     return DeficitFunctional.quadrature(g, lambda v: ultimate_ruin(line, v))
+
+
+class TestNewtonRoot:
+    """The Newton solve behind the quadrature curves' rules, on synthetic
+    curves that reach the exits the library curves do not."""
+
+    def test_flat_again_at_the_restart_raises(self):
+        with pytest.raises(ConvergenceError, match="flat"):
+            _newton_root(lambda u: 1.0, lambda u: 0.0, 0.0, (2.0, 1.0))
+
+    def test_small_step_stops_while_f_is_above_abs_tol(self):
+        tol = Tolerance(1e-30, 1e-3, 50)
+        slope, calls = counted(lambda u: -math.exp(-u))
+        u, fu = _newton_root(
+            lambda u: math.exp(-u) - math.exp(-5.0), slope, 4.999, None, tol
+        )
+        # one step of about 1e-3, within rel_tol of u, ends the solve
+        assert calls == [4.999]
+        assert abs(fu) > tol.abs_tol
+        assert u == pytest.approx(5.0, rel=1e-6)
 
 
 class TestSlope:

@@ -400,6 +400,15 @@ class TestEdgeReserve:
 
         assert edge_reserve(tvar(0.1), tail) == 5.0
 
+    def test_infinite_tail_sends_the_probe_to_the_bracket_end(self):
+        # ln(edge / inf) / ln(tail / inf) is NaN, so the log-linear probe
+        # is placed at the bracket's lower end, where its offsets still
+        # sample the bracket, and the cuts find the jump
+        tail, calls = counted(lambda v: np.where(v < 0.5, np.inf, 0.05 * np.exp(-v)))
+        assert edge_reserve(tvar(0.1), tail) == 0.5
+        probe = calls[1]
+        assert probe.size > 2 and probe.min() == 0.0 and probe.max() == 1.0
+
     def test_tail_at_or_below_the_edge_at_zero(self):
         # LINE1 has a = 5/6: tvar(0.9) leaves no plateau
         assert edge_reserve(tvar(0.9), lambda v: ultimate_ruin(LINE1, v)) == 0.0

@@ -1,6 +1,7 @@
 """Input rules at construction: tolerances, NaN reserves on every deficit
 source and on the ruin curves, extreme reserves, budgets and margins on
-every deficit source, and path states that are not finite."""
+every deficit source and every allocation export, and path states that
+are not finite."""
 
 import math
 import warnings
@@ -11,17 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
+    AllocationProblem,
     ConvergenceError,
     DeficitFunctional,
     DomainError,
     ExponentialLine,
     PathState,
     Tolerance,
+    aggregate_min,
     convex_measure,
     identity,
+    invariance_check,
+    method1_exponential,
+    method1_generic,
+    method2_exact,
+    method2_generic,
+    method2_two_line,
     proportional_hazard,
     proportional_measure,
     psi_tilde,
+    rho2_two_line,
     simulate_max_loss,
     tvar,
     ultimate_ruin,
@@ -159,6 +169,114 @@ class TestExtremeInputs:
                         assert value == math.inf
                     else:
                         assert math.isfinite(value), (name, x, value)
+
+
+# the extremes of the float range with a bool, a str and None: a budget
+# must be a real number in [0, inf), a reserve one >= 0
+EDGE_INPUTS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e308, True, "5", None)
+NO_CLAIMS = ExponentialLine(0.0, 1.0, 1.0)
+LINE_SETS = ((LINE1, LINE2), (LINE1, LINE2, LINE3), (LINE3, NO_CLAIMS), (LINE2, LINE3, NO_CLAIMS))
+FIXED = settings(derandomize=True, deadline=None, database=None)
+
+
+def _is_budget(x):
+    return type(x) is float and 0.0 <= x < math.inf
+
+
+def _is_reserve(x):
+    return type(x) is float and x >= 0.0
+
+
+def _marginals(lines, g):
+    return [(lambda u, line=line: g(ultimate_ruin(line, u))) for line in lines]
+
+
+ROUTES = {
+    "method1_exponential": lambda lines, g, u: method1_exponential(AllocationProblem(lines, u)),
+    "method1_generic": lambda lines, g, u: method1_generic(_marginals(lines, g), u),
+    "method2_two_line": lambda lines, g, u: method2_two_line(lines[0], lines[1], u),
+    "method2_exact": lambda lines, g, u: method2_exact(
+        lines, identity() if g.primitive_pieces[1] < 1.0 else g, u
+    ),
+    "method2_generic": lambda lines, g, u: method2_generic(lines, g, u),
+    "aggregate_min": lambda lines, g, u: aggregate_min(lines, g, u),
+}
+
+
+class TestAllocationExports:
+    """Each allocation export on budgets and reserves from EDGE_INPUTS,
+    with warnings as errors: input that breaks the rules raises
+    DomainError; any other call returns a sound result, or a DomainError
+    that names the budget where the marginal levels underflow."""
+
+    @settings(FIXED, max_examples=160)
+    @given(
+        route=st.sampled_from(sorted(ROUTES)),
+        lines=st.sampled_from(LINE_SETS),
+        g=st.sampled_from((identity(), proportional_hazard(0.8), tvar(0.1))),
+        total_u=st.sampled_from(EDGE_INPUTS),
+    )
+    def test_routes(self, route, lines, g, total_u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not _is_budget(total_u):
+                with pytest.raises(DomainError, match="total reserve"):
+                    ROUTES[route](lines, g, total_u)
+                return
+            try:
+                res = ROUTES[route](lines, g, total_u)
+            except DomainError as exc:
+                assert str(total_u) in str(exc)
+                return
+        assert res.reserves.sum() == pytest.approx(total_u, rel=1e-12, abs=0.0)
+        assert math.isfinite(res.threshold) and math.isfinite(res.objective)
+        # inf only past the float resolution of water filling's reserves
+        assert res.kkt_residual >= 0.0
+
+    @settings(FIXED, max_examples=30)
+    @given(
+        lines=st.sampled_from(LINE_SETS),
+        g=st.sampled_from((identity(), proportional_hazard(0.5))),
+        total_u=st.sampled_from(EDGE_INPUTS),
+    )
+    def test_invariance_check(self, lines, g, total_u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not _is_budget(total_u):
+                with pytest.raises(DomainError, match="total reserve"):
+                    invariance_check(lines, g, total_u)
+                return
+            try:
+                assert invariance_check(lines, g, total_u) in (True, False)
+            except DomainError as exc:
+                assert str(total_u) in str(exc)
+
+    @settings(FIXED, max_examples=60)
+    @given(
+        u=st.lists(st.sampled_from(EDGE_INPUTS), min_size=3, max_size=3),
+        v=st.sampled_from((0.0, 2.0)),
+    )
+    def test_psi_tilde(self, u, v):
+        lines = (LINE1, LINE3, NO_CLAIMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not all(map(_is_reserve, u)):
+                with pytest.raises(DomainError, match="reserves"):
+                    psi_tilde(lines, u, v)
+                return
+            assert 0.0 <= psi_tilde(lines, u, v) <= 1.0
+
+    @settings(FIXED, max_examples=60)
+    @given(u1=st.sampled_from(EDGE_INPUTS), u2=st.sampled_from(EDGE_INPUTS))
+    def test_rho2_two_line(self, u1, u2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not (_is_reserve(u1) and _is_reserve(u2)):
+                with pytest.raises(DomainError, match="reserves"):
+                    rho2_two_line(LINE1, LINE3, u1, u2)
+                return
+            value = rho2_two_line(LINE1, LINE3, u1, u2)
+        assert 0.0 <= value < math.inf
 
 
 class TestPathState:
