@@ -115,7 +115,8 @@ def method1_exponential(problem):
     prefix the budget is linear in log s, so log s = (sum w_k log top_k
     - U) / sum w_k, and the prefix stops growing once log s reaches the
     next line's log top.  Lines with a_k = 0 never become active.  The
-    levels are certified in the unit s, formed in logs.
+    levels are certified in the unit s, formed in logs.  A w_k past the
+    largest float raises DomainError.
     """
     consts = [ruin_constants(line) for line in problem.lines]
     a = np.array([k.a for k in consts])
@@ -124,7 +125,12 @@ def method1_exponential(problem):
     if np.all(a == 0.0):
         raise DomainError("every line is degenerate: nothing to allocate")
     tops = a ** (1.0 / gam)
-    w = gam / b
+    with np.errstate(over="ignore"):
+        w = gam / b
+    if not np.isfinite(w).all():
+        raise DomainError(
+            f"penalty exponents over decay rates must be finite: {problem.gammas!r}"
+        )
     with np.errstate(divide="ignore"):
         log_tops = np.log(tops)
     u, log_s = np.zeros(len(consts)), float(log_tops.max())

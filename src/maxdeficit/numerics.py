@@ -9,29 +9,16 @@ Three routines cover every solver need in the package:
                   (lambert_w0_log, which also takes ln y past the
                   largest float)
 - tail_integral:  integral over [a, inf) of one or several decaying
-                  integrands sampled together on arrays.  A caller that
-                  knows the integrands' decay length s passes it, and
-                  the integrand is called once on a 241-node exp-sinh
-                  layout built at import (Takahasi & Mori 1974); its
-                  sums with steps 1/32 and 1/16 in t are returned where
-                  they agree, every value is finite and both weighted
-                  end terms are below abs_tol.  QuadratureCurve and
-                  choquet_tail pass 1/(p r) from the tail's own
-                  log-decrement r over [k, k + 1] at their kink k (p the
-                  power of g's primitive), or none where r is not
-                  finite and positive; the pooled pass passes 1/min(b)
-                  and method1_generic 1/min(rate) of its grid fits; the
-                  CLI's check command passes none.
-                  Otherwise, and always without s, doubling panels with
-                  adaptive 20-point Gauss-Lobatto (Legendre) quadrature
-                  per panel run: the integrand is called once per group
-                  of 16 panels, whose nodes and half-widths are a layout
-                  built once at import and scaled to the group, and once
-                  per depth of bisection, so it may be sampled past the
-                  point where accumulation stops; a span with a NaN
-                  estimate is never bisected, and a panel that is not
-                  finite raises TruncationError once it would be added,
-                  as does a call that would sample more than 2**20 nodes
+                  integrands sampled together on arrays: one call on 241
+                  exp-sinh nodes (Takahasi & Mori 1974) given their decay
+                  length s, else doubling panels by recursive adaptive
+                  20-point Gauss-Lobatto quadrature (Gander & Gautschi,
+                  BIT 40, 2000).  QuadratureCurve and choquet_tail pass
+                  s = 1/(p r), r the tail's log-decrement over [k, k + 1]
+                  at their kink k and p the power of g's primitive, or
+                  none where r is not finite and positive; the pooled pass
+                  1/min(b), method1_generic 1/min(rate) of its grid fits,
+                  and the CLI's check command none
 """
 
 import math
@@ -211,60 +198,24 @@ _RULE_HALF = np.array([
     (0.9807437048939142, 0.03223712318848894),
     (1.0, 0.005263157894736842),
 ])
-_RULE_X = np.concatenate((-_RULE_HALF[::-1, 0], _RULE_HALF[:, 0]))
 _RULE_W = np.concatenate((_RULE_HALF[::-1, 1], _RULE_HALF[:, 1]))
+# the nodes on [0, 2]: a span [lo, lo + w] has them at lo + (w / 2) * _RULE_UP,
+# as its edges' sum or difference is not finite from +inf or near 1.8e308
+_RULE_UP = 1.0 + np.concatenate((-_RULE_HALF[::-1, 0], _RULE_HALF[:, 0]))
+# a span [lo, lo + w] has its quarters' nodes at lo + (w / 8) * _QUARTERS_UP
+_QUARTERS_UP = _RULE_UP + 2.0 * np.arange(4.0)[:, None]
 # only a jump drives bisection this deep, and it is then located to
 # 2**-48 of its panel's width
 _MAX_DEPTH = 48
-# doubling panels sampled together in one call of the integrand; those
-# past the panel where accumulation stops are sampled, and bisected where
-# their halves disagree, but never added, so a larger group adds nodes to
-# every integral, however smooth
+# doubling panels sampled in one call, from left with first width h at
+# left + h * _UNIT_EDGES; those past the panel where accumulation stops are
+# never settled, but a larger group adds nodes to every integral
 _GROUP = 16
-# columns of a span's ends, midpoint and quarter points that bound its halves
-_CHILD_ENDS = np.array([0, 2, 2, 4])
+_UNIT_EDGES = np.exp2(np.arange(_GROUP + 1.0)) - 1.0
 # integrand nodes that one call of tail_integral may sample, stage and
 # panels together; past them it raises TruncationError, so that no
 # tolerance can make bisection allocate without limit
 _NODE_BUDGET = 2**20
-
-
-def _nodes(lo, hi):
-    # the rule's nodes on the spans [lo, hi], arrays of one shape, with
-    # the spans' half-widths
-    half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi))[..., None] + half[..., None] * _RULE_X, half
-
-
-def _estimates(f, lo, hi):
-    # rule estimates over the spans [lo, hi], arrays of one shape, from
-    # one call of f; f's trailing axis runs over the points, so with m
-    # rows the estimates have shape (m,) + lo.shape, and with one value
-    # per point the row axis is absent
-    nodes, half = _nodes(lo, hi)
-    y = np.asarray(f(nodes.ravel()), dtype=float)
-    return (y.reshape(y.shape[:-1] + nodes.shape) @ _RULE_W) * half
-
-
-# The unit group, built once: the first _GROUP panels from 0 with first
-# width 1, [2**j - 1, 2**(j + 1) - 1], each as its left edge, midpoint and
-# right edge.  A group from left with first width h has its panels' edges
-# at left + h * _UNIT_SPAN, its nodes at left + h * _UNIT_NODES, by panel,
-# then whole panel and its two halves, then node, and its spans' half-widths
-# h * _UNIT_HALF, exact multiples of the unit's as h is a power of 2; the
-# group after it starts at left + h * _UNIT_EDGES[-1] with first width
-# h * 2**_GROUP.  The first group from 0 is the unit group itself, so its
-# nodes are those of the panels laid out one by one; from another edge a
-# node may round an ulp away from theirs.
-_UNIT_EDGES = np.exp2(np.arange(_GROUP + 1.0)) - 1.0
-_UNIT_MARKS = np.column_stack(
-    (_UNIT_EDGES[:-1], 0.5 * (_UNIT_EDGES[:-1] + _UNIT_EDGES[1:]), _UNIT_EDGES[1:])
-)
-_UNIT_SPAN = _UNIT_MARKS[:, ::2]
-_UNIT_NODES, _UNIT_HALF = _nodes(_UNIT_MARKS[:, (0, 0, 1)], _UNIT_MARKS[:, (2, 1, 2)])
-# flat, as arithmetic on one axis is the faster
-_PANEL_NODES = _UNIT_NODES[0].size
-_UNIT_NODES = _UNIT_NODES.ravel()
 
 
 # The one-call stage: x = a + s exp((pi/2) sinh t) maps t in (-inf, inf)
@@ -277,8 +228,8 @@ _UNIT_NODES = _UNIT_NODES.ravel()
 # theirs.  One matmul with two weight columns, built once here for s = 1,
 # gives the fine sum and its gap to the embedded one: that gap is the
 # odd nodes' weighted sum less the even nodes', so the second column
-# weighs every node by +w or -w.  No weight is 0, so an infinite value
-# makes both sums infinite or NaN and never multiplies a 0.
+# weighs every node by +w or -w.  No weight is 0, so a NaN value, as
+# _values makes an infinite one, makes both sums NaN.
 _DE_T = np.linspace(-4.0, 3.5, 241)
 _DE_X = np.exp(0.5 * math.pi * np.sinh(_DE_T))
 _DE_W = (0.5 * math.pi / 32.0) * np.cosh(_DE_T) * _DE_X
@@ -287,6 +238,16 @@ _DE_RULES = np.column_stack(
 )
 _DE_ENDS = _DE_W[::_DE_T.size - 1]
 _DE_END_FIRST, _DE_END_LAST = _DE_ENDS.tolist()
+_DE_REACH = float(_DE_X[-1])
+
+
+def _values(f, x):
+    # f at the points x as floats, +inf and -inf as NaN, so that no sum meets
+    # inf - inf; np.vdot never warns, and where it is finite none is infinite
+    y = np.asarray(f(x), dtype=float)
+    if not math.isfinite(np.vdot(y, y)):
+        y = np.where(np.isinf(y), np.nan, y)
+    return y
 
 
 def _one_call(f, a, scale, tol):
@@ -296,7 +257,7 @@ def _one_call(f, a, scale, tol):
     # abs_tol; a value that is not finite leaves its row's fine sum
     # infinite or NaN, as does a fine sum that overflows, and the finite
     # check catches both
-    y = np.asarray(f(a + scale * _DE_X), dtype=float)
+    y = _values(f, a + scale * _DE_X)
     sums = y @ _DE_RULES
     if y.ndim == 1:
         # one row: the same tests on Python floats, with no further numpy calls
@@ -323,71 +284,6 @@ def _one_call(f, a, scale, tol):
     return None
 
 
-def _row_max(x):
-    # largest magnitude over every row, one value per entry of the last axis
-    x = np.abs(x)
-    return x if x.ndim == 1 else x.reshape(-1, x.shape[-1]).max(axis=0)
-
-
-def _panels(f, y, left, h, tol, budget):
-    # integrals over the group's panels from f's values y at its nodes,
-    # shape rows + (n, 3, nodes per span), and one call of f per depth of
-    # bisection, with the nodes of budget left after them, or None in
-    # their place once a depth would need more nodes than are left.
-    # Every span whose halves disagree with it by more than its tolerance
-    # is split in the same call, across all panels; a span with a NaN
-    # estimate compares false and is never split, so it costs no call,
-    # and tail_integral raises if it counts.
-    n = y.shape[-3]
-    est = (y @ _RULE_W) * (h * _UNIT_HALF[:n])
-    whole, halves = est[..., 0], est[..., 1:]
-    span_tol = np.fmax(tol.abs_tol, tol.rel_tol * _row_max(whole))
-    # each depth's sums of halves, and the spans there that were split
-    levels = []
-    for depth in range(1, _MAX_DEPTH + 1):
-        sums = halves[..., 0] + halves[..., 1]
-        if depth == _MAX_DEPTH:
-            break
-        k = (_row_max(sums - whole) > span_tol).nonzero()[0]
-        if not k.size:
-            break
-        budget -= 4 * _RULE_X.size * k.size
-        if budget < 0:
-            return None, budget
-        levels.append((sums, k))
-        if depth == 1:
-            # the group's panels are placed only once one must be split
-            span = left + h * _UNIT_SPAN[:n]
-        # the split spans' ends, midpoints and quarter points, in order
-        cut = np.empty((k.size, 5))
-        cut[:, ::4] = span[k]
-        cut[:, 2] = 0.5 * (cut[:, 0] + cut[:, 4])
-        cut[:, 1::2] = 0.5 * (cut[:, 0:3:2] + cut[:, 2::2])
-        q = _estimates(f, cut[:, :4], cut[:, 1:])
-        # children (a, m) and (m, b) of each split span, side by side;
-        # each inherits its parent's half as its whole-span estimate
-        whole = halves[..., k, :].reshape(q.shape[:-2] + (-1,))
-        halves = q.reshape(whole.shape + (2,))
-        span = cut[:, _CHILD_ENDS].reshape(-1, 2)
-        span_tol = (0.5 * span_tol[k]).repeat(2)
-    # a split span's value is its lower child's plus its upper child's,
-    # which sit side by side one depth further down: the order of a
-    # depth-first recursion
-    for parent, k in reversed(levels):
-        parent[..., k] = sums[..., 0::2] + sums[..., 1::2]
-        sums = parent
-    return sums, budget
-
-
-def _add(total, pieces):
-    # total plus the panels' values in order, each row as one running sum
-    run = np.empty(pieces.shape[:-1] + (pieces.shape[-1] + 1,))
-    run[..., 0] = total
-    run[..., 1:] = pieces
-    total = np.add.accumulate(run, axis=-1)[..., -1]
-    return total if total.ndim else float(total)
-
-
 def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     """Integral over [a, inf) of one or several decaying integrands.
 
@@ -402,67 +298,88 @@ def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     on every other node to max(abs_tol, rel_tol * |sum|) in every row,
     every value is finite, and the weighted terms at both ends are below
     abs_tol.  So an integrand smooth past a and decaying within about 1e11
-    decay lengths costs one call; a jump, a kink, a NaN, or a tail still
-    above abs_tol at the last node defers to the panels below, which then
-    run exactly as without scale.
+    decay lengths costs one call; a jump, a kink, a value that is not
+    finite, or a tail still above abs_tol at the last node defers to the
+    panels below, which then run exactly as without scale, as does a
+    scale whose last node, 1.9e11 s past a, would pass the largest float.
 
-    Without scale, panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double
-    in width; each is integrated by the 20-point Gauss-Lobatto rule and
-    accepted when the whole-panel estimate agrees with the sum over its
-    two halves to max(abs_tol, rel_tol * panel size) in every row, else
-    bisected; a span whose estimates hold a NaN is never bisected.  Panels
-    are taken 16 at a time, as a layout built once at import scaled to the
-    group's left edge and first width: f is called once for all of them
-    and once per depth of bisection, for every span at that depth that
-    must be split, so it may be sampled past the panel where accumulation
-    stops.  The panels are added in order, each bisected span as its
-    lower half plus its upper half, and accumulation stops once every row
-    of a panel contributes less than abs_tol in magnitude and is below
-    abs_tol in magnitude at the panel's right edge.  A panel that is not
-    finite in every row, or max_iter panels that do not reach that state,
-    raise TruncationError with the sum over the panels before as its
-    partial value.  So does a call of f that would take the nodes sampled
-    in this call, stage included, past 2**20: its partial value is the
-    sum over the groups of panels before the one that ran out.
+    Without scale, panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double in
+    width.  Each is integrated by the 20-point Gauss-Lobatto rule and is
+    the sum over its halves where that agrees with the whole-panel
+    estimate to max(abs_tol, rel_tol * panel size) in every row, else its
+    lower half and then its upper half settled alike, with half the
+    tolerance, down to 48 halvings; a span that holds a value that is not
+    finite is never split.  f is called once per group of 16 panels, on
+    each panel and its halves, past the panel where accumulation stops
+    too, and once per split span, on its quarters.  The panels are added
+    in order until every row of one contributes less than abs_tol in
+    magnitude and is below abs_tol in magnitude at its right edge; the
+    tail past it is dropped, so a tail wholly below abs_tol is lost, an
+    error that can exceed abs_tol.  A panel that is not finite in every
+    row, max_iter panels that do not stop, or a call of f that would take
+    the nodes sampled in this call, stage included, past 2**20 raise
+    TruncationError with the sum over the panels before as its partial.
     """
-    budget = _NODE_BUDGET
+    budget, total = _NODE_BUDGET, 0.0
     if scale is not None:
         if not 0.0 < scale < math.inf:
             raise DomainError(f"scale must be positive and finite, got {scale}")
-        value = _one_call(f, float(a), scale, tol)
-        if value is not None:
-            return value
-        budget -= _DE_T.size
-    total = 0.0
-    left = float(a)
-    h = 1.0
-    done = 0
-    while done < tol.max_iter:
-        n = min(_GROUP, tol.max_iter - done)
-        budget -= n * _PANEL_NODES
-        if budget >= 0:
-            y = np.asarray(f(left + h * _UNIT_NODES[:n * _PANEL_NODES]), dtype=float)
-            y = y.reshape(y.shape[:-1] + (n, 3, _RULE_X.size))
-            pieces, budget = _panels(f, y, left, h, tol, budget)
+        # on Python floats, which overflow to inf with no warning
+        if scale * _DE_REACH < math.inf:
+            value = _one_call(f, float(a), scale, tol)
+            if value is not None:
+                return value
+            budget -= _DE_T.size
+
+    def estimates(nodes, half):
+        # rule estimates over spans from one call of f at their nodes, shape
+        # spans + (20,), and their half-widths, with f's values there
+        nonlocal budget
+        budget -= nodes.size
         if budget < 0:
-            raise TruncationError(
-                f"tail integral needs more than {_NODE_BUDGET} integrand nodes", total
-            )
-        # a panel with a NaN or an infinite row has a peak that is not finite
-        peak = _row_max(pieces)
-        # the whole panel's last node is its right edge
-        stops = np.maximum(peak, _row_max(y[..., 0, -1])) < tol.abs_tol
-        ends = np.flatnonzero(stops | ~np.isfinite(peak))
-        if ends.size:
-            j = ends[0]
-            if not math.isfinite(peak[j]):
-                partial = _add(total, pieces[..., :j])
-                raise TruncationError(f"tail panel {done + j} is not finite", partial)
-            return _add(total, pieces[..., :j + 1])
-        total = _add(total, pieces)
-        done += n
+            text = f"tail integral needs more than {_NODE_BUDGET} integrand nodes"
+            raise TruncationError(text, total)
+        y = _values(f, nodes.ravel())
+        y = y.reshape(y.shape[:-1] + nodes.shape)
+        return (y @ _RULE_W) * half, y
+
+    def settle(lo, w, whole, halves, span_tol, depth):
+        # [lo, lo + w]: its halves' sum where that agrees with whole to
+        # span_tol in every row (NaN compares false), else each half settled
+        sums = halves[..., 0] + halves[..., 1]
+        if depth == _MAX_DEPTH or not _peak(sums - whole) > span_tol:
+            return sums
+        q, _ = estimates(lo + (0.125 * w) * _QUARTERS_UP, 0.125 * w)
+        w, span_tol = 0.5 * w, 0.5 * span_tol
+        lower = settle(lo, w, halves[..., 0], q[..., :2], span_tol, depth + 1)
+        return lower + settle(lo + w, w, halves[..., 1], q[..., 2:], span_tol, depth + 1)
+
+    left, h = float(a), 1.0
+    for done in range(0, tol.max_iter, _GROUP):
+        n = min(_GROUP, tol.max_iter - done)
+        lo, w = left + h * _UNIT_EDGES[:n, None], h * (_UNIT_EDGES[:n, None] + 1.0)
+        # each panel as its whole span, its lower half and its upper half
+        edges, half = lo + w * (0.0, 0.0, 0.5), w * (0.5, 0.25, 0.25)
+        est, y = estimates(edges[..., None] + half[..., None] * _RULE_UP, half)
+        for j in range(n):
+            whole = est[..., j, 0]
+            span_tol = max(tol.abs_tol, tol.rel_tol * _peak(whole))
+            piece = settle(lo[j, 0], w[j, 0], whole, est[..., j, 1:], span_tol, 1)
+            peak = _peak(piece)
+            if not peak < math.inf:  # NaN or inf
+                raise TruncationError(f"tail panel {done + j} is not finite", total)
+            # a float where f gives one row
+            total = total + (piece if piece.ndim else float(piece))
+            # the whole panel's last node is its right edge
+            if peak < tol.abs_tol and _peak(y[..., j, 0, -1]) < tol.abs_tol:
+                return total
         left += h * _UNIT_EDGES[-1]
         h *= 2.0**_GROUP
-    raise TruncationError(
-        f"tail integral still active after {tol.max_iter} panels", total
-    )
+    text = f"tail integral still active after {tol.max_iter} panels"
+    raise TruncationError(text, total)
+
+
+def _peak(x):
+    # the largest magnitude over the rows, NaN where one is NaN
+    x = abs(x)
+    return x.max() if x.ndim else x

@@ -233,6 +233,17 @@ class TestAllocationExports:
         # inf only past the float resolution of water filling's reserves
         assert res.kkt_residual >= 0.0
 
+    @pytest.mark.parametrize(
+        "lines, gammas", [((LINE2,), (9e307,)), ((LINE1, LINE2, LINE3), (1.0, 9e307, 2.0))]
+    )
+    def test_penalty_exponent_past_the_float_range(self, lines, gammas):
+        # (1, 10, 15) decays at b = 1/30, so gamma / b is 2.7e309
+        problem = AllocationProblem(lines, 40.0, gammas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="penalty exponent"):
+                method1_exponential(problem)
+
     @settings(FIXED, max_examples=30)
     @given(
         lines=st.sampled_from(LINE_SETS),

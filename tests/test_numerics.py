@@ -134,13 +134,20 @@ class TestTailIntegral:
         q = 26.537
         got = tail_integral(lambda v: np.where(v < q, 1.0, 0.0), 0.0)
         assert got == pytest.approx(q, abs=1e-6)
+        # a tail that starts at 1: the panel [0, 1] adds nothing, but its
+        # right edge is not below abs_tol, so accumulation goes on
+        got = tail_integral(lambda v: np.where(v < 1.0, 0.0, np.exp(1.0 - v)), 0.0)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_step_anywhere(self, rng):
-        # jumps just past a panel's left edge (3 starts the panel [3, 7])
-        # or next to a midpoint fall between the nodes of an open rule
-        for q in [3.005, 4.999, 5.001, 6.9995] + list(rng.uniform(0.0, 40.0, 100)):
-            got = tail_integral(lambda v: np.where(v < q, 1.0, 0.0), 0.0)
-            assert got == pytest.approx(q, abs=1e-10)
+        # jumps just past a panel's left edge (3 starts the panel [3, 7]
+        # from 0) or next to a midpoint fall between the nodes of an open
+        # rule; from 40 every step is 0 on the whole range
+        qs = [3.005, 4.999, 5.001, 6.9995] + list(rng.uniform(0.0, 40.0, 100))
+        for start in (0.0, 1.3, 40.0):
+            for q in qs:
+                got = tail_integral(lambda v: np.where(v < q, 1.0, 0.0), start)
+                assert got == pytest.approx(max(q - start, 0.0), abs=1e-10)
 
     def test_nondecaying_integrand_raises(self):
         with pytest.raises(TruncationError) as err:
@@ -191,6 +198,7 @@ class TestTailIntegral:
         with pytest.raises(TruncationError) as err:
             tail_integral(f, 0.0, Tolerance(max_iter=5))
         assert err.value.partial == pytest.approx(math.log(32.0), rel=1e-10)
+        assert type(err.value.partial) is float
         assert max(asked) == 31.0
 
     def test_smooth_tail_takes_one_call(self):
@@ -238,6 +246,7 @@ class TestTailIntegral:
         got = tail_integral(lambda v: np.sqrt(ultimate_ruin(line, v)), 0.0)
         assert got == 10.954451150103326
         assert got == pytest.approx(12.0 * math.sqrt(5.0 / 6.0), rel=1e-15)
+        assert type(got) is float
 
     def test_start_offset_consistency(self):
         f = lambda v: 0.5 * np.exp(-0.2 * v)
@@ -257,17 +266,19 @@ class TestVectorTailIntegral:
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_rows_share_nodes_with_a_kink(self):
-        # the kink at 2.3 in the second row bisects the panel [1, 3] for both
-        calls = 0
+        # the kink at 2.3 in the second row bisects the panel [1, 3], or
+        # [1.7, 3.7] from 0.7, for both rows
+        for start in (0.0, 0.7):
+            calls = []
 
-        def f(v):
-            nonlocal calls
-            calls += 1
-            return np.vstack((np.exp(-v * v), np.maximum(0.0, 2.3 - v)))
+            def f(v):
+                calls.append(v.size)
+                return np.vstack((np.exp(-v * v), np.maximum(0.0, 2.3 - v)))
 
-        got = tail_integral(f, 0.0)
-        assert got == pytest.approx([math.sqrt(math.pi) / 2.0, 2.645], abs=1e-9)
-        assert 4 < calls < 40
+            got = tail_integral(f, start)
+            gauss = 0.5 * math.sqrt(math.pi) * math.erfc(start)
+            assert got == pytest.approx([gauss, 0.5 * (2.3 - start) ** 2], abs=1e-9)
+            assert 4 < len(calls) < 40
 
     def test_matches_scalar_panels(self):
         # one row and one value per node give the same closed form: with

@@ -115,9 +115,8 @@ class TestDeferredCases:
     def test_infinite_value_on_the_fine_level_only_defers(self):
         # the second node of every call is infinite: on the exp-sinh layout
         # it is an odd node, outside the embedded rule, and the panels take
-        # the halves of the span that holds it.  No weight of the stage is
-        # 0, so its sums turn infinite without a 0 * inf, and neither route
-        # warns
+        # the halves of the span that holds it.  The value counts as NaN,
+        # so the stage's sums turn NaN, and neither route warns
         f = lambda v: np.where(v == v[1], np.inf, np.exp(-v))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -133,6 +132,44 @@ class TestDeferredCases:
             with pytest.raises(TruncationError) as staged:
                 tail_integral(f, 0.0, scale=1.0)
         assert str(staged.value) == str(panels.value)
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_plus_and_minus_infinity_do_not_warn(self, scale):
+        # +inf and -inf count as NaN, with no warning: at the second and
+        # fourth node they fall in the first panel's whole span only, so its
+        # halves give the panel; at every node past 2 they make the panel
+        # [1, 3] NaN, which raises
+        def probe(v):
+            y = np.exp(-v)
+            y[1], y[3] = np.inf, -np.inf
+            return y
+
+        f = lambda v: np.where(
+            v < 2.0, np.exp(-v), np.where(np.arange(v.size) % 2, np.inf, -np.inf)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tail_integral(probe, 0.0, scale=scale)
+            with pytest.raises(TruncationError, match="tail panel 1 is not finite") as err:
+                tail_integral(f, 0.0, scale=scale)
+        assert got == pytest.approx(1.0, rel=1e-12)
+        assert err.value.partial == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+
+    def test_scale_past_the_float_range_skips_the_stage(self):
+        # 1e298 times the last offset, 1.9e11, passes the largest float, so
+        # the panels take the tail from their first call, with no warning;
+        # it decays only past 1e300, beyond 200 panels
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return (1.0 + v / 1e300) ** -2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="after 200 panels"):
+                tail_integral(f, 0.0, scale=1e298)
+        assert sizes[0] == 16 * 3 * 20
 
     @settings(FIXED, max_examples=60)
     @given(SCALES, st.floats(0.01, 60.0))
@@ -272,13 +309,14 @@ class TestNodeBudget:
             tail_integral(f, 0.0, Tolerance(1e-300, 1e-300, 400), scale)
         assert "more than 1048576 integrand nodes" in str(err.value)
         assert 2**19 < seen[0] <= 2**20
-        # the sum over the groups before the one that ran out: none here
-        assert err.value.partial == 0.0
+        # the sum over the panels before the one that ran out, [511, 1023]
+        # here, whose halves differ by rounding at every depth: 1 - e^-511
+        assert err.value.partial == pytest.approx(1.0, rel=1e-12)
 
-    def test_partial_sums_the_groups_before(self):
-        # smooth over the first group, [0, 65535], whose sum is kept, and
-        # above abs_tol, so that it does not stop there; a rapid wobble in
-        # the second group bisects past the budget
+    def test_partial_sums_the_panels_before(self):
+        # smooth over the first 16 panels, [0, 65535], whose sum is kept,
+        # and above abs_tol, so that it does not stop there; a rapid wobble
+        # in the next panel bisects past the budget
         def f(v):
             return np.where(v < 65535.0, np.exp(-v) + 1e-6, 1e-3 * np.sin(v * v))
 
