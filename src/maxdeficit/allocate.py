@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, not_nan, real
 from .model import ruin_constants, ultimate_ruin
-from .numerics import DEFAULT_TOL, _is_real, brent_root, tail_integral
+from .numerics import DEFAULT_TOL, brent_root, tail_integral
 
 _TINY, _HUGE = np.finfo(float).tiny, float(np.finfo(float).max)
 # the grid's largest span: a power of two, whose reciprocal, a flat
@@ -49,11 +49,11 @@ def _entry(items, total_u, gammas=()):
     0 and 1 up to the largest float, so that float() of either is finite."""
     if not items:
         raise DomainError("allocation needs at least one line")
-    if not all(_is_real(g) and 1.0 <= g <= _HUGE for g in gammas):
-        raise DomainError(f"penalty exponents must be reals in [1, inf): {gammas!r}")
-    if not (_is_real(total_u) and 0.0 <= total_u <= _HUGE):
-        raise DomainError(f"total reserve must be a finite real >= 0, got {total_u!r}")
-    return float(total_u)
+    text = "penalty exponents must be reals in [1, inf)"
+    for g in gammas:
+        real(g, lambda x: 1.0 <= x <= _HUGE, text)
+    text = "total reserve must be a finite real >= 0"
+    return real(total_u, lambda x: 0.0 <= x <= _HUGE, text)
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ def rho2_two_line(line1, line2, u1, u2):
     """Identity-distorted deficit of two pooled independent lines at
     reserves (u1, u2): the sum of the single-line curves minus the
     joint-survival correction."""
-    if not all(_is_real(u) and u >= 0.0 for u in (u1, u2)):
-        raise DomainError(f"reserves must be real numbers >= 0, got {u1!r}, {u2!r}")
+    text = "reserves must be real numbers >= 0"
+    u1, u2 = (real(u, lambda x: x >= 0.0, text) for u in (u1, u2))
     k1 = ruin_constants(line1)
     k2 = ruin_constants(line2)
     single = k1.a / k1.b * math.exp(-k1.b * u1) + k2.a / k2.b * math.exp(-k2.b * u2)
@@ -365,12 +365,15 @@ def psi_tilde(lines, reserves, v):
     """First-passage probability of the pooled portfolio past the total
     barrier: one minus the product of per-line survivals at u_k + v.
 
-    Accepts a float v, which gives a float, or an ndarray of v.
+    Accepts a real number v, which gives a float, or an ndarray of v; a
+    NaN v raises DomainError, as does a v of any other type.
     """
     if len(reserves) != len(lines):
         raise DomainError("one reserve per line is required")
-    if not all(_is_real(u) and u >= 0.0 for u in reserves):
-        raise DomainError(f"reserves must be real numbers >= 0, got {reserves!r}")
+    text = "reserves must be real numbers >= 0"
+    reserves = [real(u, lambda x: x >= 0.0, text) for u in reserves]
+    if not isinstance(v, np.ndarray):
+        v = real(v, not_nan, "v must be an ndarray or a real")
     # summing log survivals keeps the tail accurate far below 1e-16,
     # where one minus a product of survivals rounds to zero; a line
     # below its barrier survives with log 0 = -inf, so the tail is 1

@@ -535,14 +535,13 @@ def build_parser(command=None):
         description="Risk measures and reserve allocation for compound "
         "Poisson maximum-deficit models",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, spec in _OPTIONS.items():
-        common.add_argument(flag, **spec)
     sub = parser.add_subparsers(dest="command", required=True, prog="maxdeficit")
     for name, (text, func, targets) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, help=text)
+        for flag, spec in _OPTIONS.items():
+            p.add_argument(flag, **spec)
         if targets is not None:
             p.add_argument("target", choices=targets)
         p.set_defaults(func=func)

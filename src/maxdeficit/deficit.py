@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .distortion import Distortion, decay_length, edge_reserve, sample_array
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, not_nan, real
 from .numerics import DEFAULT_TOL, lambert_w0, lambert_w0_log, tail_integral
 from .model import ruin_constants
 from .simulate import simulate_max_loss
@@ -105,8 +105,9 @@ class DeficitFunctional:
     The constructors build the source classes below.  Their
     convex_root(budget) and proportional_root(margin) give (value,
     method, residual, branch) of the least u with D(u) <= budget and of
-    the u with D(u) = margin * u, to the curve's own precision.  D(nan)
-    raises DomainError on every source.
+    the u with D(u) = margin * u, to the curve's own precision.  D(u)
+    of a u that is NaN or not a real number raises DomainError on every
+    source; D(inf) = 0 and D(-inf) = inf.
     """
 
     @classmethod
@@ -151,10 +152,7 @@ class DeficitFunctional:
 
     def __call__(self, u):
         # one entry point, so wrapping it traces every source; each gives _value
-        u = float(u)
-        if math.isnan(u):
-            raise DomainError("reserve must not be NaN")
-        return self._value(u)
+        return self._value(real(u, not_nan, "reserve must be a real number, not NaN"))
 
 
 class ClosedCurve(DeficitFunctional):

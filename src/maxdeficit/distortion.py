@@ -16,13 +16,12 @@ module is the only one that tells the kinds apart.
 
 import bisect
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, real, whole
 from .numerics import DEFAULT_TOL, tail_integral
 
 _KINDS = ("identity", "ph", "tvar", "varstep")
@@ -48,12 +47,12 @@ class Distortion:
     tvar (alpha)    g(x) = min(x / alpha, 1)
     varstep (alpha) g(x) = 0 for x <= alpha, 1 beyond; not concave
 
-    primitive_pieces holds the pieces (s, p, edge) of the primitive
-    G(y) = integral of g(x)/x over (0, y], which is y**p / (p*s) up to
-    edge and G(edge) + ln(y/edge) beyond: identity (1, 1, inf), ph
-    (1, p, inf), tvar (alpha, 1, alpha) and varstep (inf, 1, alpha), whose
-    power piece is flat at 0.  g(x) = x * G'(x) is x**p / s up to edge
-    and 1 beyond.
+    param is kept as a float.  primitive_pieces holds the pieces (s, p,
+    edge) of the primitive G(y) = integral of g(x)/x over (0, y], which
+    is y**p / (p*s) up to edge and G(edge) + ln(y/edge) beyond: identity
+    (1, 1, inf), ph (1, p, inf), tvar (alpha, 1, alpha) and varstep (inf,
+    1, alpha), whose power piece is flat at 0.  g(x) = x * G'(x) is
+    x**p / s up to edge and 1 beyond.
     """
 
     kind: str
@@ -66,21 +65,16 @@ class Distortion:
             if self.param is not None:
                 raise DomainError("identity distortion takes no parameter")
             pieces = (1.0, 1.0, math.inf)
-        elif not isinstance(self.param, numbers.Real):
-            raise DomainError(
-                f"{self.kind} distortion needs a numeric parameter, got {self.param!r}"
-            )
         elif self.kind == "ph":
-            if not 0.0 < self.param <= 1.0:
-                raise DomainError(f"ph exponent must be in (0, 1], got {self.param}")
-            pieces = (1.0, self.param, math.inf)
+            text = "ph exponent must be in (0, 1]"
+            p = real(self.param, lambda x: 0.0 < x <= 1.0, text)
+            object.__setattr__(self, "param", p)
+            pieces = (1.0, p, math.inf)
         else:
-            if not 0.0 < self.param < 1.0:
-                raise DomainError(
-                    f"{self.kind} level must be in (0, 1), got {self.param}"
-                )
-            s = self.param if self.kind == "tvar" else math.inf
-            pieces = (s, 1.0, self.param)
+            text = f"{self.kind} level must be in (0, 1)"
+            alpha = real(self.param, lambda x: 0.0 < x < 1.0, text)
+            object.__setattr__(self, "param", alpha)
+            pieces = (alpha if self.kind == "tvar" else math.inf, 1.0, alpha)
         object.__setattr__(self, "primitive_pieces", pieces)
 
     @property
@@ -175,15 +169,15 @@ def identity():
 
 
 def proportional_hazard(p):
-    return Distortion("ph", float(p))
+    return Distortion("ph", p)
 
 
 def tvar(alpha):
-    return Distortion("tvar", float(alpha))
+    return Distortion("tvar", alpha)
 
 
 def var_step(alpha):
-    return Distortion("varstep", float(alpha))
+    return Distortion("varstep", alpha)
 
 
 def parse_distortion(spec):
@@ -349,8 +343,7 @@ def choquet_empirical(g, samples):
 def choquet_se(g, samples, n_boot=50, seed=0):
     """Bootstrap standard error of choquet_empirical on one sample set,
     from n_boot >= 2 resamples."""
-    if not (isinstance(n_boot, numbers.Integral) and n_boot >= 2):
-        raise DomainError(f"bootstrap needs an integer n_boot >= 2, got {n_boot!r}")
+    n_boot = whole(n_boot, lambda x: x >= 2, "bootstrap needs an integer n_boot >= 2")
     x = np.asarray(samples, dtype=float)
     rng = np.random.default_rng(seed)
     reps = np.empty(n_boot)

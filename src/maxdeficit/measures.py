@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .distortion import choquet_empirical, choquet_se
-from .errors import DomainError
+from .errors import DomainError, positive_finite, real, whole
 from .model import ruin_constants
 from .simulate import derive_seed, simulate_aggregate_claims
 
@@ -53,8 +53,7 @@ def coherent_measure(d):
 def convex_measure(d, budget):
     """Least reserve whose residual shortfall stays within budget,
     solved by the curve itself (DeficitFunctional.convex_root)."""
-    if not 0.0 < budget < math.inf:
-        raise DomainError(f"budget must be positive and finite, got {budget}")
+    budget = real(budget, positive_finite, "budget must be positive and finite")
     return MeasureResult(*d.convex_root(budget))
 
 
@@ -62,8 +61,7 @@ def proportional_measure(d, margin):
     """Reserve with residual shortfall equal to margin times itself,
     solved by the curve itself (DeficitFunctional.proportional_root);
     it is unique because D decreases while the margin line rises."""
-    if not 0.0 < margin < math.inf:
-        raise DomainError(f"margin must be positive and finite, got {margin}")
+    margin = real(margin, positive_finite, "margin must be positive and finite")
     return MeasureResult(*d.proportional_root(margin))
 
 
@@ -83,8 +81,7 @@ def critical_threshold(d):
 def ear_convex_measure(line, budget):
     """Budget-constrained reserve for the expected area under the loss
     path, the undistorted running-cost benchmark for one line."""
-    if not 0.0 < budget < math.inf:
-        raise DomainError(f"budget must be positive and finite, got {budget}")
+    budget = real(budget, positive_finite, "budget must be positive and finite")
     k = ruin_constants(line)
     if k.a <= 0.0:
         raise DomainError("degenerate line: no claims, nothing to reserve")
@@ -116,8 +113,7 @@ def premium_lower_bound(line, g_p, n, seed):
     The standard error comes from a 20-resample bootstrap of the
     empirical Choquet sum.
     """
-    if n < 1000:
-        raise DomainError(f"need at least 1000 simulated periods, got {n}")
+    n = whole(n, lambda x: x >= 1000, "need at least 1000 simulated periods")
     samples = simulate_aggregate_claims(line, 1.0, n, seed)
     value = choquet_empirical(g_p, samples)
     se = choquet_se(g_p, samples, n_boot=20, seed=derive_seed(seed, 20))

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive_finite, real
 
 
 @dataclass(frozen=True)
 class ExponentialLine:
     """One line of business: claim rate lam, claim mean mu, premium rate c.
 
-    Requires finite parameters, mu > 0 and positive safety loading
-    c > lam * mu.  lam = 0 is accepted as the degenerate no-claims line.
+    Requires finite real parameters, not bools, mu > 0 and positive
+    safety loading c > lam * mu, else DomainError.  lam = 0 is accepted
+    as the degenerate no-claims line.
     """
 
     lam: float
@@ -29,19 +30,11 @@ class ExponentialLine:
     c: float
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.lam, self.mu, self.c)):
-            raise DomainError(
-                f"line parameters must be finite, got {self.lam}, {self.mu}, {self.c}"
-            )
-        if self.lam < 0.0:
-            raise DomainError(f"claim rate must be >= 0, got {self.lam}")
-        if self.mu <= 0.0:
-            raise DomainError(f"claim mean must be > 0, got {self.mu}")
-        if self.c <= self.lam * self.mu:
-            raise DomainError(
-                f"premium rate {self.c} does not exceed expected claims "
-                f"per unit time {self.lam * self.mu}"
-            )
+        text = "claim rate must be finite and >= 0"
+        lam = real(self.lam, lambda x: 0.0 <= x < math.inf, text)
+        mu = real(self.mu, positive_finite, "claim mean must be finite and > 0")
+        text = f"premium rate must be finite and exceed lam * mu = {lam * mu!r}"
+        real(self.c, lambda x: lam * mu < x < math.inf, text)
 
 
 @dataclass(frozen=True)
@@ -103,12 +96,11 @@ def line_from_ruin_constants(a, b, c=1.0):
     The ruin curve pins down only two of the three line parameters, so
     the premium rate c is a free normalisation (default 1).
     """
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"zero-reserve ruin probability must be in [0, 1), got {a}")
-    if b <= 0.0:
-        raise DomainError(f"decay rate must be > 0, got {b}")
-    if c <= 0.0:
-        raise DomainError(f"premium rate must be > 0, got {c}")
+    a = real(a, lambda x: 0.0 <= x < 1.0, "ruin probability at zero must be in [0, 1)")
+    # the claim mean (1 - a) / b rounds to 0 or inf at extreme decay rates
+    text = "decay rate must be > 0 and give a claim mean (1 - a) / b in (0, inf)"
+    b = real(b, lambda x: 0.0 < x and positive_finite((1.0 - a) / x), text)
+    c = real(c, positive_finite, "premium rate must be finite and > 0")
     mu = (1.0 - a) / b
     lam = a * c / mu
     return ExponentialLine(lam=lam, mu=mu, c=c)

@@ -22,12 +22,12 @@ Three routines cover every solver need in the package:
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, ConvergenceError, DomainError, TruncationError
+from .errors import BracketingError, ConvergenceError, TruncationError
+from .errors import positive_finite, real, whole
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,8 @@ class Tolerance:
 
     def __post_init__(self):
         for tol in (self.abs_tol, self.rel_tol):
-            if not (_is_real(tol) and 0.0 < tol < math.inf):
-                raise DomainError(f"tolerances must be positive and finite: {tol!r}")
-        it = self.max_iter
-        if not (_is_real(it) and isinstance(it, numbers.Integral) and it >= 1):
-            raise DomainError(f"max_iter must be an int >= 1, got {it!r}")
-
-
-def _is_real(x):
-    # a bool is an int to Python, but not a tolerance or a count
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+            real(tol, positive_finite, "tolerances must be positive and finite")
+        whole(self.max_iter, lambda x: x >= 1, "max_iter must be an int >= 1")
 
 
 DEFAULT_TOL = Tolerance()
@@ -60,11 +52,12 @@ def brent_root(f, lo, hi, tol=DEFAULT_TOL):
     """Root of f on [lo, hi] where f(lo) and f(hi) have opposite signs.
 
     Returns x with |f(x)| <= abs_tol or with the bracket narrowed to
-    rel_tol*|x| + abs_tol.  Raises BracketingError when the endpoints do
-    not straddle a sign change and ConvergenceError when max_iter steps
-    do not settle the bracket.
+    rel_tol*|x| + abs_tol.  Raises DomainError unless lo and hi are
+    finite real numbers, BracketingError when they do not straddle a
+    sign change and ConvergenceError when max_iter steps do not settle
+    the bracket.
     """
-    a, b = float(lo), float(hi)
+    a, b = (real(x, math.isfinite, "bracket ends must be finite") for x in (lo, hi))
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -129,12 +122,11 @@ def lambert_w0(y):
     the residual w*exp(w) - y is at rounding level, within
     DEFAULT_TOL.max_iter steps or ConvergenceError.  Past y = 1e300,
     where w*exp(w) - y and the Halley step overflow, it is
-    lambert_w0_log(ln y).  y < -1/e and a y that is not finite raise
-    DomainError.
+    lambert_w0_log(ln y).  y < -1/e and a y that is not a finite real
+    number raise DomainError.
     """
-    y = float(y)
-    if not _BRANCH_POINT <= y < math.inf:
-        raise DomainError(f"lambert_w0 needs a finite y >= -1/e, got {y}")
+    text = "lambert_w0 needs a finite y >= -1/e"
+    y = real(y, lambda x: _BRANCH_POINT <= x < math.inf, text)
     if y == _BRANCH_POINT:
         return -1.0
     if y == 0.0:
@@ -284,6 +276,10 @@ def _one_call(f, a, scale, tol):
     return None
 
 
+def _above_minus_inf(x):
+    return x > -math.inf
+
+
 def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     """Integral over [a, inf) of one or several decaying integrands.
 
@@ -301,7 +297,9 @@ def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     decay lengths costs one call; a jump, a kink, a value that is not
     finite, or a tail still above abs_tol at the last node defers to the
     panels below, which then run exactly as without scale, as does a
-    scale whose last node, 1.9e11 s past a, would pass the largest float.
+    scale, or a finite a, whose last node, 1.9e11 s past a, would pass
+    the largest float.  a is a real number above -inf, +inf included,
+    and scale positive and finite, else DomainError.
 
     Without scale, panels [a, a+1], [a+1, a+3], [a+3, a+7], ... double in
     width.  Each is integrated by the 20-point Gauss-Lobatto rule and is
@@ -321,12 +319,14 @@ def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
     TruncationError with the sum over the panels before as its partial.
     """
     budget, total = _NODE_BUDGET, 0.0
+    a = real(a, _above_minus_inf, "lower end must be a real number > -inf")
     if scale is not None:
-        if not 0.0 < scale < math.inf:
-            raise DomainError(f"scale must be positive and finite, got {scale}")
-        # on Python floats, which overflow to inf with no warning
-        if scale * _DE_REACH < math.inf:
-            value = _one_call(f, float(a), scale, tol)
+        scale = real(scale, positive_finite, "scale must be positive and finite")
+        # on Python floats, which overflow to inf with no warning; a = inf
+        # keeps the stage, whose nodes are then all inf
+        reach = scale * _DE_REACH
+        if reach < math.inf and (a + reach < math.inf or a == math.inf):
+            value = _one_call(f, a, scale, tol)
             if value is not None:
                 return value
             budget -= _DE_T.size
@@ -354,7 +354,7 @@ def tail_integral(f, a, tol=DEFAULT_TOL, scale=None):
         lower = settle(lo, w, halves[..., 0], q[..., :2], span_tol, depth + 1)
         return lower + settle(lo + w, w, halves[..., 1], q[..., 2:], span_tol, depth + 1)
 
-    left, h = float(a), 1.0
+    left, h = a, 1.0
     for done in range(0, tol.max_iter, _GROUP):
         n = min(_GROUP, tol.max_iter - done)
         lo, w = left + h * _UNIT_EDGES[:n, None], h * (_UNIT_EDGES[:n, None] + 1.0)

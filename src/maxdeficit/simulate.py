@@ -20,13 +20,12 @@ stream, and so every fixed-seed result, is the one path_events draws.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distortion import choquet_empirical
-from .errors import DomainError
+from .errors import DomainError, not_nan, positive_finite, real, whole
 
 
 def derive_seed(seed, *tags):
@@ -37,11 +36,9 @@ def derive_seed(seed, *tags):
     never reuse a path substream.  The seed and every tag must be
     nonnegative integers.
     """
-    for x in (seed,) + tags:
-        if not (isinstance(x, numbers.Integral) and x >= 0):
-            raise DomainError(f"seed and tags must be nonnegative integers, got {x!r}")
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(x) for x in tags))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    text = "seed and tags must be nonnegative integers"
+    keys = [whole(x, lambda x: x >= 0, text) for x in (seed, *tags)]
+    return int(np.random.SeedSequence(keys).generate_state(1, dtype=np.uint64)[0])
 
 
 # Uniforms per chunk of batch rows: 128 KB per array, so a batch adds
@@ -49,11 +46,24 @@ def derive_seed(seed, *tags):
 _CHUNK_ELEMENTS = 1 << 14
 
 
+# Arrival gaps per block at most, so that a row of a block's gaps and
+# claim sizes takes 64 MB; 2,000 times the largest lam * t of the tests
+# and the benchmark.
+_MAX_BLOCK = 1 << 22
+
+
 def _block_size(line, t):
     """Arrival gaps drawn per block over [0, t]: the mean count plus six
-    standard deviations, so one block almost always passes t."""
+    standard deviations, so one block almost always passes t.  A block
+    past _MAX_BLOCK, or not finite, raises DomainError."""
     mean_count = line.lam * t
-    return int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0)
+    block = mean_count + 6.0 * math.sqrt(mean_count) + 16.0
+    if not block <= _MAX_BLOCK:
+        raise DomainError(
+            f"horizon {t!r} at claim rate {line.lam!r} asks for {block:.3g} "
+            f"arrival gaps per path, more than {_MAX_BLOCK}"
+        )
+    return int(block)
 
 
 def _path_rng(seed, index):
@@ -68,11 +78,10 @@ def path_events(line, t, seed, index):
     horizon is passed; claim sizes follow in a second block from the
     same substream.  Returns (times, sizes) as ndarrays.
     """
-    _check_path_args(t, seed, index)
+    block = _check_path_args(line, t, seed, index)
     rng = _path_rng(seed, index)
     if line.lam == 0.0:
         return np.empty(0), np.empty(0)
-    block = _block_size(line, t)
     parts = []
     last = 0.0
     while True:
@@ -125,28 +134,32 @@ class PathState:
     running_max: float
 
     def __post_init__(self):
-        values = (self.time, self.realized_loss, self.running_max)
-        if not all(map(math.isfinite, values)):
-            raise DomainError(f"path state must be finite, got {self}")
+        for x in (self.time, self.realized_loss, self.running_max):
+            real(x, math.isfinite, "path state must be finite")
         floor = max(0.0, self.realized_loss)
         if self.running_max < floor - 1e-9:
             raise DomainError("running maximum below the realized loss")
 
 
-def _check_path_args(t, seed, index):
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"horizon must be positive and finite, got {t}")
-    for name, key in (("seed", seed), ("path index", index)):
-        if not (
-            isinstance(key, numbers.Integral) and 0 <= key <= np.iinfo(np.uint64).max
-        ):
-            raise DomainError(f"{name} must be a nonnegative 64-bit integer, got {key}")
+_KEY_MAX = int(np.iinfo(np.uint64).max)
 
 
-def _check_run_args(t, n, seed):
-    _check_path_args(t, seed, 0)
-    if not isinstance(n, numbers.Integral) or n <= 0:
-        raise DomainError(f"path count must be a positive integer, got {n!r}")
+def _in_key_range(x):
+    return 0 <= x <= _KEY_MAX
+
+
+def _check_path_args(line, t, seed, index):
+    """The block size over [0, t] (_block_size), or DomainError unless t
+    is positive and finite and seed and index are 64-bit keys."""
+    t = real(t, positive_finite, "horizon must be positive and finite")
+    whole(seed, _in_key_range, "seed must be a nonnegative 64-bit integer")
+    whole(index, _in_key_range, "path index must be a nonnegative 64-bit integer")
+    return _block_size(line, t)
+
+
+def _check_run_args(line, t, n, seed):
+    _check_path_args(line, t, seed, 0)
+    whole(n, lambda x: x > 0, "path count must be a positive integer")
 
 
 def _fill_paths(line, t, seed, maxima=None, totals=None):
@@ -214,7 +227,7 @@ def _fill_paths(line, t, seed, maxima=None, totals=None):
 def simulate_max_loss(line, t, n, seed):
     """n independent samples of the running maximum over [0, t], in
     path-index order."""
-    _check_run_args(t, n, seed)
+    _check_run_args(line, t, n, seed)
     m = np.empty(n)
     _fill_paths(line, t, seed, maxima=m)
     return SimBatch(line=line, t=t, n=n, seed=seed, samples=m)
@@ -222,7 +235,7 @@ def simulate_max_loss(line, t, n, seed):
 
 def simulate_path_states(line, r, n, seed):
     """PathState snapshots of n paths observed at time r."""
-    _check_run_args(r, n, seed)
+    _check_run_args(line, r, n, seed)
     maxima, totals = np.empty(n), np.empty(n)
     _fill_paths(line, r, seed, maxima=maxima, totals=totals)
     return [
@@ -233,7 +246,7 @@ def simulate_path_states(line, r, n, seed):
 
 def simulate_aggregate_claims(line, t, n, seed):
     """n samples of the aggregate claim total over [0, t] (no premium)."""
-    _check_run_args(t, n, seed)
+    _check_run_args(line, t, n, seed)
     out = np.empty(n)
     _fill_paths(line, t, seed, totals=out)
     return out
@@ -245,8 +258,7 @@ def estimate_finite_ruin(batch, u):
     Returns (estimate, half_width); u < 0 gives (1.0, 0.0) exactly since
     the maximum starts at zero, and u = inf gives (0.0, 0.0).
     """
-    if math.isnan(u):
-        raise DomainError("reserve level must not be NaN")
+    u = real(u, not_nan, "reserve level must not be NaN, and must be a real number")
     if u < 0.0:
         return 1.0, 0.0
     n = batch.n
@@ -262,8 +274,8 @@ def conditional_max_samples(line, t, r, state, n_inner, seed):
     M_t = max(M_r, L_r + M') with M' an independent fresh maximum over
     the remaining horizon t - r.
     """
-    if not 0.0 < r < t:
-        raise DomainError(f"need 0 < r < t, got r={r}, t={t}")
+    t = real(t, positive_finite, "horizon must be positive and finite")
+    r = real(r, lambda x: 0.0 < x < t, f"need 0 < r < t = {t!r}")
     fresh = simulate_max_loss(line, t - r, n_inner, seed).samples
     return np.maximum(state.running_max, state.realized_loss + fresh)
 
@@ -281,11 +293,9 @@ def supermartingale_check(line, g, t, r, n_outer=200, n_inner=2000, seed=0):
     """
     if not g.concave:
         raise DomainError("supermartingale comparison needs a concave distortion")
-    if not isinstance(n_outer, numbers.Integral) or n_outer < 2:
-        raise DomainError(f"need an integer n_outer >= 2, got {n_outer!r}")
-    _check_run_args(t, n_inner, seed)
-    if not 0.0 < r < t:
-        raise DomainError(f"need 0 < r < t, got r={r}, t={t}")
+    n_outer = whole(n_outer, lambda x: x >= 2, "need an integer n_outer >= 2")
+    _check_run_args(line, t, n_inner, seed)
+    r = real(r, lambda x: 0.0 < x < t, f"need 0 < r < t = {t!r}")
     states = simulate_path_states(line, r, n_outer, derive_seed(seed, 10))
     rho_r = np.empty(n_outer)
     pooled = np.empty(n_outer * n_inner)
@@ -311,7 +321,8 @@ def rolling_requirement(state, baseline_rho):
     the convex rule at budget 2 gives 25.40718 both ways, but at margin
     0.05 L_s + rho is 30.7108 while the root of D(u - 5) = 0.05 u is
     29.1885."""
-    return state.realized_loss + baseline_rho
+    text = "baseline requirement must be finite"
+    return state.realized_loss + real(baseline_rho, math.isfinite, text)
 
 
 _HEADER_PREFIX = "# maxdeficit-batch"

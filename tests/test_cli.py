@@ -205,6 +205,21 @@ class TestExitCodes:
         assert out == ""
         assert "horizon must be positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *LINE1_ARGS, "--t", "1e308", "--n", "10", "--seed", "1"],
+            ["measure", "convex", *LINE1_ARGS, "--t", "1e308", "--A", "2"],
+        ],
+        ids=["simulate", "measure"],
+    )
+    def test_horizon_past_one_block_is_three(self, capsys, argv):
+        # lam * t = 1e309 once overflowed in int() and exited 1 with a
+        # traceback; it is now refused before any path is drawn
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: horizon 1e+308") and err.count("\n") == 1
+
     def test_nan_reserve_level_is_three(self, capsys):
         code, out, err = run(
             capsys, "simulate", *LINE1_ARGS, "--t", "1", "--n", "10", "--seed", "7",

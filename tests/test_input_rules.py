@@ -17,22 +17,36 @@ from maxdeficit import (
     DeficitFunctional,
     DomainError,
     ExponentialLine,
+    MeasureResult,
     PathState,
     Tolerance,
     aggregate_min,
+    brent_root,
+    choquet_se,
+    conditional_max_samples,
     convex_measure,
+    derive_seed,
+    ear_convex_measure,
+    estimate_finite_ruin,
     identity,
     invariance_check,
+    lambert_w0,
+    line_from_ruin_constants,
     method1_exponential,
     method1_generic,
     method2_exact,
     method2_generic,
     method2_two_line,
+    path_events,
+    premium_lower_bound,
     proportional_hazard,
     proportional_measure,
     psi_tilde,
     rho2_two_line,
+    rolling_requirement,
     simulate_max_loss,
+    supermartingale_check,
+    tail_integral,
     tvar,
     ultimate_ruin,
     var_step,
@@ -304,3 +318,115 @@ class TestPathState:
     def test_rejects_values_that_are_not_finite(self, time, loss, peak):
         with pytest.raises(DomainError):
             PathState(time, loss, peak)
+
+
+# a scalar argument drawn from the float range's extremes, a bool, a str,
+# None and numpy's scalars; every count below 10**4 that a draw can give
+# is the np.int64 3
+SCALAR_INPUTS = (
+    math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e308,
+    True, "5", None, np.float64(2.0), np.int64(3),
+)
+_STATE = PathState(1.0, 0.5, 2.0)
+_BATCH = simulate_max_loss(LINE1, 2.0, 20, 1)
+_CLOSED = DeficitFunctional.for_line(LINE1, proportional_hazard(0.5))
+_DECAY = lambda v: np.exp(-v)  # noqa: E731
+_ROOT = lambda x: x - 2.5  # noqa: E731
+
+# each scalar export with one argument set to x and the others valid
+SCALAR_SITES = {
+    "convex_measure": lambda x: convex_measure(_CLOSED, x),
+    "proportional_measure": lambda x: proportional_measure(_CLOSED, x),
+    "ear_convex_measure": lambda x: ear_convex_measure(LINE1, x),
+    "premium_lower_bound.n": lambda x: premium_lower_bound(LINE1, identity(), x, 1),
+    "ExponentialLine.lam": lambda x: ExponentialLine(x, 1.0, 1e300),
+    "ExponentialLine.mu": lambda x: ExponentialLine(0.5, x, 1e300),
+    "ExponentialLine.c": lambda x: ExponentialLine(0.5, 1.0, x),
+    "line_from_ruin_constants.a": lambda x: line_from_ruin_constants(x, 0.05),
+    "line_from_ruin_constants.b": lambda x: line_from_ruin_constants(0.9, x),
+    "line_from_ruin_constants.c": lambda x: line_from_ruin_constants(0.9, 0.05, x),
+    "proportional_hazard": proportional_hazard,
+    "tvar": tvar,
+    "var_step": var_step,
+    "choquet_se.n_boot": lambda x: choquet_se(identity(), [1.0, 2.0, 4.0], x),
+    "Tolerance.abs_tol": lambda x: Tolerance(abs_tol=x),
+    "Tolerance.rel_tol": lambda x: Tolerance(rel_tol=x),
+    "Tolerance.max_iter": lambda x: Tolerance(max_iter=x),
+    "tail_integral.a": lambda x: tail_integral(_DECAY, x),
+    "tail_integral.scale": lambda x: tail_integral(_DECAY, 0.0, scale=x),
+    "lambert_w0": lambert_w0,
+    "brent_root.lo": lambda x: brent_root(_ROOT, x, 10.0),
+    "brent_root.hi": lambda x: brent_root(_ROOT, 0.0, x),
+    "derive_seed.seed": derive_seed,
+    "derive_seed.tag": lambda x: derive_seed(0, x),
+    "path_events.t": lambda x: path_events(LINE1, x, 0, 0),
+    "path_events.seed": lambda x: path_events(LINE1, 1.0, x, 0),
+    "path_events.index": lambda x: path_events(LINE1, 1.0, 0, x),
+    "simulate_max_loss.t": lambda x: simulate_max_loss(LINE1, x, 5, 0).samples,
+    "simulate_max_loss.n": lambda x: simulate_max_loss(LINE1, 1.0, x, 0).samples,
+    "simulate_max_loss.seed": lambda x: simulate_max_loss(LINE1, 1.0, 5, x).samples,
+    "PathState.time": lambda x: PathState(x, 0.5, 2.0),
+    "PathState.realized_loss": lambda x: PathState(1.0, x, 1e300),
+    "PathState.running_max": lambda x: PathState(1.0, -1e300, x),
+    "estimate_finite_ruin": lambda x: estimate_finite_ruin(_BATCH, x),
+    "conditional_max_samples.t": lambda x: conditional_max_samples(
+        LINE1, x, 1e-300, _STATE, 5, 0
+    ),
+    "conditional_max_samples.r": lambda x: conditional_max_samples(
+        LINE1, 3.0, x, _STATE, 5, 0
+    ),
+    "conditional_max_samples.n_inner": lambda x: conditional_max_samples(
+        LINE1, 3.0, 1.0, _STATE, x, 0
+    ),
+    "supermartingale_check.t": lambda x: supermartingale_check(
+        LINE1, identity(), x, 1e-300, 2, 5
+    ),
+    "supermartingale_check.r": lambda x: supermartingale_check(
+        LINE1, identity(), 3.0, x, 2, 5
+    ),
+    "supermartingale_check.n_outer": lambda x: supermartingale_check(
+        LINE1, identity(), 3.0, 1.0, x, 5
+    ),
+    "supermartingale_check.n_inner": lambda x: supermartingale_check(
+        LINE1, identity(), 3.0, 1.0, 2, x
+    ),
+    "rolling_requirement": lambda x: rolling_requirement(_STATE, x),
+    "DeficitFunctional": _CLOSED,
+    "psi_tilde.v": lambda x: psi_tilde((LINE1, LINE3), [1.0, 2.0], x),
+}
+
+
+def _finite(value):
+    """Every number that a result holds is finite."""
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if isinstance(value, (float, np.ndarray)):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, MeasureResult):
+        return math.isfinite(value.value)
+    # an int, or an object whose fields its own rules checked
+    return True
+
+
+class TestScalarExports:
+    """Each scalar export on every value of SCALAR_INPUTS, with warnings
+    as errors: a bool or a str raises DomainError, and any other value
+    raises DomainError or gives a finite result, or the documented D(inf)
+    = 0, D(-inf) = inf and estimate_finite_ruin's (1, 0) below zero."""
+
+    @settings(FIXED, max_examples=len(SCALAR_SITES))
+    @given(site=st.sampled_from(sorted(SCALAR_SITES)))
+    def test_domain_error_or_finite(self, site):
+        call = SCALAR_SITES[site]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in SCALAR_INPUTS:
+                try:
+                    value = call(x)
+                except DomainError:
+                    continue
+                assert not isinstance(x, (bool, str)), (site, x, value)
+                if site == "DeficitFunctional" and x == -math.inf:
+                    assert value == math.inf
+                else:
+                    assert _finite(value), (site, x, value)

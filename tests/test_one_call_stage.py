@@ -165,10 +165,19 @@ class TestDeferredCases:
             sizes.append(v.size)
             return (1.0 + v / 1e300) ** -2
 
+        # 1e296 times it does not, but a = 1.7e308 plus it does, and this
+        # tail is exp(-1e300) = 0 from there on
+        def g(v):
+            sizes.append(v.size)
+            return np.exp(-np.minimum(v, 1e300))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TruncationError, match="after 200 panels"):
                 tail_integral(f, 0.0, scale=1e298)
+            assert sizes[0] == 16 * 3 * 20
+            sizes.clear()
+            assert tail_integral(g, 1.7e308, scale=1e296) == 0.0
         assert sizes[0] == 16 * 3 * 20
 
     @settings(FIXED, max_examples=60)

@@ -70,9 +70,15 @@ class TestPathEvents:
         assert times.size == sizes.size == 0
 
     def test_rejects_bad_horizon(self):
-        for t in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="horizon"):
-                path_events(LINE1, t, seed=0, index=0)
+        # lam * t of 1e16 and 1e309 would ask for a block of that many gaps:
+        # refused before anything is allocated, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.0, -1.0, math.nan, math.inf, 1e15, 1e308):
+                with pytest.raises(DomainError, match="horizon"):
+                    path_events(LINE1, t, seed=0, index=0)
+                with pytest.raises(DomainError, match="horizon"):
+                    simulate_max_loss(LINE1, t, 10, seed=0)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, 2**64, "3"])
     def test_rejects_bad_seed_and_index(self, bad):
