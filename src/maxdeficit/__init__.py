@@ -2,7 +2,6 @@
 maximum-deficit models."""
 
 from .allocate import (
-    AllocationProblem,
     AllocationResult,
     aggregate_min,
     invariance_check,
@@ -46,7 +45,6 @@ from .measures import (
 from .model import (
     ExponentialLine,
     RuinConstants,
-    adjustment_coefficient,
     line_from_ruin_constants,
     ruin_constants,
     ultimate_ruin,

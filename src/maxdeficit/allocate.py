@@ -30,9 +30,10 @@ from .model import ruin_constants, ultimate_ruin
 from .numerics import DEFAULT_TOL, brent_root, tail_integral
 
 _TINY, _HUGE = np.finfo(float).tiny, float(np.finfo(float).max)
-# the grid's largest span: a power of two, whose reciprocal, a flat
-# row's fitted rate, inverts exactly
-_SPAN_MAX = 2.0**1023
+# the largest budget: reserves that sum to it up to rounding stay below
+# the largest float, and method1_generic's grid span 2U, at most 2**1023,
+# has a reciprocal (a flat row's fitted rate) that inverts to a finite float
+_BUDGET_MAX = 2.0**1022
 
 # Newton steps allowed to the tvar edge v* and to the active-set splits
 _NEWTON_STEPS = 100
@@ -44,40 +45,16 @@ _EXACT_MAX_LINES = 12
 
 def _entry(items, total_u, gammas=()):
     """The budget as a float, or DomainError unless every allocation
-    route's entry rules hold: at least one line or marginal in items, and
-    a budget and penalty exponents that are real numbers (not bools) from
-    0 and 1 up to the largest float, so that float() of either is finite."""
+    route's entry rules hold: at least one line or marginal in items,
+    penalty exponents that are real numbers (not bools) from 1 up to the
+    largest float, and a budget that is one from 0 up to _BUDGET_MAX."""
     if not items:
         raise DomainError("allocation needs at least one line")
     text = "penalty exponents must be reals in [1, inf)"
     for g in gammas:
         real(g, lambda x: 1.0 <= x <= _HUGE, text)
-    text = "total reserve must be a finite real >= 0"
-    return real(total_u, lambda x: 0.0 <= x <= _HUGE, text)
-
-
-@dataclass(frozen=True)
-class AllocationProblem:
-    """A marginal-sum reserve split instance: lines, tail penalties, budget.
-
-    gammas are per-line finite penalty exponents (>= 1) applied as the
-    distortion x**(1/gamma) to that line's ruin probability; gamma 1
-    leaves the line undistorted.
-    """
-
-    lines: tuple
-    total_u: float
-    gammas: tuple = None
-
-    def __post_init__(self):
-        lines = tuple(self.lines)
-        gammas = (1.0,) * len(lines) if self.gammas is None else tuple(self.gammas)
-        total_u = _entry(lines, self.total_u, gammas)
-        if len(gammas) != len(lines):
-            raise DomainError("one penalty exponent per line is required")
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "total_u", total_u)
-        object.__setattr__(self, "gammas", tuple(map(float, gammas)))
+    text = "total reserve must be a real in [0, 2**1022]"
+    return real(total_u, lambda x: 0.0 <= x <= _BUDGET_MAX, text)
 
 
 @dataclass
@@ -105,37 +82,42 @@ class AllocationResult:
     kkt_residual: float
 
 
-def method1_exponential(problem):
+def method1_exponential(lines, total_u, gammas=None):
     """Marginal-sum allocation for exponential lines by exact water filling.
 
-    With marginal level m_k(u) = a_k**(1/gamma_k) * exp(-b_k u /
-    gamma_k) the optimal reserve at threshold s is
-    max(0, w_k log(top_k / s)) with w_k = gamma_k / b_k and top_k =
-    m_k(0).  Lines enter in order of decreasing top; on an active
-    prefix the budget is linear in log s, so log s = (sum w_k log top_k
-    - U) / sum w_k, and the prefix stops growing once log s reaches the
-    next line's log top.  Lines with a_k = 0 never become active.  The
-    levels are certified in the unit s, formed in logs.  A w_k past the
-    largest float raises DomainError.
+    gammas holds one penalty exponent per line, 1 for every line by
+    default, applied as the distortion x**(1/gamma) to that line's ruin
+    probability; gamma 1 leaves the line undistorted.  With marginal
+    level m_k(u) = a_k**(1/gamma_k) * exp(-b_k u / gamma_k) the optimal
+    reserve at threshold s is max(0, w_k log(top_k / s)) with w_k =
+    gamma_k / b_k and top_k = m_k(0).  Lines enter in order of decreasing
+    top; on an active prefix the budget is linear in log s, so log s =
+    (sum w_k log top_k - U) / sum w_k, and the prefix stops growing once
+    log s reaches the next line's log top.  Lines with a_k = 0 never
+    become active.  The levels are certified in the unit s, formed in
+    logs.  A w_k past the largest float raises DomainError.
     """
-    consts = [ruin_constants(line) for line in problem.lines]
+    gammas = (1.0,) * len(lines) if gammas is None else gammas
+    total_u = _entry(lines, total_u, gammas)
+    if len(gammas) != len(lines):
+        raise DomainError("one penalty exponent per line is required")
+    consts = [ruin_constants(line) for line in lines]
     a = np.array([k.a for k in consts])
     b = np.array([k.b for k in consts])
-    gam = np.array(problem.gammas)
+    gam = np.array(gammas, dtype=float)
     if np.all(a == 0.0):
         raise DomainError("every line is degenerate: nothing to allocate")
     tops = a ** (1.0 / gam)
     with np.errstate(over="ignore"):
         w = gam / b
     if not np.isfinite(w).all():
-        raise DomainError(
-            f"penalty exponents over decay rates must be finite: {problem.gammas!r}"
-        )
+        text = "penalty exponents over decay rates must be finite"
+        raise DomainError(f"{text}: {tuple(gam.tolist())!r}")
     with np.errstate(divide="ignore"):
         log_tops = np.log(tops)
     u, log_s = np.zeros(len(consts)), float(log_tops.max())
-    if problem.total_u > 0.0:
-        u, log_s = _water_fill(log_tops, w, problem.total_u)
+    if total_u > 0.0:
+        u, log_s = _water_fill(log_tops, w, total_u)
     objective = float((w * tops * np.exp(-b * u / gam)).sum())
     # past the float resolution of u the relative levels overflow
     with np.errstate(over="ignore"):
@@ -240,7 +222,7 @@ def method1_generic(marginals, total_u):
     1/min(rate), as the scale of its one-call stage.
     """
     total_u = _entry(marginals, total_u)
-    span = min(max(1.0, 2.0 * total_u), _SPAN_MAX)
+    span = max(1.0, 2.0 * total_u)
     grid = np.linspace(0.0, span, 41)
     values = np.array([m(grid) for m in marginals])
     if not np.isfinite(values).all():
@@ -400,7 +382,7 @@ def _pooled_deficit(a, b, g, u, tol):
     adds the move of v*, g'(alpha) p p^T / sum(p) for p = d psi~ / du
     there.  Past v* the tail is clamped at the edge, which it exceeds only
     by v*'s rounding, so no jump of g' is left for the quadrature."""
-    _, _, edge = g.primitive_pieces
+    s, _, edge = g.primitive_pieces
     start = 0.0
     if edge < math.inf:
         start = _tvar_edge(a.tolist(), b.tolist(), u.tolist(), edge)
@@ -432,7 +414,8 @@ def _pooled_deficit(a, b, g, u, tol):
     if start > 0.0:
         psi = a * np.exp(-b * (u + start))
         p = -b * psi * (1.0 - edge) / (1.0 - psi)
-        hess = hess + g.slope(edge) * np.outer(p, p) / p.sum()
+        # g'(alpha) = 1/s, as a finite edge comes with the power 1
+        hess = hess + (1.0 / s) * np.outer(p, p) / p.sum()
     return start + float(out[0]), out[1:k + 1], hess
 
 
@@ -692,17 +675,18 @@ def aggregate_min(lines, g, total_u):
     return method2_generic(lines, g, total_u)
 
 
-def invariance_check(lines, g, total_u, tol=1e-6):
+def invariance_check(lines, g, total_u):
     """True when distorting every marginal by the same strictly
-    increasing g leaves the marginal-sum allocation unchanged.
+    increasing g leaves the marginal-sum allocation unchanged, every
+    reserve within 1e-6.
 
     The threshold moves through g but the equalised reserves do not.
     """
     if not g.concave:
         raise DomainError("invariance needs a strictly increasing distortion")
-    base = method1_exponential(AllocationProblem(lines=tuple(lines), total_u=total_u))
+    base = method1_exponential(lines, total_u)
     marginals = [
         (lambda u, line=line: g(ultimate_ruin(line, u))) for line in lines
     ]
     distorted = method1_generic(marginals, total_u)
-    return bool(np.max(np.abs(base.reserves - distorted.reserves)) <= tol)
+    return bool(np.max(np.abs(base.reserves - distorted.reserves)) <= 1e-6)

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .allocate import (
-    AllocationProblem,
     aggregate_min,
     method1_exponential,
     method2_generic,
@@ -216,8 +215,7 @@ def cmd_allocate(cfg):
     if cfg.method == "marginal-sum":
         if cfg.distortions:
             raise ValueError("--g is not read by --method marginal-sum")
-        problem = AllocationProblem(lines=cfg.lines, total_u=total_u, gammas=cfg.gammas)
-        result = method1_exponential(problem)
+        result = method1_exponential(cfg.lines, total_u, cfg.gammas)
     else:
         if cfg.gammas is not None:
             raise ValueError("--gamma is not read by --method aggregate-min")
@@ -249,9 +247,7 @@ def _table_two(cfg):
     columns = ["total_u", "u1", "u2", "u3"]
     rows = []
     for total in budgets:
-        res = method1_exponential(
-            AllocationProblem(lines=STANDARD_LINES, total_u=total)
-        )
+        res = method1_exponential(STANDARD_LINES, total)
         rows.append([total] + [float(v) for v in res.reserves])
     _emit(columns, rows, cfg)
 
@@ -259,9 +255,7 @@ def _table_two(cfg):
 def _table_three(cfg):
     rows = []
     for gammas in [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0)]:
-        res = method1_exponential(
-            AllocationProblem(lines=STANDARD_LINES, total_u=100.0, gammas=gammas)
-        )
+        res = method1_exponential(STANDARD_LINES, 100.0, gammas)
         rows.append(list(gammas) + [float(v) for v in res.reserves])
     _emit(["gamma1", "gamma2", "gamma3", "u1", "u2", "u3"], rows, cfg)
 
@@ -271,9 +265,7 @@ def _table_four(cfg):
     line2 = line_from_ruin_constants(0.9, 0.01)
     rows = []
     for total in [30.0, 60.0, 120.0]:
-        marginal = method1_exponential(
-            AllocationProblem(lines=(line1, line2), total_u=total)
-        )
+        marginal = method1_exponential((line1, line2), total)
         joint = method2_two_line(line1, line2, total)
         rows.append(
             [total]
@@ -368,8 +360,10 @@ def cmd_simulate(cfg):
 
 
 def _run_checks(seed):
-    """Print PASS or FAIL for each invariant and return the failure count;
-    each check holds a result against an independent route to it."""
+    """Print PASS or FAIL for each invariant and return the failure count.
+    Each check holds a result against an independent route to it and
+    yields (error, bound) pairs; it passes where every error is within
+    its bound, and the first that is not ends it."""
     from .numerics import brent_root, lambert_w0, tail_integral
     from .simulate import (
         PathState,
@@ -386,9 +380,7 @@ def _run_checks(seed):
     def check_lambert():
         for y in (-math.exp(-1) + 1e-9, -0.2, 0.5, 1.0, math.e, 10.0, 1e6):
             w = lambert_w0(y)
-            if abs(w * math.exp(w) - y) > 1e-12 * max(1.0, abs(y)):
-                return False
-        return True
+            yield abs(w * math.exp(w) - y), 1e-12 * max(1.0, abs(y))
 
     def check_brent():
         # with c1, c3 > 0 the planted root r is the cubic's only real root
@@ -396,9 +388,7 @@ def _run_checks(seed):
             root = rng.uniform(-2.0, 2.0)
             c1, c3 = rng.uniform(0.5, 3.0, size=2)
             f = lambda x, r=root, c1=c1, c3=c3: c1 * (x - r) + c3 * (x - r) ** 3
-            if abs(brent_root(f, root - 3.0, root + 4.0) - root) > 1e-8:
-                return False
-        return True
+            yield abs(brent_root(f, root - 3.0, root + 4.0) - root), 1e-8
 
     def check_tail():
         for _ in range(10):
@@ -409,9 +399,7 @@ def _run_checks(seed):
             # the doubling panels, and the exp-sinh stage that curves take
             for scale in (None, 1.0 / b):
                 got = tail_integral(lambda v: a * np.exp(-b * v), u, scale=scale)
-                if abs(got - exact) > 1e-6 * max(1.0, exact):
-                    return False
-        return True
+                yield abs(got - exact), 1e-6 * max(1.0, exact)
 
     def check_deficit_routes():
         for line in STANDARD_LINES:
@@ -419,9 +407,7 @@ def _run_checks(seed):
                 closed, numeric = DeficitFunctional.for_line(line, g), quad(line, g)
                 # 1000 is past every line's edge, up to 782 on the third
                 for u in (0.0, 2.0, 17.0, 1000.0):
-                    if abs(closed(u) - numeric(u)) > 1e-6 * max(1.0, closed(u)):
-                        return False
-        return True
+                    yield abs(closed(u) - numeric(u)), 1e-6 * max(1.0, closed(u))
 
     def check_measures():
         # budget 2 and margin 0.05 put every tvar:0.01 root past the edge
@@ -430,18 +416,17 @@ def _run_checks(seed):
                 closed, numeric = DeficitFunctional.for_line(line, g), quad(line, g)
                 for rule, param in ((convex_measure, 2.0), (proportional_measure, 0.05)):
                     lw, br = rule(closed, param), rule(numeric, param)
-                    if abs(lw.value - br.value) > 1e-8 or lw.residual > 1e-8:
-                        return False
-        return True
+                    yield abs(lw.value - br.value), 1e-8
+                    yield lw.residual, 1e-8
 
     def check_allocation():
-        res = method1_exponential(AllocationProblem(lines=STANDARD_LINES, total_u=40.0))
-        if abs(float(res.reserves.sum()) - 40.0) > 1e-8 or res.kkt_residual > 1e-8:
-            return False
+        res = method1_exponential(STANDARD_LINES, 40.0)
+        yield abs(float(res.reserves.sum()) - 40.0), 1e-8
+        yield res.kkt_residual, 1e-8
         pair = [line_from_ruin_constants(0.9, b) for b in (0.05, 0.01)]
         closed = method2_two_line(*pair, 60.0)
         numeric = method2_generic(pair, identity(), 60.0)
-        return bool(np.max(np.abs(closed.reserves - numeric.reserves)) < 1e-3)
+        yield float(np.max(np.abs(closed.reserves - numeric.reserves))), 1e-3
 
     def check_simulation():
         # every sample of a batch is its path regenerated alone
@@ -449,10 +434,9 @@ def _run_checks(seed):
         batch = simulate_max_loss(line, 5.0, 300, seed)
         for i, sample in enumerate(batch.samples):
             times, sizes = path_events(line, 5.0, seed, i)
-            if sample != max_loss_from_events(times, sizes, line.c, 5.0):
-                return False
+            yield abs(sample - max_loss_from_events(times, sizes, line.c, 5.0)), 0.0
         state = PathState(time=5.0, realized_loss=-3.25, running_max=1.5)
-        return rolling_requirement(state, 7.0) == -3.25 + 7.0
+        yield abs(rolling_requirement(state, 7.0) - (-3.25 + 7.0)), 0.0
 
     checks = [
         ("lambert-w round trip", check_lambert),
@@ -465,7 +449,7 @@ def _run_checks(seed):
     ]
     failures = 0
     for name, fn in checks:
-        ok = fn()
+        ok = all(err <= bound for err, bound in fn())
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}\n")
         failures += 0 if ok else 1
     return failures

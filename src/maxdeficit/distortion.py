@@ -93,58 +93,33 @@ class Distortion:
         out = self._value(_unit_interval(x))
         return out if out.ndim else float(out)
 
-    def slope(self, x):
-        """The derivative g'; accepts a float or an ndarray of values in [0, 1].
-
-        ph gives p * x**(p - 1), which is infinite at 0 when p < 1; tvar
-        takes 1/alpha up to and including its kink at alpha and 0 beyond.
-        varstep has no derivative to integrate and raises DomainError.
-        """
-        out = self._slope(_unit_interval(x))
-        return out if out.ndim else float(out)
-
-    def curvature(self, x):
-        """The second derivative g''; accepts a float or an ndarray of values
-        in [0, 1].  ph gives p * (p - 1) * x**(p - 2), -inf at 0 when p < 1;
-        the linear pieces of identity and tvar give 0; varstep raises
-        DomainError, as for slope."""
-        out = self._curvature(_unit_interval(x))
-        return out if out.ndim else float(out)
-
     def derivatives(self, x):
         """g, g' and g'' on an ndarray of values in [0, 1], from one range
-        check.  ph's g' and g'' are infinite at 0 when p < 1, so g' is
-        taken at max(x, tiny) and g'' at max(x, sqrt(tiny)), tiny the
-        least normal float, where both are finite for every p in (0, 1].
-        varstep raises DomainError, as for slope."""
+        check.  ph gives g' = p * x**(p - 1) and g'' = p * (p - 1) *
+        x**(p - 2), infinite at 0 when p < 1, so g' is taken at max(x,
+        tiny) and g'' at max(x, sqrt(tiny)), tiny the least normal float,
+        where both are finite for every p in (0, 1].  tvar's g' is 1/alpha
+        up to and including its kink at alpha and 0 beyond; the linear
+        pieces of identity and tvar have g'' = 0.  varstep has no
+        derivative to integrate and raises DomainError."""
         arr = _unit_interval(x)
-        return (
-            self._value(arr),
-            self._slope(np.maximum(arr, _TINY)),
-            self._curvature(np.maximum(arr, _TINY**0.5)),
-        )
-
-    # the array forms, on arguments already checked to lie in [0, 1]
+        if not self.concave:
+            raise DomainError("varstep distortion has no slope")
+        s, p, edge = self.primitive_pieces
+        at = np.maximum(arr, _TINY)
+        slope = np.where(at > edge, 0.0, p * at ** (p - 1.0) / s)
+        # only p = 1 comes with an edge, and x**(p - 2) is infinite at 0
+        at = np.maximum(arr, _TINY**0.5)
+        curvature = p * (p - 1.0) * at ** (p - 2.0) / s if p < 1.0 else 0.0 * at
+        return self._value(arr), slope, curvature
 
     def _value(self, arr):
+        """g on an array already checked to lie in [0, 1]."""
         s, p, edge = self.primitive_pieces
         if edge == math.inf:
             # no argument lies beyond an infinite edge
             return arr**p / s
         return np.where(arr > edge, 1.0, arr**p / s)
-
-    def _slope(self, arr):
-        if not self.concave:
-            raise DomainError("varstep distortion has no slope")
-        s, p, edge = self.primitive_pieces
-        return np.where(arr > edge, 0.0, p * arr ** (p - 1.0) / s)
-
-    def _curvature(self, arr):
-        if not self.concave:
-            raise DomainError("varstep distortion has no curvature")
-        s, p, _ = self.primitive_pieces
-        # only p = 1 comes with an edge, and x**(p - 2) is infinite at 0
-        return p * (p - 1.0) * arr ** (p - 2.0) / s if p < 1.0 else 0.0 * arr
 
     def primitive(self, y):
         """G(y) = integral of g(x)/x over (0, y]; accepts a float or an

@@ -54,11 +54,6 @@ def _level_and_decay(line):
     return a, (1.0 - a) / line.mu
 
 
-def adjustment_coefficient(line):
-    """Decay rate of the ruin probability in the initial reserve."""
-    return _level_and_decay(line)[1]
-
-
 def ruin_constants(line):
     """Level and decay of the ultimate ruin curve for one line."""
     a, b = _level_and_decay(line)

@@ -13,12 +13,10 @@ Three routines cover every solver need in the package:
                   exp-sinh nodes (Takahasi & Mori 1974) given their decay
                   length s, else doubling panels by recursive adaptive
                   20-point Gauss-Lobatto quadrature (Gander & Gautschi,
-                  BIT 40, 2000).  QuadratureCurve and choquet_tail pass
-                  s = 1/(p r), r the tail's log-decrement over [k, k + 1]
-                  at their kink k and p the power of g's primitive, or
-                  none where r is not finite and positive; the pooled pass
-                  1/min(b), method1_generic 1/min(rate) of its grid fits,
-                  and the CLI's check command none
+                  BIT 40, 2000).  A caller passes s = 1/r for an
+                  estimate r of the integrands' slowest decay rate, or
+                  none where it has no finite positive estimate; then,
+                  or where the stage defers, the integral runs on panels
 """
 
 import math

@@ -267,15 +267,16 @@ def estimate_finite_ruin(batch, u):
     return p, half
 
 
-def conditional_max_samples(line, t, r, state, n_inner, seed):
-    """Samples of M_t given the path position summarised by state at r.
+def conditional_max_samples(line, t, state, n_inner, seed):
+    """Samples of M_t given the path position summarised by state at its
+    time r.
 
     The process restarts after r with the same law, so conditionally
     M_t = max(M_r, L_r + M') with M' an independent fresh maximum over
     the remaining horizon t - r.
     """
     t = real(t, positive_finite, "horizon must be positive and finite")
-    r = real(r, lambda x: 0.0 < x < t, f"need 0 < r < t = {t!r}")
+    r = real(state.time, lambda x: 0.0 < x < t, f"need 0 < r < t = {t!r}")
     fresh = simulate_max_loss(line, t - r, n_inner, seed).samples
     return np.maximum(state.running_max, state.realized_loss + fresh)
 
@@ -301,7 +302,7 @@ def supermartingale_check(line, g, t, r, n_outer=200, n_inner=2000, seed=0):
     pooled = np.empty(n_outer * n_inner)
     for j, state in enumerate(states):
         cond = conditional_max_samples(
-            line, t, r, state, n_inner, derive_seed(seed, 11, j)
+            line, t, state, n_inner, derive_seed(seed, 11, j)
         )
         rho_r[j] = choquet_empirical(g, cond)
         pooled[j * n_inner : (j + 1) * n_inner] = cond

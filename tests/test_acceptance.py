@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from maxdeficit import (
-    AllocationProblem,
     DeficitFunctional,
     PathState,
     Tolerance,
@@ -76,7 +75,7 @@ def test_criterion_02_three_line_allocation_table(announce):
     }
     start = time.perf_counter()
     results = {
-        total: method1_exponential(AllocationProblem(lines=LINES, total_u=total))
+        total: method1_exponential(LINES, total)
         for total in published
     }
     elapsed = time.perf_counter() - start
@@ -100,9 +99,7 @@ def test_criterion_02_three_line_allocation_table(announce):
 
 def test_criterion_03_penalized_allocation(announce):
     published = (2.37, 5.16, 92.47)
-    res = method1_exponential(
-        AllocationProblem(lines=LINES, total_u=100.0, gammas=(1.0, 1.0, 2.0))
-    )
+    res = method1_exponential(LINES, 100.0, (1.0, 1.0, 2.0))
     misses = [
         f"line {k + 1}: published {want:.2f}, recomputed {got:.4f} "
         f"(|Δ| = {abs(got - want):.4f})"
@@ -124,9 +121,7 @@ def test_criterion_04_two_line_method_comparison(announce):
     }
     worst = 0.0
     for total, (marginal_ref, aggregate_ref) in published.items():
-        marginal = method1_exponential(
-            AllocationProblem(lines=(fast, slow), total_u=total)
-        ).reserves
+        marginal = method1_exponential((fast, slow), total).reserves
         aggregate = method2_two_line(fast, slow, total).reserves
         for got, want in zip(list(marginal) + list(aggregate),
                              list(marginal_ref) + list(aggregate_ref)):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
-    AllocationProblem,
     AllocationResult,
     DEFAULT_TOL,
     aggregate_min,
@@ -114,26 +113,30 @@ def assert_result_contract(lines, gammas, total_u, res):
 class TestProblemValidation:
     def test_rejects_bad_instances(self, lines):
         with pytest.raises(DomainError):
-            AllocationProblem(lines=(), total_u=1.0)
+            method1_exponential((), 1.0)
         # a str or None budget once gave a bare TypeError, True split 1.0,
-        # and a gamma "2" was read as 2.0
-        for bad in (-1.0, math.nan, math.inf, True, "5", None):
+        # and a gamma "2" was read as 2.0; budgets past 2**1022 once
+        # overflowed the sum of the reserves
+        for bad in (-1.0, math.nan, math.inf, True, "5", None, 5e307, 1.7976931348623157e308):
             with pytest.raises(DomainError, match="total reserve"):
-                AllocationProblem(lines=lines, total_u=bad)
+                method1_exponential(lines, bad)
         for bad in (0.5, math.nan, math.inf, True, "2", None):
             with pytest.raises(DomainError, match="penalty exponents"):
-                AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, bad, 1.0))
-        with pytest.raises(DomainError):
-            AllocationProblem(lines=lines, total_u=1.0, gammas=(1.0, 1.0))
+                method1_exponential(lines, 1.0, (1.0, bad, 1.0))
+        with pytest.raises(DomainError, match="one penalty exponent per line"):
+            method1_exponential(lines, 1.0, (1.0, 1.0))
 
-    def test_budget_is_stored_as_a_float(self, lines):
-        p = AllocationProblem(lines=list(lines), total_u=np.int64(40))
-        assert type(p.total_u) is float and p.total_u == 40.0
-        assert p.lines == lines
+    def test_takes_a_list_and_an_integer_budget(self, lines):
+        res = method1_exponential(list(lines), np.int64(40))
+        ref = method1_exponential(lines, 40.0)
+        assert res.reserves.tolist() == ref.reserves.tolist()
+        assert res.threshold == ref.threshold
 
     def test_defaults(self, lines):
-        p = AllocationProblem(lines=lines, total_u=10.0)
-        assert p.gammas == (1.0, 1.0, 1.0)
+        res = method1_exponential(lines, 10.0)
+        ref = method1_exponential(lines, 10.0, (1.0, 1.0, 1.0))
+        assert res.reserves.tolist() == ref.reserves.tolist()
+        assert res.threshold == ref.threshold
 
 
 class TestMethod1Exponential:
@@ -146,14 +149,12 @@ class TestMethod1Exponential:
         ],
     )
     def test_reference_splits(self, lines, total, expected):
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+        res = method1_exponential(lines, total)
         assert res.reserves == pytest.approx(expected, abs=1e-6)
         assert_result_contract(lines, (1.0, 1.0, 1.0), total, res)
 
     def test_penalized_split(self, lines):
-        res = method1_exponential(
-            AllocationProblem(lines=lines, total_u=100.0, gammas=(1.0, 1.0, 2.0))
-        )
+        res = method1_exponential(lines, 100.0, (1.0, 1.0, 2.0))
         assert res.reserves == pytest.approx(
             (2.37240991, 5.16774300, 92.45984710), abs=1e-6
         )
@@ -173,11 +174,11 @@ class TestMethod1Exponential:
             else:
                 hi = mid
         oracle = reserves_at(math.sqrt(lo * hi))
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=37.5))
+        res = method1_exponential(lines, 37.5)
         assert res.reserves == pytest.approx(oracle, abs=1e-6)
 
     def test_zero_budget(self, lines):
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=0.0))
+        res = method1_exponential(lines, 0.0)
         assert np.all(res.reserves == 0.0)
         assert res.active == []
         assert res.threshold == pytest.approx(5.0 / 6.0, rel=1e-12)
@@ -192,13 +193,13 @@ class TestMethod1Exponential:
             ExponentialLine(0.0324, 11.4847, 1.0),
         ]
         total = 0.00014555333
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+        res = method1_exponential(lines, total)
         assert len(res.active) == 1
         assert res.reserves.sum() == pytest.approx(total, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("total", [1e-300, 1e-20])
     def test_budget_below_rounding_goes_to_the_top_line(self, lines, total):
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+        res = method1_exponential(lines, total)
         assert list(res.reserves) == [total, 0.0, 0.0]
         assert res.active == [0]
 
@@ -206,24 +207,20 @@ class TestMethod1Exponential:
         prev = np.zeros(3)
         prev_active = set()
         for total in (1.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0):
-            res = method1_exponential(AllocationProblem(lines=lines, total_u=total))
+            res = method1_exponential(lines, total)
             assert np.all(res.reserves >= prev - 1e-9)
             assert prev_active <= set(res.active)
             prev, prev_active = res.reserves, set(res.active)
 
     def test_quiet_line_gets_nothing(self):
         quiet = ExponentialLine(0.0, 1.0, 1.0)
-        res = method1_exponential(
-            AllocationProblem(lines=(LINE1, quiet), total_u=5.0)
-        )
+        res = method1_exponential((LINE1, quiet), 5.0)
         assert res.reserves == pytest.approx((5.0, 0.0), abs=1e-9)
         with pytest.raises(DomainError):
-            method1_exponential(
-                AllocationProblem(lines=(quiet, quiet), total_u=5.0)
-            )
+            method1_exponential((quiet, quiet), 5.0)
 
     def test_objective_is_summed_deficit(self, lines):
-        res = method1_exponential(AllocationProblem(lines=lines, total_u=10.0))
+        res = method1_exponential(lines, 10.0)
         direct = sum(
             k.a / k.b * math.exp(-k.b * u)
             for k, u in zip([ruin_constants(l) for l in lines], res.reserves)
@@ -237,7 +234,7 @@ class TestMethod1Generic:
             (lambda u, line=line: ultimate_ruin(line, u)) for line in lines
         ]
         res = method1_generic(marginals, 100.0)
-        closed = method1_exponential(AllocationProblem(lines=lines, total_u=100.0))
+        closed = method1_exponential(lines, 100.0)
         assert res.reserves == pytest.approx(closed.reserves, abs=1e-6)
 
     @pytest.mark.parametrize(
@@ -262,8 +259,7 @@ class TestMethod1Generic:
         assert sum(map(len, calls)) <= 12
         # (a exp(-b u))**p is the marginal level of penalty exponent 1/p
         p = 1.0 if g.kind == "identity" else g.param
-        problem = AllocationProblem(lines=lines, total_u=total, gammas=(1.0 / p,) * 3)
-        closed = method1_exponential(problem)
+        closed = method1_exponential(lines, total, (1.0 / p,) * 3)
         assert res.reserves == pytest.approx(closed.reserves, rel=1e-14)
         assert res.threshold == pytest.approx(closed.threshold, rel=1e-14)
         assert res.kkt_residual <= 1e-14
@@ -378,18 +374,18 @@ class TestMethod1Generic:
         marginals = [(lambda u, line=line: g(ultimate_ruin(line, u))) for line in lines]
         res = method1_generic(marginals, 2e4)
         p = 1.0 if g.kind == "identity" else g.param
-        problem = AllocationProblem(lines=lines, total_u=2e4, gammas=(1.0 / p,) * 3)
-        closed = method1_exponential(problem)
+        closed = method1_exponential(lines, 2e4, (1.0 / p,) * 3)
         assert res.objective == pytest.approx(closed.objective, rel=1e-12, abs=0.0)
         assert res.reserves == pytest.approx(closed.reserves, rel=0.0, abs=1e-12 * 2e4)
 
-    @pytest.mark.parametrize("total", [9e307, 1e308])
+    @pytest.mark.parametrize("total", [2.0**1022, 9e307, 1e308])
     def test_budget_past_half_the_largest_float(self, lines, total):
         # twice the budget, the grid's span, once overflowed to inf and
-        # gave a NaN grid, reported as a NaN reserve; the grid now ends at
-        # the largest float, and the levels there underflow
+        # gave a NaN grid, reported as a NaN reserve; budgets now end at
+        # 2**1022, where the grid ends at 2**1023 and the levels underflow
         marginals = [(lambda u, line=line: ultimate_ruin(line, u)) for line in lines]
-        with pytest.raises(DomainError, match=re.escape(f"split of {total}")):
+        text = f"split of {total}" if total <= 2.0**1022 else "total reserve"
+        with pytest.raises(DomainError, match=re.escape(text)):
             method1_generic(marginals, total)
 
     def test_levels_below_the_least_float_are_a_domain_error(self, lines):
@@ -835,7 +831,8 @@ class TestPooledPass:
 
             def slope(v, k=k, line=line):
                 psi = ultimate_ruin(line, u[k] + v)
-                return g.slope(tail(v)) * -b[k] * psi * (1.0 - tail(v)) / (1.0 - psi)
+                _, g1, _ = g.derivatives(tail(v))
+                return g1 * -b[k] * psi * (1.0 - tail(v)) / (1.0 - psi)
 
             assert grad[k] == pytest.approx(tail_integral(slope, start), rel=1e-9)
 
@@ -1090,7 +1087,7 @@ class TestMethod2Exact:
         assert res.reserves.sum() == pytest.approx(2e5, rel=1e-14)
         assert res.kkt_residual <= 1e-10
         assert 0.0 <= res.objective < 1e-300
-        water = method1_exponential(AllocationProblem(lines=lines, total_u=2e5))
+        water = method1_exponential(lines, 2e5)
         assert res.reserves == pytest.approx(water.reserves, rel=1e-12)
 
     @pytest.mark.parametrize("g", [identity(), tvar(0.1)])
@@ -1281,10 +1278,8 @@ class TestInvariance:
         assert invariance_check([LINE1], proportional_hazard(0.3), 5.0)
 
     def test_heterogeneous_penalties_move_the_split(self, lines):
-        flat = method1_exponential(AllocationProblem(lines=lines, total_u=100.0))
-        bent = method1_exponential(
-            AllocationProblem(lines=lines, total_u=100.0, gammas=(1.0, 1.0, 2.0))
-        )
+        flat = method1_exponential(lines, 100.0)
+        bent = method1_exponential(lines, 100.0, (1.0, 1.0, 2.0))
         assert np.max(np.abs(flat.reserves - bent.reserves)) > 1.0
 
     def test_rejects_flat_distortion(self, lines):

@@ -159,6 +159,23 @@ class TestExitCodes:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "coherent"], ["allocate", "--u", "10"],
+         ["simulate", "--t", "1", "--n", "5", "--seed", "0"]],
+        ids=["measure", "allocate", "simulate"],
+    )
+    def test_missing_line_is_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "at least one --line is required" in err
+
+    def test_two_distortions_for_one_measure_is_usage(self, capsys):
+        argv = ["measure", "coherent", *LINE1_ARGS, "--g", "ph:0.5", "--g", "tvar:0.1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "exactly one --g is expected here" in err
+
     def test_bad_distortion_parameter_is_usage(self, capsys):
         code, _, _ = run(capsys, "measure", "coherent", *LINE1_ARGS, "--g", "ph:1.5")
         assert code == 2
@@ -234,7 +251,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_convergence_failure_is_four(self, capsys, monkeypatch):
-        def boom(problem):
+        def boom(*args):
             raise ConvergenceError("stalled")
 
         monkeypatch.setattr("maxdeficit.cli.method1_exponential", boom)
@@ -440,6 +457,15 @@ class TestFigureCommand:
 
     def test_requires_grid(self, capsys):
         assert run(capsys, "figure")[0] == 2
+
+    @pytest.mark.parametrize(
+        "grid, text",
+        [("1:2", "--r-grid expects start:stop:count"), ("0.1:0.5:0", "count must be >= 1")],
+    )
+    def test_malformed_grid_is_usage(self, capsys, grid, text):
+        code, out, err = run(capsys, "figure", "--r-grid", grid)
+        assert (code, out) == (2, "")
+        assert text in err
 
     def test_writes_csv_file(self, capsys, tmp_path):
         target = tmp_path / "curves.csv"
@@ -669,3 +695,18 @@ class TestCheckCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_a_wrong_route_fails_its_check(self, capsys, monkeypatch):
+        right = cli.method1_exponential
+
+        def wrong(lines, total_u, gammas=None):
+            res = right(lines, total_u, gammas)
+            res.reserves = res.reserves * 1.01
+            return res
+
+        monkeypatch.setattr(cli, "method1_exponential", wrong)
+        code, out, _ = run(capsys, "check", "--seed", "3")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[5] == "FAIL  allocation identities"
+        assert [line[:4] for line in lines] == ["PASS"] * 5 + ["FAIL", "PASS"]

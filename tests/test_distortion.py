@@ -91,7 +91,16 @@ class TestEvaluation:
                 identity()(bad)
 
     @pytest.mark.parametrize(
-        "args", [("ph",), ("tvar",), ("varstep",), ("ph", "0.5"), ("tvar", "0.1")]
+        "args",
+        [
+            ("ph",),
+            ("tvar",),
+            ("varstep",),
+            ("ph", "0.5"),
+            ("tvar", "0.1"),
+            ("foo",),
+            ("identity", 0.5),
+        ],
     )
     def test_missing_or_non_numeric_parameter(self, args):
         with pytest.raises(DomainError):
@@ -104,6 +113,10 @@ class TestEvaluation:
         assert not var_step(0.4).concave
 
 
+def g_prime(g, x):
+    return g.derivatives(x)[1]
+
+
 class TestSlope:
     @pytest.mark.parametrize(
         "g", [identity(), proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.2)]
@@ -113,22 +126,10 @@ class TestSlope:
         x = np.array([0.01, 0.05, 0.15, 0.3, 0.55, 0.9])
         h = 1e-6
         numeric = (g(x + h) - g(x - h)) / (2.0 * h)
-        assert g.slope(x) == pytest.approx(numeric, rel=1e-6)
-
-    def test_scalar_in_scalar_out(self):
-        assert proportional_hazard(0.5).slope(0.25) == pytest.approx(1.0)
-        assert isinstance(tvar(0.1).slope(0.5), float)
+        assert g_prime(g, x) == pytest.approx(numeric, rel=1e-6)
 
     def test_tvar_takes_left_slope_at_kink(self):
-        assert tvar(0.2).slope(0.2) == pytest.approx(5.0)
-
-    def test_varstep_refused(self):
-        with pytest.raises(DomainError):
-            var_step(0.4).slope(np.array([0.1, 0.5]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            identity().slope(1.5)
+        assert g_prime(tvar(0.2), np.array([0.2])) == pytest.approx([5.0])
 
 
 class TestCurvature:
@@ -139,34 +140,31 @@ class TestCurvature:
         # stay clear of 0, of 1 and of the tvar kink at 0.2
         x = np.array([0.01, 0.05, 0.15, 0.3, 0.55, 0.9])
         h = 1e-6
-        numeric = (g.slope(x + h) - g.slope(x - h)) / (2.0 * h)
-        assert g.curvature(x) == pytest.approx(numeric, rel=1e-6, abs=1e-9)
-
-    def test_scalar_in_scalar_out(self):
-        # ph:0.5 gives -x**-1.5 / 4
-        assert proportional_hazard(0.5).curvature(0.25) == pytest.approx(-2.0)
-        assert tvar(0.1).curvature(0.5) == 0.0
-        assert isinstance(identity().curvature(0.0), float)
-
-    def test_varstep_refused(self):
-        with pytest.raises(DomainError):
-            var_step(0.4).curvature(np.array([0.1, 0.5]))
-        with pytest.raises(DomainError):
-            identity().curvature(1.5)
+        numeric = (g_prime(g, x + h) - g_prime(g, x - h)) / (2.0 * h)
+        assert g.derivatives(x)[2] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize(
-        "g", [identity(), proportional_hazard(0.3), proportional_hazard(0.8), tvar(0.2)]
-    )
-    def test_matches_the_three_methods(self, g):
+    def test_pinned_values(self):
+        # ph:0.5 gives x**-0.5 / 2 and -x**-1.5 / 4; tvar's g'' is 0, and
+        # its g' at the kink is the left slope 1/alpha
+        _, slope, curvature = proportional_hazard(0.5).derivatives(np.array([0.25]))
+        assert slope[0] == pytest.approx(1.0) and curvature[0] == pytest.approx(-2.0)
+        _, slope, curvature = tvar(0.2).derivatives(np.array([0.2, 0.5]))
+        assert slope.tolist() == [pytest.approx(5.0), 0.0]
+        assert curvature.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_takes_the_floors_only_near_zero(self, p):
         # g where asked, g' and g'' at the floors that keep ph finite at 0
         tiny = np.finfo(float).tiny
         x = np.array([0.0, 1e-310, tiny, 1e-200, 1e-154, 0.01, 0.2, 0.55, 1.0])
+        g = proportional_hazard(p)
         value, slope, curvature = g.derivatives(x)
         assert np.array_equal(value, g(x))
-        assert np.array_equal(slope, g.slope(np.maximum(x, tiny)))
-        assert np.array_equal(curvature, g.curvature(np.maximum(x, tiny**0.5)))
+        assert np.array_equal(slope, p * np.maximum(x, tiny) ** (p - 1.0))
+        bent = np.maximum(x, tiny**0.5)
+        assert np.array_equal(curvature, p * (p - 1.0) * bent ** (p - 2.0))
 
     @pytest.mark.parametrize("p", [1e-3, 0.3, 0.999])
     def test_finite_at_zero(self, p):
@@ -176,9 +174,9 @@ class TestDerivatives:
         assert np.isfinite(curvature[0]) and curvature[0] < 0.0
 
     def test_checks_range_and_kind(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="outside"):
             identity().derivatives(np.array([0.5, 1.5]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="no slope"):
             var_step(0.4).derivatives(np.array([0.1, 0.5]))
 
 
@@ -207,26 +205,13 @@ class TestScalarPath:
         assert all(type(v) is float for v in scalar)
         np.testing.assert_allclose(scalar, g(np.array(xs)), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("g", KINDS[:4], ids=lambda g: g.label())
-    def test_slope_takes_float_to_float(self, g, rng):
-        xs = self.points(g, rng)
-        with np.errstate(divide="ignore"):
-            scalar = [g.slope(x) for x in xs]
-            array = g.slope(np.array(xs))
-        assert all(type(v) is float for v in scalar)
-        np.testing.assert_allclose(scalar, array, rtol=1e-15, atol=0.0)
-
     @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.label())
     def test_same_range_checks(self, g):
         for bad in (-1e-12, 1.5, -math.inf, math.inf):
             with pytest.raises(DomainError):
                 g(bad)
-            with pytest.raises(DomainError):
-                g.slope(bad)
-
-    def test_varstep_slope_refused(self):
-        with pytest.raises(DomainError):
-            var_step(0.4).slope(0.5)
+            with pytest.raises(DomainError, match="outside"):
+                g.derivatives(np.array([0.5, bad]))
 
 
 class TestChoquetWeights:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
-    AllocationProblem,
     ConvergenceError,
     DeficitFunctional,
     DomainError,
@@ -87,6 +86,8 @@ class TestTolerance:
             dict(max_iter=True),
             dict(max_iter=-3),
             dict(max_iter="200"),
+            # an int past the float range
+            dict(abs_tol=10**400),
         ],
     )
     def test_other_bad_fields(self, kwargs):
@@ -186,15 +187,18 @@ class TestExtremeInputs:
 
 
 # the extremes of the float range with a bool, a str and None: a budget
-# must be a real number in [0, inf), a reserve one >= 0
-EDGE_INPUTS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e308, True, "5", None)
+# must be a real number in [0, 2**1022], a reserve one >= 0
+EDGE_INPUTS = (
+    math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 2.0**1022, 1e308,
+    1.7976931348623157e308, True, "5", None,
+)
 NO_CLAIMS = ExponentialLine(0.0, 1.0, 1.0)
 LINE_SETS = ((LINE1, LINE2), (LINE1, LINE2, LINE3), (LINE3, NO_CLAIMS), (LINE2, LINE3, NO_CLAIMS))
 FIXED = settings(derandomize=True, deadline=None, database=None)
 
 
 def _is_budget(x):
-    return type(x) is float and 0.0 <= x < math.inf
+    return type(x) is float and 0.0 <= x <= 2.0**1022
 
 
 def _is_reserve(x):
@@ -206,7 +210,7 @@ def _marginals(lines, g):
 
 
 ROUTES = {
-    "method1_exponential": lambda lines, g, u: method1_exponential(AllocationProblem(lines, u)),
+    "method1_exponential": lambda lines, g, u: method1_exponential(lines, u),
     "method1_generic": lambda lines, g, u: method1_generic(_marginals(lines, g), u),
     "method2_two_line": lambda lines, g, u: method2_two_line(lines[0], lines[1], u),
     "method2_exact": lambda lines, g, u: method2_exact(
@@ -252,11 +256,10 @@ class TestAllocationExports:
     )
     def test_penalty_exponent_past_the_float_range(self, lines, gammas):
         # (1, 10, 15) decays at b = 1/30, so gamma / b is 2.7e309
-        problem = AllocationProblem(lines, 40.0, gammas)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="penalty exponent"):
-                method1_exponential(problem)
+                method1_exponential(lines, 40.0, gammas)
 
     @settings(FIXED, max_examples=30)
     @given(
@@ -370,13 +373,13 @@ SCALAR_SITES = {
     "PathState.running_max": lambda x: PathState(1.0, -1e300, x),
     "estimate_finite_ruin": lambda x: estimate_finite_ruin(_BATCH, x),
     "conditional_max_samples.t": lambda x: conditional_max_samples(
-        LINE1, x, 1e-300, _STATE, 5, 0
+        LINE1, x, PathState(1e-300, 0.5, 2.0), 5, 0
     ),
-    "conditional_max_samples.r": lambda x: conditional_max_samples(
-        LINE1, 3.0, x, _STATE, 5, 0
+    "conditional_max_samples.state.time": lambda x: conditional_max_samples(
+        LINE1, 3.0, PathState(x, 0.5, 2.0), 5, 0
     ),
     "conditional_max_samples.n_inner": lambda x: conditional_max_samples(
-        LINE1, 3.0, 1.0, _STATE, x, 0
+        LINE1, 3.0, _STATE, x, 0
     ),
     "supermartingale_check.t": lambda x: supermartingale_check(
         LINE1, identity(), x, 1e-300, 2, 5

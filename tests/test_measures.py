@@ -465,6 +465,11 @@ class TestCriticalThreshold:
         d = DeficitFunctional.empirical(identity(), rng.exponential(2.0, 500))
         assert 0.0 < critical_threshold(d) < 1.0
 
+    def test_no_claims_curve_is_degenerate(self):
+        d = DeficitFunctional.for_line(ExponentialLine(0.0, 1.0, 1.0), identity())
+        with pytest.raises(DomainError, match="coherent reserve is zero"):
+            critical_threshold(d)
+
 
 class TestEarBenchmark:
     def test_levels(self):

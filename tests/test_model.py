@@ -9,7 +9,6 @@ import pytest
 from maxdeficit import (
     DomainError,
     ExponentialLine,
-    adjustment_coefficient,
     line_from_ruin_constants,
     ruin_constants,
     ultimate_ruin,
@@ -40,7 +39,7 @@ class TestRuinConstants:
             mu = rng.uniform(0.2, 50.0)
             lam = rng.uniform(0.01, 20.0)
             c = lam * mu * rng.uniform(1.01, 3.0)
-            r = adjustment_coefficient(ExponentialLine(lam, mu, c))
+            r = ruin_constants(ExponentialLine(lam, mu, c)).b
             assert 0.0 < r < 1.0 / mu
 
     def test_no_claims_line(self):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxdeficit import (
-    AllocationProblem,
     DeficitFunctional,
     Distortion,
     Tolerance,
@@ -71,20 +70,21 @@ def water_filling(draw):
         lines += (line_from_ruin_constants(0.5, 0.1),)
     gammas = tuple(draw(st.floats(1.0, 4.0)) for _ in lines)
     total = draw(st.floats(0.0, 500.0))
-    return AllocationProblem(lines=lines, total_u=total, gammas=gammas)
+    return lines, total, gammas
 
 
 class TestMethod1Exponential:
     @settings(FIXED, max_examples=150)
     @given(water_filling())
     def test_budget_and_level_equalisation(self, problem):
-        res = method1_exponential(problem)
+        lines, total, gammas = problem
+        res = method1_exponential(lines, total, gammas)
         u = res.reserves
         assert np.all(u >= 0.0)
-        assert u.sum() == pytest.approx(problem.total_u, rel=1e-10, abs=1e-10)
+        assert u.sum() == pytest.approx(total, rel=1e-10, abs=1e-10)
         # m_k(u_k) = a_k**(1/gamma_k) exp(-b_k u_k / gamma_k): equal to the
         # threshold on lines that hold reserve, at most it on the others
-        for i, (line, gamma) in enumerate(zip(problem.lines, problem.gammas)):
+        for i, (line, gamma) in enumerate(zip(lines, gammas)):
             k = ruin_constants(line)
             level = k.a ** (1.0 / gamma) * math.exp(-k.b * u[i] / gamma)
             if i in res.active:

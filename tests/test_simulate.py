@@ -308,20 +308,20 @@ class TestRestartProperty:
 class TestConditional:
     def test_floor_is_past_maximum(self):
         state = PathState(time=1.0, realized_loss=-2.0, running_max=3.5)
-        cond = conditional_max_samples(LINE1, 3.0, 1.0, state, 500, seed=8)
+        cond = conditional_max_samples(LINE1, 3.0, state, 500, seed=8)
         assert np.all(cond >= 3.5)
 
     def test_loss_level_shifts_continuation(self):
         lo = PathState(time=1.0, realized_loss=-5.0, running_max=0.0)
         hi = PathState(time=1.0, realized_loss=5.0, running_max=5.0)
-        a = conditional_max_samples(LINE1, 3.0, 1.0, lo, 500, seed=8)
-        b = conditional_max_samples(LINE1, 3.0, 1.0, hi, 500, seed=8)
+        a = conditional_max_samples(LINE1, 3.0, lo, 500, seed=8)
+        b = conditional_max_samples(LINE1, 3.0, hi, 500, seed=8)
         assert b.mean() > a.mean()
 
     def test_rejects_degenerate_window(self):
         state = PathState(time=1.0, realized_loss=0.0, running_max=0.0)
-        with pytest.raises(DomainError):
-            conditional_max_samples(LINE1, 1.0, 1.0, state, 10, seed=0)
+        with pytest.raises(DomainError, match="need 0 < r < t"):
+            conditional_max_samples(LINE1, 1.0, state, 10, seed=0)
 
 
 class TestSupermartingale:
