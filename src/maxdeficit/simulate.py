@@ -1,22 +1,25 @@
 """Reproducible simulation of the compound Poisson net-loss process.
 
-Every path owns a counter-based Philox substream keyed by (seed, path
-index), and all variates come from inverse-CDF transforms of that
-stream's uniforms.  Batches are therefore bit-identical for a given
-(line, t, n, seed), and any single path can be regenerated in
-isolation with path_events.
+A batch draws every variate from one PCG64DXSM stream seeded with its
+seed, as inverse-CDF transforms of its uniform doubles, one stream step
+each.  With block = _block_size(line, t), path i owns the window of
+draws [2*block*i, 2*block*(i+1)): its arrival gaps, then, when the gaps
+pass t, its k claim sizes.  A path whose first block of gaps stays
+within t draws its further gaps, then its sizes, from its own spill
+window at draw 2**127 + i*2**40.  As block <= 2**22 and i < 2**64, main
+windows end below 2**87, and a path would need 2**40 draws (8 TB of
+doubles) to leave its spill window, so no path reads another's draws.  Batches are
+bit-identical for a given (line, t, n, seed), and path_events
+regenerates any path alone by advancing a fresh stream to its window.
 
 Between claim arrivals the net loss drifts downward at the premium
 rate, so the running maximum over a horizon is attained at a claim
 epoch (or is zero); paths are reduced to their arrival epochs and
 claim sizes with no time discretisation.
 
-Batches build one Philox per call and re-key it for each path (key
-(seed, i), counter zero, empty buffer), which yields the same stream
-as a fresh Philox for that key.  Paths are drawn as the rows of small
-chunks and reduced row-wise in numpy; a path whose first block of
-arrivals does not pass the horizon is redone by path_events.  The
-stream, and so every fixed-seed result, is the one path_events draws.
+A batch draws consecutive paths as the rows of small chunks, one draw
+per chunk, and reduces them row-wise in numpy; a row that would read a
+spill window is redone by path_events.
 """
 
 import math
@@ -33,7 +36,7 @@ def derive_seed(seed, *tags):
 
     Mixes the base seed with integer tags through SeedSequence so
     nested experiments (outer paths, per-path inner batches, bootstrap)
-    never reuse a path substream.  The seed and every tag must be
+    never reuse a batch's stream.  The seed and every tag must be
     nonnegative integers.
     """
     text = "seed and tags must be nonnegative integers"
@@ -66,36 +69,47 @@ def _block_size(line, t):
     return int(block)
 
 
-def _path_rng(seed, index):
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Paths per batch at most, so that a batch's samples take 32 MB and its
+# path states about 640 MB; 42 times the largest batch of the tests and
+# the benchmark (100,000 paths).
+_MAX_PATHS = 1 << 22
+
+
+def _check_path_count(n, text="path count"):
+    if n > _MAX_PATHS:
+        raise DomainError(f"{text} {n} is more than {_MAX_PATHS}")
+
+
+def _window(seed, start):
+    """A generator on the seed's stream, advanced to draw start."""
+    bitgen = np.random.PCG64DXSM(seed)
+    bitgen.advance(start)
+    return np.random.Generator(bitgen)
 
 
 def path_events(line, t, seed, index):
-    """Arrival epochs and claim sizes of one path over [0, t].
+    """Arrival epochs and claim sizes of path index over [0, t].
 
-    Arrivals come from sequential exponential gaps drawn until the
-    horizon is passed; claim sizes follow in a second block from the
-    same substream.  Returns (times, sizes) as ndarrays.
+    Arrivals come from exponential gaps drawn a block at a time from the
+    path's window until the horizon is passed, and claim sizes follow
+    from the same window (module docstring).  Returns (times, sizes) as
+    ndarrays.
     """
-    block = _check_path_args(line, t, seed, index)
-    rng = _path_rng(seed, index)
+    block, seed, index = _check_path_args(line, t, seed, index)
     if line.lam == 0.0:
         return np.empty(0), np.empty(0)
-    parts = []
-    last = 0.0
-    while True:
-        gaps = -np.log1p(-rng.random(block)) / line.lam
-        chunk = last + np.cumsum(gaps)
-        parts.append(chunk)
-        last = float(chunk[-1])
-        if last > t:
-            break
-    times = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    rng = _window(seed, 2 * block * index)
+    times = np.cumsum(-np.log1p(-rng.random(block)) / line.lam)
+    if times[-1] <= t:
+        rng = _window(seed, 2**127 + index * 2**40)  # its spill window
+        parts = [times]
+        while parts[-1][-1] <= t:
+            gaps = -np.log1p(-rng.random(block)) / line.lam
+            parts.append(parts[-1][-1] + np.cumsum(gaps))
+        times = np.concatenate(parts)
     k = int(np.searchsorted(times, t, side="right"))
-    times = times[:k]
     sizes = -line.mu * np.log1p(-rng.random(k))
-    return times, sizes
+    return times[:k], sizes
 
 
 def max_loss_from_events(times, sizes, c, t):
@@ -149,28 +163,34 @@ def _in_key_range(x):
 
 
 def _check_path_args(line, t, seed, index):
-    """The block size over [0, t] (_block_size), or DomainError unless t
-    is positive and finite and seed and index are 64-bit keys."""
+    """(block, seed, index): the block size over [0, t] (_block_size)
+    and the seed and index as Python ints, or DomainError unless t is
+    positive and finite and seed and index are 64-bit integers."""
     t = real(t, positive_finite, "horizon must be positive and finite")
-    whole(seed, _in_key_range, "seed must be a nonnegative 64-bit integer")
-    whole(index, _in_key_range, "path index must be a nonnegative 64-bit integer")
-    return _block_size(line, t)
+    seed = whole(seed, _in_key_range, "seed must be a nonnegative 64-bit integer")
+    text = "path index must be a nonnegative 64-bit integer"
+    return _block_size(line, t), seed, whole(index, _in_key_range, text)
 
 
 def _check_run_args(line, t, n, seed):
+    """The path count n as a Python int, or DomainError (see
+    _check_path_args) unless it is in [1, _MAX_PATHS]."""
     _check_path_args(line, t, seed, 0)
-    whole(n, lambda x: x > 0, "path count must be a positive integer")
+    n = whole(n, lambda x: x > 0, "path count must be a positive integer")
+    _check_path_count(n)
+    return n
 
 
 def _fill_paths(line, t, seed, maxima=None, totals=None):
     """Write path i's running maximum over [0, t] to maxima[i] and its
     claim total to totals[i], for every index of the given arrays.
 
-    Each row holds 2*block uniforms of one path, drawn with one call as
-    path_events draws them: the first block are the arrival gaps and,
-    when they pass t, the next k are the k claim sizes.  Claim totals
-    are summed over exactly those k sizes so numpy's pairwise order,
-    and so every bit, matches path_events.
+    Row i holds path i's window of 2*block uniforms: the first block
+    are the arrival gaps and, when they pass t, the next k are the k
+    claim sizes.  Consecutive rows are consecutive windows of the seed's
+    stream, so a chunk of rows is one draw.  Claim totals are summed
+    over exactly those k sizes so numpy's pairwise order, and so every
+    bit, matches path_events.
     """
     n = (maxima if maxima is not None else totals).size
     if line.lam == 0.0:
@@ -180,21 +200,12 @@ def _fill_paths(line, t, seed, maxima=None, totals=None):
         return
     block = _block_size(line, t)
     rows = max(1, _CHUNK_ELEMENTS // (2 * block))
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    # a fresh Philox's state (counter zero, empty buffer); assigning it
-    # back with only key[1] changed re-keys the generator for one path
-    state = bitgen.state
-    key = state["state"]["key"]
+    rng = _window(seed, 0)
     draws = np.empty((rows, 2 * block))
     jumps = np.empty((rows, block))
     for first in range(0, n, rows):
         m = min(rows, n - first)
-        u = draws[:m]
-        for j in range(m):
-            key[1] = first + j
-            bitgen.state = state
-            rng.random(out=u[j])
+        u = rng.random(out=draws[:m])
         np.negative(u, out=u)
         np.log1p(u, out=u)
         times, sizes = u[:, :block], u[:, block:]
@@ -214,7 +225,7 @@ def _fill_paths(line, t, seed, maxima=None, totals=None):
             np.subtract(sizes, v, out=v)
             peaks = maxima[first : first + m]
             np.max(v, axis=1, initial=0.0, where=within, out=peaks)
-        for j in np.flatnonzero(times[:, -1] <= t):
+        for j in np.flatnonzero(times[:, -1] <= t).tolist():
             path_times, path_sizes = path_events(line, t, seed, first + j)
             if maxima is not None:
                 maxima[first + j] = max_loss_from_events(
@@ -295,7 +306,8 @@ def supermartingale_check(line, g, t, r, n_outer=200, n_inner=2000, seed=0):
     if not g.concave:
         raise DomainError("supermartingale comparison needs a concave distortion")
     n_outer = whole(n_outer, lambda x: x >= 2, "need an integer n_outer >= 2")
-    _check_run_args(line, t, n_inner, seed)
+    n_inner = _check_run_args(line, t, n_inner, seed)
+    _check_path_count(n_outer * n_inner, "nested path count n_outer * n_inner")
     r = real(r, lambda x: 0.0 < x < t, f"need 0 < r < t = {t!r}")
     states = simulate_path_states(line, r, n_outer, derive_seed(seed, 10))
     rho_r = np.empty(n_outer)

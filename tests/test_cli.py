@@ -237,6 +237,23 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("domain error: horizon 1e+308") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t", "1", "--seed", "1", "--u", "0"],
+            ["measure", "convex", "--g", "ph:0.5", "--t", "1", "--A", "2"],
+            ["measure", "premium-bound", "--g", "ph:0.5"],
+        ],
+        ids=["simulate", "measure", "premium-bound"],
+    )
+    def test_path_count_past_the_cap_is_three(self, capsys, argv):
+        # 10**14 paths once ended in numpy's _ArrayMemoryError and exit 1;
+        # the count is now refused before any array is allocated
+        code, out, err = run(capsys, *argv, *LINE1_ARGS, "--n", str(10**14))
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: path count 100000000000000 is more than")
+        assert err.count("\n") == 1
+
     def test_nan_reserve_level_is_three(self, capsys):
         code, out, err = run(
             capsys, "simulate", *LINE1_ARGS, "--t", "1", "--n", "10", "--seed", "7",

@@ -286,6 +286,98 @@ class TestChunkedKernel:
         assert_same_bits(batch_routes(line, t, n, seed=4), maxima, totals, line, t)
 
 
+def first_epochs_and_sizes(line, t, seed, n):
+    """Each path's first arrival epoch and claim sizes, concatenated.  On a
+    line with lam = mu = 1 each is -log1p(-u) of one draw, bit for bit."""
+    values = []
+    for i in range(n):
+        times, sizes = path_events(line, t, seed, i)
+        values.extend([times[:1], sizes])
+    return np.concatenate(values)
+
+
+class TestStreamLayout:
+    """Path i reads the window [2*block*i, 2*block*(i+1)) of the seed's
+    stream, or its own spill window past every main window."""
+
+    UNIT = ExponentialLine(1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integers_give_the_python_int_path(self, kind):
+        want = path_events(LINE1, 3.0, 5, 7)
+        got = path_events(LINE1, 3.0, kind(5), kind(7))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_largest_seed_and_index(self, monkeypatch):
+        top = 2**64 - 1
+        times, sizes = path_events(LINE1, 3.0, top, top)
+        assert times.size == sizes.size > 0
+        # a one-gap block stays within t = 0.5 on this path, so it also
+        # reads the last spill window
+        monkeypatch.setattr(simulate, "_block_size", lambda line, t: 1)
+        times, sizes = path_events(LINE1, 0.5, top, top)
+        assert times.size == sizes.size > 1
+
+    def test_adjacent_maxima_are_uncorrelated(self):
+        n = 20_000
+        m = simulate_max_loss(LINE1, 15.0, n, seed=3434).samples
+        r = np.corrcoef(m[:-1], m[1:])[0, 1]
+        assert abs(r) < 4.0 / math.sqrt(n)
+
+    def test_main_windows_share_no_draw(self):
+        # a window unit below 2*block would make path i's first gap one of
+        # path i - 1's claim sizes
+        values = first_epochs_and_sizes(self.UNIT, 20.0, 8, 300)
+        assert np.unique(values).size == values.size
+
+    def test_spill_windows_share_no_draw(self, monkeypatch):
+        # a three-gap block almost never passes t = 10 at lam = 1, so the
+        # sizes come from the spill windows
+        monkeypatch.setattr(simulate, "_block_size", lambda line, t: 3)
+        counts = [path_events(self.UNIT, 10.0, 8, i)[0].size for i in range(300)]
+        assert sum(k >= 3 for k in counts) > 290
+        values = first_epochs_and_sizes(self.UNIT, 10.0, 8, 300)
+        assert np.unique(values).size == values.size
+
+    def test_spill_rows_match_path_events(self, monkeypatch):
+        # a 7-gap block at mean count 10: most rows spill, some by two or
+        # more blocks, and some pass t in their first block
+        monkeypatch.setattr(simulate, "_block_size", lambda line, t: 7)
+        line, t, n = LINE1, 1.0, 300
+        counts = [path_events(line, t, 12, i)[0].size for i in range(n)]
+        assert 0 < sum(k < 7 for k in counts) and sum(k >= 14 for k in counts) > 0
+        maxima, totals = single_path_route(line, t, n, seed=12)
+        assert_same_bits(batch_routes(line, t, n, seed=12), maxima, totals, line, t)
+
+
+class TestPathCountCap:
+    """A path count past simulate._MAX_PATHS is refused before anything
+    is allocated or drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths drawn before validation")
+
+        monkeypatch.setattr(simulate, "_fill_paths", refuse)
+
+    @pytest.mark.parametrize(
+        "batch", [simulate_max_loss, simulate_path_states, simulate_aggregate_claims]
+    )
+    def test_batch(self, batch):
+        with pytest.raises(DomainError, match="path count 100000000000000"):
+            batch(LINE1, 1.0, 10**14, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_outer,n_inner", [(2, 10**14), (5 * 10**13, 2)], ids=["inner", "product"]
+    )
+    def test_supermartingale(self, n_outer, n_inner):
+        with pytest.raises(DomainError, match="path count"):
+            supermartingale_check(
+                LINE1, identity(), t=3.0, r=1.0, n_outer=n_outer, n_inner=n_inner
+            )
+
+
 class TestRestartProperty:
     def test_post_restart_maxima_match_fresh_process(self):
         # increments after r form a fresh copy of the process, so their
